@@ -37,6 +37,7 @@ from .linalg import (
     basis_vec,
     frac,
     format_fraction,
+    max_abs_int,
     nullspace_int,
     parse_fraction,
     vec_sub,
@@ -140,16 +141,26 @@ class AlgebraPresentation:
         out.sort(key=lambda e: e[:3])
         return out
 
-    def int_tensor(self, force_scale: Optional[int] = None):
-        """(int64 tensor, scale) with tensor = scale * structure constants."""
-        if force_scale is None and self._int_cache is not None:
-            return self._int_cache
-        entries = [((i, j, k), q) for i, j, k, q in self.structure_entries()]
-        n = self.dim
-        result = kernels.to_int_tensor(entries, (n, n, n), force_scale)
-        if force_scale is None:
-            self._int_cache = result
-        return result
+    def int_tensor(self):
+        """(tensor, scale) with tensor = scale * structure constants, exact.
+
+        int64 when every entry fits, object dtype otherwise; built once.
+        """
+        if self._int_cache is None:
+            entries = [((i, j, k), q) for i, j, k, q in self.structure_entries()]
+            n = self.dim
+            self._int_cache = kernels.to_int_tensor(entries, (n, n, n))
+        return self._int_cache
+
+    def capped_int_tensor(self):
+        """int_tensor as the fast paths take it.
+
+        Raises kernels.ExactOverflow unless every entry is below
+        kernels.INT_CAP.
+        """
+        tensor, scale = self.int_tensor()
+        kernels.check_cap(tensor)
+        return tensor, scale
 
     # -- misc --------------------------------------------------------------
 
@@ -356,7 +367,7 @@ def check_jordan(a: AlgebraPresentation) -> JordanVerdict:
     i <= j <= k over the basis decides it for the whole algebra.
     """
     try:
-        tensor, _ = a.int_tensor()
+        tensor, _ = a.capped_int_tensor()
         witness = kernels.jordan_violation(tensor)
     except kernels.ExactOverflow:
         witness = _jordan_violation_exact(a)
@@ -374,19 +385,17 @@ def center_basis(a: AlgebraPresentation) -> list[Vec]:
     nullspace: stack the operators L(e_i e_j) - L_i L_j over all ordered
     basis pairs.
     """
-    tensor, _ = a.int_tensor()
+    c, _ = a.int_tensor()
     n = a.dim
-    c = tensor.astype(np.int64)
-    li64 = np.ascontiguousarray(c.transpose(0, 2, 1))  # scaled L_i as L[i][r][j]
-    cmax = int(np.abs(c).max()) if c.size else 0
-    if cmax * cmax * n >= 2**62:
-        raise kernels.ExactOverflow("center system entries too large")
-    rows = np.zeros((n * n * n, n), dtype=np.int64)
+    if n * max_abs_int(c) ** 2 >= 2**62:
+        c = c.astype(object)
+    li = np.ascontiguousarray(c.transpose(0, 2, 1))  # scaled L_i as L[i][r][j]
+    rows = np.zeros((n * n * n, n), dtype=c.dtype)
     pos = 0
     for i in range(n):
         for j in range(n):
-            lij = np.tensordot(c[i, j], li64, axes=(0, 0))  # scale^2 * L(e_i e_j)
-            lilj = li64[i] @ li64[j]  # scale^2 * L_i L_j
+            lij = np.tensordot(c[i, j], li, axes=(0, 0))  # scale^2 * L(e_i e_j)
+            lilj = li[i] @ li[j]  # scale^2 * L_i L_j
             rows[pos : pos + n] = lij - lilj
             pos += n
     basis, _ = nullspace_int(rows)

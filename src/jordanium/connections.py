@@ -14,10 +14,12 @@ commutator definition
 
 and, for potential-built connections, re-derived through the gauge formula
 X(A(Y)) - Y(A(X)) + [A(X), A(Y)] - A([X, Y]) as a second path that must
-agree exactly.  The extension of a connection to module-valued forms uses
-the same 1/(n+1)-compensated alternating sum as the differential on
-algebra-valued forms, so that grad(w f) = (dw) f + (-1)^n w grad(f) holds
-exactly under the normalized product.
+agree exactly.  The extension of a connection to module-valued forms,
+``extend_to_forms`` (defined in :mod:`jordanium.forms` and re-exported
+here), is the differential's 1/(n+1)-compensated alternating sum with the
+covariant operators in place of the frame matrices, so that
+grad(w f) = (dw) f + (-1)^n w grad(f) holds exactly under the normalized
+product.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Optional, Sequence
 
 from .algebra import center_basis
 from .derivations import DerivationBasis, express_in_inner
-from .forms import DEGREE_CAP, DerForm, _insert_index, bracket_table
+from .forms import bracket_table, extend_to_forms, forms_leibniz_check
 from .linalg import (
     Mat,
     Vec,
@@ -426,69 +428,6 @@ def inner_connection(der: DerivationBasis, module: ModuleAction) -> Connection:
             raise ValueError("frame element has no inner expansion")
         ops.append(inner_operator_on_module(module, pairs))
     return Connection(der, module, ops)
-
-
-# ---------------------------------------------------------------------------
-# extension to module-valued forms
-
-
-def extend_to_forms(c: Connection, phi: DerForm) -> DerForm:
-    """Degree-raising covariant differential of a module-valued form."""
-    if phi.module is None or phi.module != c.module:
-        raise ValueError("form must take values in the connection's module")
-    l = phi.degree
-    if l + 1 > DEGREE_CAP:
-        raise ValueError("extension would exceed the degree cap of %d" % DEGREE_CAP)
-    der = c.der
-    br = bracket_table(der)
-    scale = Fraction(1, l + 1)
-    out = {}
-    for key in combinations(range(der.dim), l + 1):
-        acc = [Fraction(0)] * phi.value_dim
-        for pth, kp in enumerate(key):
-            rest = key[:pth] + key[pth + 1 :]
-            val = phi.coeffs.get(rest)
-            if val is None:
-                continue
-            term = c.ops[kp].apply(val)
-            if pth % 2:
-                for t, v in enumerate(term):
-                    acc[t] -= v
-            else:
-                for t, v in enumerate(term):
-                    acc[t] += v
-        for r, s in combinations(range(l + 1), 2):
-            rest = tuple(key[t] for t in range(l + 1) if t != r and t != s)
-            sgn_rs = -1 if (r + s) % 2 else 1
-            for tau, q in enumerate(br[key[r]][key[s]]):
-                if not q:
-                    continue
-                ins = _insert_index(tau, rest)
-                if ins is None:
-                    continue
-                kk, isign = ins
-                val = phi.coeffs.get(kk)
-                if val is None:
-                    continue
-                cq = q * sgn_rs * isign
-                for t, v in enumerate(val):
-                    acc[t] += cq * v
-        if any(acc):
-            out[key] = tuple(v * scale for v in acc)
-    return DerForm(der, l + 1, out, phi.module)
-
-
-def forms_leibniz_check(c: Connection, w: DerForm, phi: DerForm) -> bool:
-    """grad(w phi) == (dw) phi + (-1)^n w grad(phi) as exact forms."""
-    from .forms import d_der, wedge
-
-    if w.module is not None or phi.module != c.module:
-        raise ValueError("need an algebra-valued form acting on a module-valued one")
-    lhs = extend_to_forms(c, wedge(w, phi))
-    rhs = wedge(d_der(w), phi)
-    tail = wedge(w, extend_to_forms(c, phi))
-    rhs = rhs - tail if w.degree % 2 else rhs + tail
-    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------

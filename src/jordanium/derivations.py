@@ -21,7 +21,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,7 +35,10 @@ from .linalg import (
     frac,
     inverse,
     mat_from_flat,
+    max_abs_int,
     nullspace_int,
+    rank_lower_bound,
+    scaled_ints,
     solve,
 )
 
@@ -45,19 +47,9 @@ from .linalg import (
 
 
 def _scaled_int_mats(mats: Sequence[Mat]) -> tuple[np.ndarray, int]:
-    """Stack rational matrices as one int64 array with a common scale."""
-    denoms = [x.denominator for m in mats for row in m.data for x in row]
-    s = lcm(*denoms) if denoms else 1
-    n = mats[0].rows if mats else 0
-    out = np.zeros((len(mats), n, mats[0].cols if mats else 0), dtype=np.int64)
-    for a, m in enumerate(mats):
-        for r, row in enumerate(m.data):
-            for c, x in enumerate(row):
-                if x:
-                    v = x * s
-                    assert v.denominator == 1 and abs(v) < 2**62
-                    out[a, r, c] = int(v)
-    return out, s
+    """Stack rational matrices as one integer array with a common scale."""
+    shape = (len(mats), mats[0].rows, mats[0].cols) if mats else (0, 0, 0)
+    return scaled_ints([x for m in mats for row in m.data for x in row], shape)
 
 
 def _leibniz_system(a: AlgebraPresentation) -> np.ndarray:
@@ -67,11 +59,12 @@ def _leibniz_system(a: AlgebraPresentation) -> np.ndarray:
     block of n rows per unordered basis pair.
     """
     c, _ = a.int_tensor()
-    c = c.astype(np.int64)
+    if 3 * max_abs_int(c) >= 2**62:
+        c = c.astype(object)
     n = a.dim
     lm = np.ascontiguousarray(c.transpose(0, 2, 1))  # lm[i][r][m] = c[i,m,r]
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    rows = np.zeros((len(pairs) * n, n * n), dtype=np.int64)
+    rows = np.zeros((len(pairs) * n, n * n), dtype=c.dtype)
     idx = np.arange(n)
     for t, (i, j) in enumerate(pairs):
         blk = rows[t * n : (t + 1) * n].reshape(n, n, n)
@@ -90,7 +83,7 @@ def leibniz_violation(a: AlgebraPresentation, x: Mat) -> Optional[tuple[int, int
     n = a.dim
     if x.rows != n or x.cols != n:
         raise ValueError("operator shape does not match the algebra")
-    c, _ = a.int_tensor()
+    c, _ = a.capped_int_tensor()
     c = c.astype(np.int64)
     xm = _scaled_int_mats([x])[0][0]
     xt = xm.T.copy()
@@ -233,20 +226,10 @@ def check_jacobi(b: list[list[Vec]]) -> bool:
     d = len(b)
     if d == 0:
         return True
-    dens = [x.denominator for row in b for v in row for x in v]
-    s = lcm(*dens) if dens else 1
-    bi = np.zeros((d, d, d), dtype=np.int64)
-    for p in range(d):
-        for q in range(d):
-            for g, x in enumerate(b[p][q]):
-                bi[p, q, g] = int(x * s)
-    bound = d * float(np.abs(bi).max(initial=0)) ** 2
-    if bound < 2.0**52:
-        t1 = (bi.reshape(d * d, d).astype(np.float64) @ bi.reshape(d, d * d).astype(np.float64)).reshape(d, d, d, d)
-    else:
-        t1 = (bi.reshape(d * d, d).astype(object) @ bi.reshape(d, d * d).astype(object)).reshape(d, d, d, d)
-    cyc = t1 + t1.transpose(1, 2, 0, 3) + t1.transpose(2, 0, 1, 3)
-    return not np.asarray(cyc).any()
+    bi, _ = scaled_ints([x for row in b for v in row for x in v], (d, d, d))
+    t1 = exact_int_matmul(bi.reshape(d * d, d), bi.reshape(d, d * d)).reshape(d, d, d, d)
+    # int64 entries of t1 are below 2**62, so a sum of two cannot overflow
+    return bool((t1 + t1.transpose(1, 2, 0, 3) == -t1.transpose(2, 0, 1, 3)).all())
 
 
 # ---------------------------------------------------------------------------
@@ -280,21 +263,19 @@ def check_lie_rinehart(der: DerivationBasis) -> dict:
     n = a.dim
     d = der.dim
     center = center_basis(a)
-    c, _ = a.int_tensor()
+    c, _ = a.capped_int_tensor()
     c = c.astype(np.int64)
     if d == 0 or not center:
         return {"center_stable": True, "module_closed": True, "mixed_bracket": True}
     dints, _ = _scaled_int_mats(der.mats)
-    zdens = [x.denominator for z in center for x in z]
-    t = lcm(*zdens)
+    zints, _ = scaled_ints([x for z in center for x in z], (len(center), n))
     module_ok = True
     bracket_ok = True
     df = dints.astype(np.float64)
     cf = c.astype(np.float64)
     comm = np.einsum("pij,qjk->pqik", df, df) - np.einsum("qij,pjk->pqik", df, df)
     maxd = float(np.abs(df).max(initial=0))
-    for z in center:
-        zi = np.array([int(x * t) for x in z], dtype=np.float64)
+    for zi in zints.astype(np.float64):
         lz = np.einsum("i,imr->rm", zi, cf)  # scaled left multiplication by z
         dz = np.einsum("pri,i->pr", df, zi)
         ldz = np.einsum("pi,imr->prm", dz, cf)
@@ -345,19 +326,12 @@ def inner_span_report(a: AlgebraPresentation, der: Optional[DerivationBasis] = N
     if der is None:
         der = derivation_basis(a)
     ops = inner_basis_operators(a)
-    c, _ = a.int_tensor()
+    c, _ = a.capped_int_tensor()
     if ops:
         ints, _ = _scaled_int_mats([m for _, m in ops])
         all_der = bool(_leibniz_ok_int(c.astype(np.int64), ints).all())
         stacked = ints.reshape(len(ops), -1)
-        from .linalg import _PRIMES, _rref_mod_p, _to_int64_mod
-
-        rank_lower = 0
-        for p in _PRIMES[:3]:
-            _, pivots = _rref_mod_p(_to_int64_mod(stacked, p), p)
-            rank_lower = max(rank_lower, len(pivots))
-            if rank_lower == der.dim:
-                break
+        rank_lower = rank_lower_bound(stacked, der.dim)
     else:
         all_der = True
         rank_lower = 0
@@ -409,7 +383,7 @@ def annihilator_subalgebra(
         return []
     n = a.dim
     ints, _ = _scaled_int_mats(der.mats)
-    rows = np.zeros((len(idempotent_indices) * n, der.dim), dtype=np.int64)
+    rows = np.zeros((len(idempotent_indices) * n, der.dim), dtype=ints.dtype)
     for t, i in enumerate(idempotent_indices):
         rows[t * n : (t + 1) * n] = ints[:, :, i].T
     basis, _ = nullspace_int(rows)

@@ -14,7 +14,9 @@ normalization the compatible differential carries a degree-dependent factor,
     d|degree n = 1/(n+1) * (Koszul alternating sum),
 
 and the pair satisfies d(w^f) = (dw)^f + (-1)^n w^(df), d^2 = 0, and
-graded commutativity w^f = (-1)^{nl} f^w, all as exact identities.
+graded commutativity w^f = (-1)^{nl} f^w, all as exact identities.  A
+connection extends to module-valued forms (:func:`extend_to_forms`) by the
+same sum with its covariant operators in place of the frame matrices.
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from .algebra import center_basis
 from .derivations import DerivationBasis, structure_constants
 from .linalg import (
+    Mat,
     Vec,
     basis_vec,
     format_fraction,
@@ -37,6 +40,9 @@ from .linalg import (
     zero_vec,
 )
 from .modules import ModuleAction
+
+if TYPE_CHECKING:
+    from .connections import Connection
 
 DEGREE_CAP = 3
 
@@ -279,29 +285,26 @@ def wedge(w: DerForm, f: DerForm) -> DerForm:
     return DerForm(w.der, n + l, out, mod)
 
 
-def d_der(w: DerForm) -> DerForm:
-    """Differential of an algebra-valued form."""
-    if w.module is not None:
-        raise ValueError(
-            "module-valued forms are differentiated by a connection, not by d_der"
-        )
+def _koszul(w: DerForm, ops: Sequence[Mat]) -> DerForm:
+    """1/(n+1) times the Koszul alternating sum of a degree-n form.
+
+    ops[mu] acts on the values along frame element mu: the frame matrices
+    for algebra-valued forms, a connection's covariant operators for
+    module-valued ones.
+    """
     n = w.degree
-    if n + 1 > DEGREE_CAP:
-        raise ValueError("differential would exceed the degree cap of %d" % DEGREE_CAP)
     der = w.der
-    dim = der.dim
-    vd = w.value_dim
     brackets = bracket_table(der)
     scale = Fraction(1, n + 1)
     out: dict[Key, Vec] = {}
-    for key in combinations(range(dim), n + 1):
-        acc = [Fraction(0)] * vd
+    for key in combinations(range(der.dim), n + 1):
+        acc = [Fraction(0)] * w.value_dim
         for p, kp in enumerate(key):
             rest = key[:p] + key[p + 1 :]
             val = w.coeffs.get(rest)
             if val is None:
                 continue
-            term = der.mats[kp].apply(val)
+            term = ops[kp].apply(val)
             if p % 2:
                 for t, v in enumerate(term):
                     acc[t] -= v
@@ -326,11 +329,40 @@ def d_der(w: DerForm) -> DerForm:
                     acc[t] += c * v
         if any(acc):
             out[key] = tuple(v * scale for v in acc)
-    return DerForm(der, n + 1, out)
+    return DerForm(der, n + 1, out, w.module)
+
+
+def d_der(w: DerForm) -> DerForm:
+    """Differential of an algebra-valued form."""
+    if w.module is not None:
+        raise ValueError(
+            "module-valued forms are differentiated by a connection, not by d_der"
+        )
+    if w.degree + 1 > DEGREE_CAP:
+        raise ValueError("differential would exceed the degree cap of %d" % DEGREE_CAP)
+    return _koszul(w, w.der.mats)
+
+
+def extend_to_forms(c: "Connection", phi: DerForm) -> DerForm:
+    """Degree-raising covariant differential of a module-valued form."""
+    if phi.module is None or phi.module != c.module:
+        raise ValueError("form must take values in the connection's module")
+    if phi.degree + 1 > DEGREE_CAP:
+        raise ValueError("extension would exceed the degree cap of %d" % DEGREE_CAP)
+    return _koszul(phi, c.ops)
 
 
 # ---------------------------------------------------------------------------
 # graded-structure checks
+
+
+def _graded_leibniz(w: DerForm, f: DerForm, diff: Callable[[DerForm], DerForm]) -> bool:
+    """diff(w^f) == (dw)^f + (-1)^n w^diff(f), as exact forms."""
+    lhs = diff(wedge(w, f))
+    rhs = wedge(d_der(w), f)
+    tail = wedge(w, diff(f))
+    rhs = rhs - tail if w.degree % 2 else rhs + tail
+    return lhs == rhs
 
 
 def leibniz_check(w: DerForm, f: DerForm) -> bool:
@@ -339,11 +371,14 @@ def leibniz_check(w: DerForm, f: DerForm) -> bool:
         raise ValueError("the Leibniz check applies to algebra-valued forms")
     if w.degree + f.degree + 1 > DEGREE_CAP:
         raise ValueError("combined degree leaves no room below the cap")
-    lhs = d_der(wedge(w, f))
-    rhs = wedge(d_der(w), f)
-    tail = wedge(w, d_der(f))
-    rhs = rhs - tail if w.degree % 2 else rhs + tail
-    return lhs == rhs
+    return _graded_leibniz(w, f, d_der)
+
+
+def forms_leibniz_check(c: "Connection", w: DerForm, phi: DerForm) -> bool:
+    """grad(w phi) == (dw) phi + (-1)^n w grad(phi) as exact forms."""
+    if w.module is not None or phi.module != c.module:
+        raise ValueError("need an algebra-valued form acting on a module-valued one")
+    return _graded_leibniz(w, phi, lambda x: extend_to_forms(c, x))
 
 
 def graded_commutativity_check(w: DerForm, f: DerForm) -> bool:

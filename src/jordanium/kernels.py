@@ -24,6 +24,9 @@ class ExactOverflow(Exception):
     """Raised when entries are too large for the fast integer path."""
 
 
+INT_CAP = 2**40  # scaled entries of the fast paths' inputs stay below this
+
+
 def to_int_tensor(
     entries: Sequence[tuple[tuple[int, ...], Fraction]],
     shape: tuple[int, ...],
@@ -31,10 +34,11 @@ def to_int_tensor(
 ):
     """Clear denominators of a sparse rational tensor.
 
-    Returns (int64 array, scale) with array = scale * tensor.  Raises
-    ExactOverflow if any scaled entry does not fit comfortably in int64.
-    force_scale lets two tensors share one scale so their entries stay
-    directly comparable; it must clear every denominator.
+    Returns (array, scale) with array = scale * tensor, exactly: int64 when
+    every entry fits, object dtype otherwise; inputs of the fast paths pass
+    through :func:`check_cap` as well.  force_scale lets two tensors share
+    one scale so their entries stay directly comparable; it must clear
+    every denominator.
     """
     scale = 1
     for _, q in entries:
@@ -43,13 +47,18 @@ def to_int_tensor(
         if force_scale % scale != 0:
             raise ValueError("forced scale does not clear all denominators")
         scale = force_scale
-    out = np.zeros(shape, dtype=np.int64)
-    for idx, q in entries:
-        v = q.numerator * (scale // q.denominator)
-        if abs(v) >= 2**40:
-            raise ExactOverflow("scaled structure constant too large for fast path")
+    vals = [q.numerator * (scale // q.denominator) for _, q in entries]
+    fits = all(-(2**62) < v < 2**62 for v in vals)
+    out = np.zeros(shape, dtype=np.int64 if fits else object)
+    for (idx, _), v in zip(entries, vals):
         out[idx] = v
     return out, scale
+
+
+def check_cap(arr: np.ndarray) -> None:
+    """Raise ExactOverflow unless arr is int64 with every entry below INT_CAP."""
+    if arr.dtype == object or (arr.size and max(arr.max(), -arr.min()) >= INT_CAP):
+        raise ExactOverflow("scaled structure constant too large for fast path")
 
 
 def _check_f64(bound: int):

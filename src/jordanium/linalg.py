@@ -7,10 +7,20 @@ speed: pivoting always picks the first nonzero entry in row-major order, and
 nullspace bases are returned in reduced echelon form, so identical inputs give
 identical outputs on every run.
 
-Systems with more than ``LARGE_COLS`` unknowns are solved modulo several
-word-size primes, lifted back to rationals by rational reconstruction, and the
-result is verified exactly against the original matrix.  If verification ever
-fails the code falls back to fraction-free (Bareiss) elimination.
+Every exact solve goes through one nullspace engine on integer matrices
+(rational input is cleared of denominators row by row; int64 where it fits,
+Python ints otherwise).  A matrix with more than twice as many rows as
+columns is first replaced by its Gram matrix, which has the same nullspace.
+Up to ``LARGE_COLS`` unknowns the engine takes the rational RREF.  Above,
+it eliminates modulo several word-size primes and lifts the result back to
+rationals by CRT and rational reconstruction; Bareiss (fraction-free)
+elimination runs only when the primes run out without a verified answer.
+Whatever the route, each returned kernel vector is checked once, exactly, by
+one integer product with the full matrix before any Gram compression.
+
+:func:`solve` is the kernel vector of the normal equations A^T [A | b] whose
+free coordinate is the right-hand side, negated; only that one vector is
+lifted, and the answer is checked exactly against A x = b.
 """
 
 from __future__ import annotations
@@ -208,10 +218,7 @@ def rref_bareiss(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     RREF of a matrix is unique, so this must agree with :func:`rref`.
     """
     nr, nc = m.rows, m.cols
-    a: list[list[int]] = []
-    for row in m.data:
-        d = lcm(*(x.denominator for x in row)) if row else 1
-        a.append([int(x * d) for x in row])
+    a: list[list[int]] = _int_array(m).tolist()
     pivots: list[int] = []
     r = 0
     prev = 1
@@ -244,44 +251,61 @@ def rref_bareiss(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     return Mat(tuple(out)), tuple(pivots)
 
 
-def _nullspace_from_rref(r: Mat, pivots: Sequence[int]) -> list[Vec]:
-    nc = r.cols
-    pivset = set(pivots)
-    free = [c for c in range(nc) if c not in pivset]
+def _kernel_vectors(
+    nc: int, pivots: Sequence[int], cols: Sequence[int], coeffs
+) -> list[Vec]:
+    """Kernel vectors v_f for the free columns f in cols.
+
+    v_f[f] = 1, v_f is 0 on every other free column, and v_f[pivots[i]] =
+    coeffs[i][t] for the t-th entry f of cols.
+    """
     basis = []
-    for f in free:
+    for t, f in enumerate(cols):
         v = [Fraction(0)] * nc
         v[f] = Fraction(1)
         for i, p in enumerate(pivots):
-            v[p] = -r.data[i][f]
+            v[p] = coeffs[i][t]
         basis.append(tuple(v))
     return basis
 
 
+def _free_columns(nc: int, pivots: Sequence[int], lift: Optional[int]) -> list[int]:
+    pivset = set(pivots)
+    cols = range(nc) if lift is None else (lift,)
+    return [c for c in cols if c not in pivset]
+
+
 # ---------------------------------------------------------------------------
-# modular arithmetic helpers
+# integer forms of rational data
+
+
+def _pack_ints(flat: list[int], shape: tuple[int, ...]) -> np.ndarray:
+    """int64 when every entry is below 2**62 in size, object dtype otherwise."""
+    if all(-(2**62) < v < 2**62 for v in flat):
+        return np.array(flat, dtype=np.int64).reshape(shape)
+    out = np.empty(len(flat), dtype=object)
+    out[:] = flat
+    return out.reshape(shape)
 
 
 def _int_array(m: Mat) -> np.ndarray:
     """Row-wise denominator clearing; int64 when it fits, object otherwise."""
-    rows = []
-    big = False
+    flat: list[int] = []
     for row in m.data:
         d = lcm(*(x.denominator for x in row)) if row else 1
-        ints = [int(x * d) for x in row]
-        big = big or any(abs(v) >= 2**62 for v in ints)
-        rows.append(ints)
-    dtype = object if big else np.int64
-    arr = np.empty((m.rows, m.cols), dtype=dtype)
-    for i, r in enumerate(rows):
-        arr[i] = r
-    return arr
+        flat.extend(x.numerator * (d // x.denominator) for x in row)
+    return _pack_ints(flat, (m.rows, m.cols))
 
 
-def _to_int64_mod(arr: np.ndarray, p: int) -> np.ndarray:
-    if arr.dtype == object:
-        return np.array([[int(x) % p for x in row] for row in arr], dtype=np.int64)
-    return np.mod(arr, p).astype(np.int64)
+def scaled_ints(values: Sequence[Fraction], shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """(ints, s) with ints = s * values reshaped, for one common scale s.
+
+    s is the lcm of the denominators, so ratios between all entries are
+    kept; the array is int64 when every entry fits and object dtype
+    otherwise, so no input overflows.
+    """
+    s = lcm(*(x.denominator for x in values)) if values else 1
+    return _pack_ints([x.numerator * (s // x.denominator) for x in values], shape), s
 
 
 def _rref_mod_p(m: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -335,10 +359,9 @@ def _rat_reconstruct(r: int, m: int) -> Optional[Fraction]:
     return Fraction(a, b)
 
 
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    m = m1 * m2
-    x = (r1 + m1 * ((r2 - r1) * pow(m1, -1, m2) % m2)) % m
-    return x, m
+def _crt_pair(r1: np.ndarray, m1: int, r2: np.ndarray, m2: int) -> np.ndarray:
+    """Entrywise x = r1 mod m1, x = r2 mod m2, in [0, m1 m2); object arrays."""
+    return (r1 + m1 * (((r2 - r1) * pow(m1, -1, m2)) % m2)) % (m1 * m2)
 
 
 def max_abs_int(arr: np.ndarray) -> int:
@@ -368,132 +391,97 @@ def exact_int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ao @ bo
 
 
-@dataclass
-class _SparseRows:
-    """CSR-style view of integer rows for fast exact residual checks."""
-
-    indptr: list[int]
-    idx: list[int]
-    val: list[int]
-
-    @staticmethod
-    def from_array(arr: np.ndarray) -> "_SparseRows":
-        indptr = [0]
-        idx: list[int] = []
-        val: list[int] = []
-        for r in arr:
-            for j, x in enumerate(r):
-                if x:
-                    idx.append(j)
-                    val.append(int(x))
-            indptr.append(len(idx))
-        return _SparseRows(indptr, idx, val)
-
-    def apply_is_zero(self, v: Sequence[Fraction]) -> bool:
-        for i in range(len(self.indptr) - 1):
-            s = Fraction(0)
-            for k in range(self.indptr[i], self.indptr[i + 1]):
-                s += self.val[k] * v[self.idx[k]]
-            if s != 0:
-                return False
+def _annihilates(arr: np.ndarray, vectors: Sequence[Vec]) -> bool:
+    """arr @ v == 0 for every v, as one exact integer product."""
+    if not vectors:
         return True
+    cleared = _int_array(Mat(tuple(vectors)))
+    return not (exact_int_matmul(arr, cleared.T) != 0).any()
 
 
-def _nullspace_modular(arr: np.ndarray) -> Optional[tuple[list[Vec], tuple[int, ...]]]:
-    """Multi-prime modular nullspace with exact verification.
+# ---------------------------------------------------------------------------
+# the nullspace engine
 
-    Returns (basis, pivot columns), or None when the prime budget is
-    exhausted without a verified answer, in which case the caller falls
-    back to Bareiss elimination.
+
+def _nullspace_modular(
+    arr: np.ndarray, work: np.ndarray, lift: Optional[int] = None
+) -> Optional[tuple[list[Vec], tuple[int, ...]]]:
+    """Multi-prime modular nullspace of arr, eliminating on work.
+
+    work has the nullspace of arr (arr itself or its Gram matrix).  Each
+    prime gives an RREF of work mod p; a prime with fewer pivots, or with
+    the same number of pivots further right, is bad and skipped, and the
+    pivot entries of the lifted free columns are combined by CRT over the
+    good primes.  After each prime they are rationally reconstructed and
+    checked exactly against arr.  Returns (basis, pivots), or None when the
+    primes run out first, or when the column to lift is a pivot mod every
+    good prime.
+
+    Lifting every free column certifies the rank: the verified vectors give
+    nullity >= nc - (rank mod p) >= the true nullity.
     """
     nc = arr.shape[1]
-    work = arr
-    if arr.shape[0] > 2 * nc:
-        # Gram compression: over an ordered field null(A^T A) = null(A),
-        # and A^T A is exact integer arithmetic, so nothing is lost.
-        work = exact_int_matmul(arr.T, arr)
-    sparse = _SparseRows.from_array(arr)
-
-    best_pivots: Optional[tuple[int, ...]] = None
-    residues: Optional[list[list[int]]] = None
+    best: Optional[tuple[int, ...]] = None
+    residues = np.empty((0, 0), dtype=object)
     modulus = 1
     for p in _PRIMES:
-        red, pivots = _rref_mod_p(_to_int64_mod(work, p), p)
-        basis_p = []
-        pivset = set(pivots)
-        free = [c for c in range(nc) if c not in pivset]
-        for f in free:
-            v = [0] * nc
-            v[f] = 1
-            for i, pc in enumerate(pivots):
-                v[pc] = (-int(red[i, f])) % p
-            basis_p.append(v)
-        if best_pivots is None or len(pivots) > len(best_pivots):
-            best_pivots = pivots
-            residues = basis_p
-            modulus = p
-        elif pivots == best_pivots:
-            assert residues is not None
-            residues = [
-                [_crt_pair(r1, modulus, r2, p)[0] for r1, r2 in zip(v1, v2)]
-                for v1, v2 in zip(residues, basis_p)
-            ]
+        red, pivots = _rref_mod_p(work, p)
+        cols = _free_columns(nc, pivots, lift)
+        res = (-red[: len(pivots), cols] % p).astype(object)
+        if best is None or (-len(pivots), pivots) < (-len(best), best):
+            best, residues, modulus = pivots, res, p
+        elif pivots == best:
+            residues = _crt_pair(residues, modulus, res, p)
             modulus *= p
         else:
-            continue  # bad prime: wrong pivot structure, skip its residues
-        # attempt reconstruction + exact verification
-        assert residues is not None and best_pivots is not None
-        cand: list[Vec] = []
-        ok = True
-        for v in residues:
-            vec = []
-            for x in v:
-                q = _rat_reconstruct(x, modulus)
-                if q is None:
-                    ok = False
-                    break
-                vec.append(q)
-            if not ok:
-                break
-            cand.append(tuple(vec))
-        if not ok:
             continue
-        if all(sparse.apply_is_zero(v) for v in cand):
-            if len(cand) + len(best_pivots) == nc:
-                return cand, best_pivots
+        if lift is not None and not cols:
+            continue
+        coeffs = []
+        for row in residues:
+            coeffs.append([_rat_reconstruct(int(x), modulus) for x in row])
+            if None in coeffs[-1]:
+                break
+        else:
+            basis = _kernel_vectors(nc, best, cols, coeffs)
+            if _annihilates(arr, basis):
+                return basis, best
     return None
+
+
+def _nullspace_of_int(
+    arr: np.ndarray, lift: Optional[int] = None
+) -> tuple[list[Vec], tuple[int, ...]]:
+    """Canonical nullspace vectors of an integer matrix, and its pivots.
+
+    lift=None gives the vector of every free column; an int gives only that
+    column's vector, or none when it is a pivot.  Tall matrices are
+    compressed to their Gram matrix first: over an ordered field
+    null(A^T A) = null(A), and A^T A is exact integer arithmetic.  Up to
+    LARGE_COLS columns the rational RREF of that matrix is taken; above, the
+    modular engine runs, and Bareiss elimination when it gives no answer.
+    Every returned vector is checked exactly against arr, once.
+    """
+    nr, nc = arr.shape
+    if nc == 0:
+        return [], ()
+    work = exact_int_matmul(arr.T, arr) if nr > 2 * nc else arr
+    if nc > LARGE_COLS:
+        found = _nullspace_modular(arr, work, lift)
+        if found is not None:
+            return found
+    elim = rref if nc <= LARGE_COLS else rref_bareiss
+    red, pivots = elim(Mat.from_rows([[int(x) for x in r] for r in work]))
+    cols = _free_columns(nc, pivots, lift)
+    coeffs = [[-red.data[i][f] for f in cols] for i in range(len(pivots))]
+    basis = _kernel_vectors(nc, pivots, cols, coeffs)
+    if not _annihilates(arr, basis):
+        raise AssertionError("nullspace verification failed")
+    return basis, pivots
 
 
 # ---------------------------------------------------------------------------
 # public solvers
-
-
-def _nullspace_of_int(arr: np.ndarray) -> tuple[list[Vec], tuple[int, ...]]:
-    nr, nc = arr.shape
-    if nc == 0:
-        return [], ()
-    if nr == 0:
-        return [basis_vec(nc, i) for i in range(nc)], ()
-    work = arr
-    if nc <= LARGE_COLS and nr > 4 * nc:
-        # tall stacks compress to their Gram matrix without changing the
-        # nullspace; verification below still runs against the full rows
-        work = exact_int_matmul(arr.T, arr)
-    if nc > LARGE_COLS:
-        modular = _nullspace_modular(arr)
-        if modular is not None:
-            result, pivots = modular
-        else:
-            red, pivots = rref_bareiss(Mat.from_rows([[int(x) for x in r] for r in arr]))
-            result = _nullspace_from_rref(red, pivots)
-    else:
-        red, pivots = rref(Mat.from_rows([[int(x) for x in r] for r in work]))
-        result = _nullspace_from_rref(red, pivots)
-    sparse = _SparseRows.from_array(arr)
-    for v in result:
-        if not sparse.apply_is_zero(v):
-            raise AssertionError("nullspace verification failed")
-    return result, pivots
 
 
 def nullspace(m: Mat) -> list[Vec]:
@@ -504,8 +492,6 @@ def nullspace(m: Mat) -> list[Vec]:
     """
     if m.cols == 0:
         return []
-    if m.rows == 0:
-        return [basis_vec(m.cols, i) for i in range(m.cols)]
     return _nullspace_of_int(_int_array(m))[0]
 
 
@@ -532,6 +518,20 @@ def rank(m: Mat) -> int:
     return m.cols - len(nullspace(m))
 
 
+def rank_lower_bound(arr: np.ndarray, target: int) -> int:
+    """Largest rank of an integer matrix mod the first three primes.
+
+    Reduction mod p never raises the rank, so this is a lower bound on the
+    rational rank; it stops early once it reaches target.
+    """
+    best = 0
+    for p in _PRIMES[:3]:
+        best = max(best, len(_rref_mod_p(arr, p)[1]))
+        if best == target:
+            break
+    return best
+
+
 def inverse(m: Mat) -> Mat:
     """Exact inverse of a square matrix; raises on singular input."""
     if m.rows != m.cols:
@@ -547,87 +547,25 @@ def inverse(m: Mat) -> Mat:
 
 
 def solve(m: Mat, b: Sequence[Fraction]) -> Optional[Vec]:
-    """One exact solution of m x = b (free variables set to 0), or None."""
+    """One exact solution of m x = b (free variables set to 0), or None.
+
+    With [A | b] cleared row by row, the normal equations A^T [A | b] are
+    always consistent, and while A x = b is consistent they have the same
+    row space, hence the same RREF solution.  That solution is the negated
+    kernel vector whose free coordinate is the right-hand side; it is
+    checked exactly against A x = b, so a nonzero residual means "no
+    solution".
+    """
     if len(b) != m.rows:
         raise ValueError("right hand side has wrong length")
     nc = m.cols
-    if nc <= LARGE_COLS:
-        aug = Mat(tuple(r + (frac(x),) for r, x in zip(m.data, b)))
-        red, pivots = rref(aug)
-        if nc in pivots:
-            return None
-        x = [Fraction(0)] * nc
-        for i, p in enumerate(pivots):
-            x[p] = red.data[i][nc]
-        sol = tuple(x)
-    else:
-        sol = _solve_modular(m, b)
-        if sol is None:
-            return None
-    if m.apply(sol) != tuple(frac(x) for x in b):
+    if m.rows == 0:
+        return zero_vec(nc)
+    aug = _int_array(Mat(tuple(r + (frac(x),) for r, x in zip(m.data, b))))
+    kernel, _ = _nullspace_of_int(exact_int_matmul(aug[:, :nc].T, aug), lift=nc)
+    if not kernel or not _annihilates(aug, kernel):
         return None
-    return sol
-
-
-def _solve_modular(m: Mat, b: Sequence[Fraction]) -> Optional[Vec]:
-    """Normal-equations route: solve A^T A x = A^T b and check A x = b.
-
-    Over the rationals the normal equations are always consistent, and the
-    original system is consistent iff the verified candidate satisfies it,
-    so a nonzero residual is a definitive "no solution".
-    """
-    aug = Mat(tuple(r + (frac(x),) for r, x in zip(m.data, b)))
-    int_aug = _int_array(aug).astype(object)
-    a_obj = int_aug[:, :-1]
-    b_obj = int_aug[:, -1:]
-    gram = exact_int_matmul(a_obj.T, a_obj)
-    rhs = exact_int_matmul(a_obj.T, b_obj)
-    rows = np.empty((gram.shape[0], gram.shape[1] + 1), dtype=object)
-    rows[:, :-1] = gram
-    rows[:, -1:] = rhs
-    nc = m.cols
-    modulus = 1
-    best: Optional[tuple[int, ...]] = None
-    res: Optional[list[int]] = None
-    for p in _PRIMES:
-        red, pivots = _rref_mod_p(_to_int64_mod(rows, p), p)
-        if nc in pivots:
-            continue  # normal equations cannot be inconsistent; bad prime
-        x = [0] * nc
-        for i, pc in enumerate(pivots):
-            x[pc] = int(red[i, nc])
-        if best is None or len(pivots) > len(best):
-            best, res, modulus = pivots, x, p
-        elif pivots == best:
-            assert res is not None
-            res = [_crt_pair(r1, modulus, r2, p)[0] for r1, r2 in zip(res, x)]
-            modulus *= p
-        else:
-            continue
-        assert res is not None
-        cand = []
-        ok = True
-        for v in res:
-            q = _rat_reconstruct(v, modulus)
-            if q is None:
-                ok = False
-                break
-            cand.append(q)
-        if not ok:
-            continue
-        sol = tuple(cand)
-        signed = rows.copy()
-        signed[:, -1] = [-int(x) for x in rows[:, -1]]
-        if _SparseRows.from_array(signed).apply_is_zero(sol + (Fraction(1),)):
-            return sol
-    # prime budget exhausted: exact fallback on the normal equations
-    red, pivots = rref_bareiss(Mat.from_rows([[int(x) for x in r] for r in rows]))
-    if nc in pivots:
-        return None
-    x = [Fraction(0)] * nc
-    for i, p in enumerate(pivots):
-        x[p] = red.data[i][nc]
-    return tuple(x)
+    return tuple(-x for x in kernel[0][:nc])
 
 
 def span_rref(vectors: Sequence[Sequence[Fraction]]) -> Mat:

@@ -44,6 +44,7 @@ from .linalg import (
     frac,
     nullspace_int,
     parse_fraction,
+    scaled_ints,
 )
 
 
@@ -110,6 +111,8 @@ class ModuleAction:
             force_scale=s,
         )
         a, _ = kernels.to_int_tensor(act_entries, (n, self.mdim, self.mdim), force_scale=s)
+        kernels.check_cap(c)
+        kernels.check_cap(a)
         return c, a, s
 
     def __eq__(self, other):
@@ -359,27 +362,16 @@ def hom_basis(m1: ModuleAction, m2: ModuleAction) -> list[ModuleHom]:
     p, q = m1.mdim, m2.mdim
     if p == 0 or q == 0:
         return []
-    s = lcm(
-        *(
-            x.denominator
-            for mod in (m1, m2)
-            for op in mod.ops
-            for row in op.data
-            for x in row
-        )
-    )
     n = m1.algebra.dim
-    rows = np.zeros((n * q * p, q * p), dtype=np.int64)
+    flat = [x for mod in (m1, m2) for op in mod.ops for row in op.data for x in row]
+    ints, _ = scaled_ints(flat, (len(flat),))
+    a1s = ints[: n * p * p].reshape(n, p, p)
+    a2s = ints[n * p * p :].reshape(n, q, q)
+    rows = np.zeros((n * q * p, q * p), dtype=ints.dtype)
     eye_p = np.eye(p, dtype=np.int64)
     eye_q = np.eye(q, dtype=np.int64)
     for i in range(n):
-        a1 = np.array(
-            [[int(x * s) for x in row] for row in m1.ops[i].data], dtype=np.int64
-        )
-        a2 = np.array(
-            [[int(x * s) for x in row] for row in m2.ops[i].data], dtype=np.int64
-        )
-        rows[i * q * p : (i + 1) * q * p] = np.kron(a2, eye_p) - np.kron(eye_q, a1.T)
+        rows[i * q * p : (i + 1) * q * p] = np.kron(a2s[i], eye_p) - np.kron(eye_q, a1s[i].T)
     basis, _ = nullspace_int(rows)
     out = []
     for v in basis:

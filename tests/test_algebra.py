@@ -21,6 +21,7 @@ from jordanium.algebra import (
     direct_sum,
     unit_check,
 )
+from jordanium.kernels import ExactOverflow
 
 fr = Fraction
 
@@ -182,6 +183,34 @@ class TestCenter:
         (z,) = center_basis(a)
         q = next(v for v in z if v)
         assert tuple(x / q for x in z) == a.unit
+
+
+class TestIntTensor:
+    @staticmethod
+    def _spin(entry):
+        """JSpin3 with form entries entry/3, entry, entry."""
+        structure = {(0, 0): [(0, fr(1))]}
+        for i in range(1, 4):
+            structure[(0, i)] = [(i, fr(1))]
+            structure[(i, i)] = [(0, fr(entry, 3 if i == 1 else 1))]
+        return AlgebraPresentation("JSpin3(big)", 4, (fr(1), fr(0), fr(0), fr(0)), structure)
+
+    def test_small_entries_pass_the_cap(self):
+        a = self._spin(5)
+        c, s = a.capped_int_tensor()
+        assert c.dtype == "int64" and s == 3
+        assert c is a.int_tensor()[0]  # the one exact tensor, capped
+
+    @pytest.mark.parametrize("entry,dtype", [(2**45, "int64"), (2**63, "object")])
+    def test_exact_tensor_past_the_cap(self, entry, dtype):
+        a = self._spin(entry)
+        c, s = a.int_tensor()
+        assert c.dtype == dtype and s == 3
+        assert (c[0, 0, 0], c[1, 1, 0], c[2, 2, 0]) == (3, entry, 3 * entry)
+        assert a.int_tensor() is a.int_tensor()  # built once
+        with pytest.raises(ExactOverflow):
+            a.capped_int_tensor()
+        assert len(center_basis(a)) == 1
 
 
 class TestSerialization:

@@ -258,6 +258,42 @@ class TestErrorPaths:
         assert rep["results"]["jordan"] is False
 
 
+def _big_spin_file(tmp_path, n, entry):
+    """Wire file of the spin factor on R + R^n whose form is entry * identity."""
+    structure = [[0, 0, 0, "1"]]
+    for i in range(1, n + 1):
+        structure += [[0, i, i, "1"], [i, i, 0, str(entry)]]
+    d = {"label": "JSpin%d(big)" % n, "dim": n + 1, "unit": ["1"] + ["0"] * n, "structure": structure}
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps(d))
+    return str(f)
+
+
+class TestLargeEntries:
+    """Form entries beyond the float kernels' cap still get exact verdicts."""
+
+    def test_center_of_spin_factor_with_2_45_entries(self, capsys, tmp_path):
+        f = _big_spin_file(tmp_path, 5, 2**45)
+        code, rep = report(capsys, "algebra", "check", "--algebra", f)
+        assert code == 0
+        assert rep["results"]["jordan"] is True
+        assert rep["results"]["center_dim"] == 1
+
+    def test_derivations_of_spin_factor_with_2_45_entries(self, capsys, tmp_path):
+        # Der(JSpin9) = so(9), of dimension 36
+        f = _big_spin_file(tmp_path, 9, 2**45)
+        code, rep = report(capsys, "der", "basis", "--algebra", f)
+        assert code == 0
+        assert rep["results"]["dim"] == 36
+
+    def test_homdim_with_a_2_63_entry(self, capsys, tmp_path):
+        # endomorphisms of the free rank-1 module of a simple algebra: its center
+        f = _big_spin_file(tmp_path, 2, 2**63)
+        code, rep = report(capsys, "module", "homdim", "--free", "1", "1", "--algebra", f)
+        assert code == 0
+        assert rep["results"]["dim"] == 1
+
+
 def _canonical_run(cmd, threads):
     env = dict(os.environ, JORDANIUM_THREADS=str(threads))
     proc = subprocess.run(

@@ -1,14 +1,17 @@
 """Exact linear algebra: the layer everything else stands on."""
 
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jordanium import linalg
 from jordanium.linalg import (
     _PRIMES,
+    LARGE_COLS,
     Mat,
     _nullspace_modular,
     _rat_reconstruct,
@@ -30,6 +33,55 @@ from jordanium.linalg import (
 
 def fr(p, q=1):
     return Fraction(p, q)
+
+
+def rref_solve(m: Mat, b) -> Optional[tuple]:
+    """Reference solver: RREF of [m | b], free variables set to 0."""
+    aug = Mat(tuple(r + (Fraction(x),) for r, x in zip(m.data, b)))
+    red, pivots = rref(aug)
+    if m.cols in pivots:
+        return None
+    x = [Fraction(0)] * m.cols
+    for i, p in enumerate(pivots):
+        x[p] = red.data[i][m.cols]
+    return tuple(x)
+
+
+def block_system(seed: int, nblocks: int, shape: tuple[int, int]) -> np.ndarray:
+    """Block-diagonal integer matrix with permuted rows and columns.
+
+    Every third block repeats a combination of its first rows, so the
+    matrix is rank deficient; the blocks keep the RREF denominators small.
+    """
+    rng = np.random.default_rng(seed)
+    r, c = shape
+    a = np.zeros((nblocks * r, nblocks * c), dtype=np.int64)
+    for t in range(nblocks):
+        blk = rng.integers(-3, 4, size=(r, c))
+        if t % 3 == 0:
+            blk[-1] = blk[0] - blk[1]
+        a[t * r : (t + 1) * r, t * c : (t + 1) * c] = blk
+    return a[rng.permutation(a.shape[0])][:, rng.permutation(a.shape[1])]
+
+
+_entries = st.one_of(
+    st.just(Fraction(0)), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+)
+
+
+@st.composite
+def _systems(draw):
+    """(m, b): fractional, sometimes rank deficient, sometimes inconsistent."""
+    nr, nc = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(_entries, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    if nr > 2 and draw(st.booleans()):
+        rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+    m = Mat.from_rows(rows)
+    if draw(st.booleans()):
+        b = m.apply(draw(st.lists(_entries, min_size=nc, max_size=nc)))
+    else:
+        b = draw(st.lists(_entries, min_size=nr, max_size=nr))
+    return m, tuple(b)
 
 
 class TestRref:
@@ -98,10 +150,35 @@ class TestNullspace:
         for v in nullspace(m):
             assert all(x == 0 for x in m.apply(v))
 
+    def test_large_tall_nullspace_matches_rref(self):
+        # above LARGE_COLS and more than twice as tall as wide: Gram
+        # compression, then the modular engine
+        arr = block_system(3, 50, (11, 5))
+        assert arr.shape[1] > LARGE_COLS and arr.shape[0] > 2 * arr.shape[1]
+        basis, pivots = nullspace_int(arr)
+        red, pivots_ref = rref(Mat.from_rows(arr.tolist()))
+        assert pivots == pivots_ref
+        assert basis == nullspace(Mat.from_rows(arr.tolist()))
+        free = [k for k in range(arr.shape[1]) if k not in pivots]
+        for v, f in zip(basis, free):
+            assert v[f] == 1
+            assert all(v[p] == -red.data[i][f] for i, p in enumerate(pivots))
+
+    def test_bareiss_fallback_when_primes_run_out(self, monkeypatch):
+        # the kernel entries -1/3**130 need more bits than the primes give
+        calls = []
+        real = linalg.rref_bareiss
+        monkeypatch.setattr(linalg, "rref_bareiss", lambda m: calls.append(m) or real(m))
+        big = 3**130
+        arr = np.array([[big] + [1] * LARGE_COLS], dtype=object)
+        basis, pivots = nullspace_int(arr)
+        assert calls and pivots == (0,)
+        assert basis[0][:2] == (Fraction(-1, big), Fraction(1))
+
     def test_modular_path_matches_exact(self):
         rng = np.random.default_rng(5)
         arr = rng.integers(-40, 40, size=(30, 24)).astype(np.int64)
-        got = _nullspace_modular(arr)
+        got = _nullspace_modular(arr, arr)
         assert got is not None
         basis_m, pivots_m = got
         basis_e, pivots_e = nullspace_int(arr)
@@ -152,6 +229,33 @@ class TestSolveInverse:
     def test_inverse_rejects_singular(self):
         with pytest.raises(ValueError):
             inverse(Mat.from_rows([[1, 2], [2, 4]]))
+
+    @given(_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_solve_matches_rref_reference(self, system):
+        m, b = system
+        assert solve(m, b) == rref_solve(m, b)
+
+    @pytest.mark.parametrize("seed,nblocks,shape", [(0, 55, (3, 4)), (1, 45, (6, 5))])
+    def test_solve_above_large_cols(self, seed, nblocks, shape):
+        arr = block_system(seed, nblocks, shape)
+        m = Mat.from_rows(arr.tolist())
+        assert m.cols > LARGE_COLS
+        rng = np.random.default_rng(seed)
+        x = [Fraction(int(v), int(d)) for v, d in zip(rng.integers(-5, 6, m.cols), rng.integers(1, 4, m.cols))]
+        b = list(m.apply(x))
+        sol = solve(m, b)
+        assert sol is not None and m.apply(sol) == tuple(b)
+        assert sol == rref_solve(m, b)
+        # a row made dependent on two others, with a right-hand side that is not
+        i, j, k = 0, 1, 2
+        rows = list(m.data)
+        rows[k] = tuple(p + q for p, q in zip(rows[i], rows[j]))
+        bad = list(b)
+        bad[k] = b[i] + b[j] + 1
+        m_bad = Mat(tuple(rows))
+        assert rref_solve(m_bad, bad) is None
+        assert solve(m_bad, bad) is None
 
     @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3), min_size=3, max_size=3))
     @settings(max_examples=40, deadline=None)

@@ -1,0 +1,29 @@
+"""Module boundaries of the package source."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "jordanium"
+GUARDED = ("linalg", "forms")
+
+
+def _private_imports(path: Path) -> list[str]:
+    """'file:line name' for each `_`-prefixed name imported from a guarded module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom) or node.module is None:
+            continue
+        relative = node.level == 1 and node.module in GUARDED
+        absolute = node.level == 0 and node.module in ["jordanium." + g for g in GUARDED]
+        if relative or absolute:
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append("%s:%d %s" % (path.name, node.lineno, alias.name))
+    return found
+
+
+def test_no_private_imports_from_linalg_or_forms():
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) > 5
+    offenders = [hit for f in files for hit in _private_imports(f)]
+    assert offenders == []
