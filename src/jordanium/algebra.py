@@ -152,16 +152,6 @@ class AlgebraPresentation:
             self._int_cache = kernels.to_int_tensor(entries, (n, n, n))
         return self._int_cache
 
-    def capped_int_tensor(self):
-        """int_tensor as the fast paths take it.
-
-        Raises kernels.ExactOverflow unless every entry is below
-        kernels.INT_CAP.
-        """
-        tensor, scale = self.int_tensor()
-        kernels.check_cap(tensor)
-        return tensor, scale
-
     # -- misc --------------------------------------------------------------
 
     def basis_element(self, i: int) -> Vec:
@@ -347,7 +337,7 @@ def jordan_witness_operator(a: AlgebraPresentation, i: int, j: int, k: int) -> M
 def _jordan_violation_exact(a: AlgebraPresentation) -> Optional[tuple[int, int, int]]:
     n = a.dim
     if n > 40:
-        raise RuntimeError(
+        raise kernels.ExactOverflow(
             "structure constants too large for the fast integer path and the "
             "dimension too large for rational fallback"
         )
@@ -367,8 +357,7 @@ def check_jordan(a: AlgebraPresentation) -> JordanVerdict:
     i <= j <= k over the basis decides it for the whole algebra.
     """
     try:
-        tensor, _ = a.capped_int_tensor()
-        witness = kernels.jordan_violation(tensor)
+        witness = kernels.jordan_violation(a.int_tensor()[0])
     except kernels.ExactOverflow:
         witness = _jordan_violation_exact(a)
     if witness is None:

@@ -51,6 +51,7 @@ from .derivations import (
     triality_defect,
 )
 from .forms import DerForm, d_der
+from .kernels import ExactOverflow
 from .linalg import Mat
 from .modules import (
     build_antihermitian,
@@ -497,6 +498,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except UsageError as e:
         print(str(e), file=sys.stderr)
+        return 2
+    except ExactOverflow as e:
+        print("input too large to check exactly: %s" % e, file=sys.stderr)
         return 2
     except BrokenPipeError:
         return 2

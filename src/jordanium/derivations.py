@@ -13,11 +13,15 @@ compatible triple.
 Inner derivations are the commutators [L_x, L_y] of multiplication
 operators; for the simple algebras they span everything, and
 :func:`express_in_inner` finds an explicit expansion.
+
+The commutators [L_i, L_j] and [D_p, D_q] and the Leibniz test are products
+of the exact integer structure tensor ``AlgebraPresentation.int_tensor()``
+taken by ``linalg.exact_int_matmul``, which decides exactness per product
+(float64, int64 or object dtype); no entry size raises ``ExactOverflow``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -74,52 +78,45 @@ def _leibniz_system(a: AlgebraPresentation) -> np.ndarray:
     return rows
 
 
-def leibniz_violation(a: AlgebraPresentation, x: Mat) -> Optional[tuple[int, int]]:
-    """First basis pair where x fails the derivation rule, or None.
+_LEIBNIZ_CHUNK = 16  # operators per batch of the Leibniz test, bounding its memory
 
-    Batched as three exact integer contractions; the common scales cancel in
-    the zero test, so no rational arithmetic is needed per pair.
+
+def _leibniz_witnesses(c: np.ndarray, xs: np.ndarray) -> list[Optional[tuple[int, int]]]:
+    """For each integer operator of the stack xs (b, n, n), its first failing pair.
+
+    c is the scaled structure tensor.  X(e_i e_j) = X(e_i) e_j + e_i X(e_j)
+    is bilinear in (c, X), so both scales cancel.  Each side comes from
+    exact integer contractions, int64 below 2**62 or object dtype, and t1 is
+    compared with t2 + t3 so no int64 sum overflows.  The witness is the
+    lexicographically first (i, j); the defect is symmetric, so i <= j.
     """
+    n = c.shape[0]
+    c_ij_k = c.reshape(n * n, n)
+    c_m_jr = c.reshape(n, n * n)
+    c_m_ir = c.transpose(1, 0, 2).reshape(n, n * n)
+    out: list[Optional[tuple[int, int]]] = []
+    for lo in range(0, len(xs), _LEIBNIZ_CHUNK):
+        x = xs[lo : lo + _LEIBNIZ_CHUNK]
+        b = len(x)
+        x_bi_m = x.transpose(0, 2, 1).reshape(b * n, n)  # X_b[m, i]
+        # t1[b,i,j,r] = X_b(e_i e_j)_r, t2 = (X_b(e_i) e_j)_r, t3 = (e_i X_b(e_j))_r
+        t1 = exact_int_matmul(c_ij_k, x.transpose(2, 0, 1).reshape(n, b * n))
+        t1 = t1.reshape(n, n, b, n).transpose(2, 0, 1, 3)
+        t2 = exact_int_matmul(x_bi_m, c_m_jr).reshape(b, n, n, n)
+        t3 = exact_int_matmul(x_bi_m, c_m_ir).reshape(b, n, n, n).transpose(0, 2, 1, 3)
+        bad = t1 != t2 + t3
+        for k in range(b):
+            hits = np.argwhere(bad[k])
+            out.append(None if hits.size == 0 else (int(hits[0][0]), int(hits[0][1])))
+    return out
+
+
+def leibniz_violation(a: AlgebraPresentation, x: Mat) -> Optional[tuple[int, int]]:
+    """First basis pair (i, j), i <= j, where x fails the derivation rule, or None."""
     n = a.dim
     if x.rows != n or x.cols != n:
         raise ValueError("operator shape does not match the algebra")
-    c, _ = a.capped_int_tensor()
-    c = c.astype(np.int64)
-    xm = _scaled_int_mats([x])[0][0]
-    xt = xm.T.copy()
-    t1 = exact_int_matmul(c.reshape(n * n, n), xt).reshape(n, n, n)
-    t2 = exact_int_matmul(xt, c.reshape(n, n * n)).reshape(n, n, n)
-    t3 = exact_int_matmul(xt, c.transpose(1, 0, 2).reshape(n, n * n)).reshape(
-        n, n, n
-    ).transpose(1, 0, 2)
-    defect = (
-        np.asarray(t1, dtype=object)
-        - np.asarray(t2, dtype=object)
-        - np.asarray(t3, dtype=object)
-    )
-    bad = np.argwhere(defect != 0)
-    if bad.size == 0:
-        return None
-    i, j = int(bad[0][0]), int(bad[0][1])
-    return (i, j) if i <= j else (j, i)
-
-
-def _leibniz_ok_int(c: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Vectorized derivation test for a batch of integer matrices.
-
-    c is the (scaled) structure tensor, xs has shape (batch, n, n).  Scales
-    cancel because every term is bilinear in (c, x).  Returns a bool array.
-    """
-    cf = c.astype(np.float64)
-    xf = xs.astype(np.float64)
-    n = c.shape[0]
-    bound = n * float(np.abs(c).max(initial=0)) * float(np.abs(xs).max(initial=0))
-    assert bound < 2.0**53
-    r1 = np.einsum("ijk,brk->bijr", cf, xf)
-    r2 = np.einsum("bmi,mjr->bijr", xf, cf)
-    r3 = np.einsum("bmj,imr->bijr", xf, cf)
-    res = r1 - r2 - r3
-    return np.array([not res[b].any() for b in range(xs.shape[0])])
+    return _leibniz_witnesses(a.int_tensor()[0], _scaled_int_mats([x])[0])[0]
 
 
 @dataclass(frozen=True)
@@ -179,6 +176,27 @@ def derivation_basis(a: AlgebraPresentation) -> DerivationBasis:
 
 
 # ---------------------------------------------------------------------------
+# batched operator products
+
+
+def _pair_products(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """p[s, t] = X_s Y_t for stacks of integer matrices, as one exact product."""
+    (b, n, _), d = xs.shape, len(ys)
+    prod = exact_int_matmul(xs.reshape(b * n, n), ys.transpose(1, 0, 2).reshape(n, d * n))
+    return prod.reshape(b, n, d, n).transpose(0, 2, 1, 3)
+
+
+def _commutators(xs: np.ndarray) -> np.ndarray:
+    """c[s, t] = [X_s, X_t] for a stack of integer matrices.
+
+    Every product comes from one exact_int_matmul, int64 below 2**62 or
+    object dtype, so the difference of two cannot overflow.
+    """
+    prod = _pair_products(xs, xs)
+    return prod - prod.transpose(1, 0, 2, 3)
+
+
+# ---------------------------------------------------------------------------
 # structure constants of the derivation algebra
 
 
@@ -196,26 +214,18 @@ def structure_constants(der: DerivationBasis) -> list[list[Vec]]:
     ints, s = _scaled_int_mats(der.mats)
     flat = ints.reshape(d, n * n)
     free = np.array(der.free_coords, dtype=np.int64)
-    pairs = list(itertools.combinations(range(d), 2))
-    comms = np.zeros((len(pairs), n, n), dtype=np.int64)
-    bound = n * float(np.abs(ints).max(initial=0)) ** 2
-    assert 2 * bound < 2.0**62
-    for t, (p, q) in enumerate(pairs):
-        comms[t] = ints[p] @ ints[q] - ints[q] @ ints[p]
-    commflat = comms.reshape(len(pairs), n * n)
+    ps, qs = np.triu_indices(d, 1)
+    commflat = _commutators(ints)[ps, qs].reshape(len(ps), n * n)
     # scaled coefficients: comm = sum_g (chat[g]/s) * mats[g] (both sides x s^2)
     chat = commflat[:, free]
-    lhs = s * commflat
-    rhs = exact_int_matmul(chat, flat)
-    if not (np.asarray(lhs, dtype=object) == np.asarray(rhs, dtype=object)).all():
+    if max(max_abs_int(commflat), 1) * s >= 2**63:
+        commflat = commflat.astype(object)
+    if not (exact_int_matmul(chat, flat) == s * commflat).all():
         raise AssertionError("derivation bracket left the computed span")
-    out = [[None] * d for _ in range(d)]
     s2 = s * s
-    zero = tuple(Fraction(0) for _ in range(d))
-    for p in range(d):
-        out[p][p] = zero
-    for t, (p, q) in enumerate(pairs):
-        vec = tuple(Fraction(int(x), s2) for x in chat[t])
+    out = [[tuple(Fraction(0) for _ in range(d))] * d for _ in range(d)]
+    for p, q, row in zip(ps.tolist(), qs.tolist(), chat.tolist()):
+        vec = tuple(Fraction(x, s2) for x in row)
         out[p][q] = vec
         out[q][p] = tuple(-x for x in vec)
     return out
@@ -256,36 +266,35 @@ def check_lie_rinehart(der: DerivationBasis) -> dict:
     """The center / derivation pair carries the expected structure.
 
     Checks that z * D is again a derivation for central z (module structure)
-    and the mixed bracket law [D, z D'] = D(z) D' + z [D, D'], batched in
-    scaled integer arithmetic so the float products stay exact.
+    and the mixed bracket law [D, z D'] = D(z) D' + z [D, D'], as exact
+    products of scaled integer operators; both sides of the law carry the
+    same scales.
     """
     a = der.algebra
     n = a.dim
     d = der.dim
     center = center_basis(a)
-    c, _ = a.capped_int_tensor()
-    c = c.astype(np.int64)
     if d == 0 or not center:
         return {"center_stable": True, "module_closed": True, "mixed_bracket": True}
+    c, _ = a.int_tensor()
     dints, _ = _scaled_int_mats(der.mats)
-    zints, _ = scaled_ints([x for z in center for x in z], (len(center), n))
+    k = len(center)
+    zints, _ = scaled_ints([x for z in center for x in z], (k, n))
+    # lz[z] = L_z and ldz[z, p] = L(D_p z), with L_x[r, m] = sum_i x_i c[i, m, r]
+    lz = exact_int_matmul(zints, c.reshape(n, n * n)).reshape(k, n, n).transpose(0, 2, 1)
+    dz = exact_int_matmul(zints, dints.reshape(d * n, n).T)  # dz[z, (p, r)] = D_p(z)_r
+    ldz = exact_int_matmul(dz.reshape(k * d, n), c.reshape(n, n * n))
+    ldz = ldz.reshape(k, d, n, n).transpose(0, 1, 3, 2)
+    comm = _commutators(dints)
     module_ok = True
     bracket_ok = True
-    df = dints.astype(np.float64)
-    cf = c.astype(np.float64)
-    comm = np.einsum("pij,qjk->pqik", df, df) - np.einsum("qij,pjk->pqik", df, df)
-    maxd = float(np.abs(df).max(initial=0))
-    for zi in zints.astype(np.float64):
-        lz = np.einsum("i,imr->rm", zi, cf)  # scaled left multiplication by z
-        dz = np.einsum("pri,i->pr", df, zi)
-        ldz = np.einsum("pi,imr->prm", dz, cf)
-        lzd = np.matmul(lz, df)  # (d, n, n) pairs L_z with each D
-        for big, other in ((lzd, maxd), (ldz, maxd), (comm, np.abs(lz).max(initial=0))):
-            assert n * float(np.abs(big).max(initial=0)) * float(other) < 2.0**53
-        if not _leibniz_ok_int(c, lzd.astype(np.int64)).all():
+    for z in range(k):
+        lzd = _pair_products(lz[z : z + 1], dints)[0]  # L_z D_p
+        if any(w is not None for w in _leibniz_witnesses(c, lzd)):
             module_ok = False
-        lhs = np.einsum("pij,qjk->pqik", df, lzd) - np.einsum("qij,pjk->pqik", lzd, df)
-        rhs = np.einsum("pij,qjk->pqik", ldz, df) + np.einsum("ij,pqjk->pqik", lz, comm)
+        lhs = _pair_products(dints, lzd) - _pair_products(lzd, dints).transpose(1, 0, 2, 3)
+        z_comm = _pair_products(lz[z : z + 1], comm.reshape(d * d, n, n))[0]
+        rhs = _pair_products(ldz[z], dints) + z_comm.reshape(d, d, n, n)
         if (lhs != rhs).any():
             bracket_ok = False
     return {
@@ -306,14 +315,21 @@ def inner_operator(a: AlgebraPresentation, x: Sequence, y: Sequence) -> Mat:
     )
 
 
+def _inner_table(a: AlgebraPresentation) -> tuple[list[tuple[int, int]], np.ndarray, int]:
+    """Pairs i < j, the integer stack s**2 [L_i, L_j] with L_i = c[i]^T, and s**2."""
+    c, s = a.int_tensor()
+    ii, jj = np.triu_indices(a.dim, 1)
+    table = _commutators(c.transpose(0, 2, 1))[ii, jj]
+    return list(zip(ii.tolist(), jj.tolist())), table, s * s
+
+
 def inner_basis_operators(a: AlgebraPresentation) -> list[tuple[tuple[int, int], Mat]]:
     """[L_i, L_j] for basis pairs i < j."""
-    out = []
-    for i in range(a.dim):
-        li = a.left_mult_basis(i)
-        for j in range(i + 1, a.dim):
-            out.append(((i, j), li.commutator(a.left_mult_basis(j))))
-    return out
+    pairs, table, s2 = _inner_table(a)
+    return [
+        (ij, Mat(tuple(tuple(Fraction(v, s2) for v in row) for row in m)))
+        for ij, m in zip(pairs, table.tolist())
+    ]
 
 
 def inner_span_report(a: AlgebraPresentation, der: Optional[DerivationBasis] = None) -> dict:
@@ -325,24 +341,22 @@ def inner_span_report(a: AlgebraPresentation, der: Optional[DerivationBasis] = N
     """
     if der is None:
         der = derivation_basis(a)
-    ops = inner_basis_operators(a)
-    c, _ = a.capped_int_tensor()
-    if ops:
-        ints, _ = _scaled_int_mats([m for _, m in ops])
-        all_der = bool(_leibniz_ok_int(c.astype(np.int64), ints).all())
-        stacked = ints.reshape(len(ops), -1)
+    pairs, table, _ = _inner_table(a)
+    if pairs:
+        all_der = all(w is None for w in _leibniz_witnesses(a.int_tensor()[0], table))
+        stacked = table.reshape(len(pairs), -1)
         rank_lower = rank_lower_bound(stacked, der.dim)
     else:
         all_der = True
         rank_lower = 0
     spans = all_der and rank_lower == der.dim
-    if all_der and rank_lower < der.dim and ops:
+    if all_der and rank_lower < der.dim and pairs:
         # certificate failed; settle it exactly (small algebras only)
         rank_exact = stacked.shape[0] - len(nullspace_int(stacked.T)[0])
         spans = rank_exact == der.dim
         rank_lower = rank_exact
     return {
-        "pairs": len(ops),
+        "pairs": len(pairs),
         "all_derivations": all_der,
         "span_rank": rank_lower,
         "derivation_dim": der.dim,
@@ -351,16 +365,19 @@ def inner_span_report(a: AlgebraPresentation, der: Optional[DerivationBasis] = N
 
 
 def express_in_inner(a: AlgebraPresentation, x: Mat) -> Optional[list[tuple[tuple[int, int], Fraction]]]:
-    """Write x as sum of q_(i,j) [L_i, L_j] over basis pairs, or None."""
-    ops = inner_basis_operators(a)
-    if not ops:
+    """Write x as sum of q_(i,j) [L_i, L_j] over basis pairs, or None.
+
+    The columns are the integer table s**2 [L_i, L_j], so the right-hand
+    side is s**2 x; scaling both sides by s**2 leaves the solution as it is.
+    """
+    pairs, table, s2 = _inner_table(a)
+    if not pairs:
         return None
-    cols = [m.flatten() for _, m in ops]
-    system = Mat.from_rows([[col[r] for col in cols] for r in range(len(cols[0]))])
-    sol = solve(system, x.flatten())
+    system = Mat.from_rows(table.reshape(len(pairs), -1).T.tolist())
+    sol = solve(system, [s2 * v for v in x.flatten()])
     if sol is None:
         return None
-    return [(ops[t][0], q) for t, q in enumerate(sol) if q]
+    return [(pairs[t], q) for t, q in enumerate(sol) if q]
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +506,8 @@ def complete_triality(d1: Mat) -> tuple[Mat, Mat]:
     if d1 != -d1.transpose():
         raise ValueError("triality completion needs an antisymmetric input")
     rows, d1_coeff, sel, sub_inv, unique, pairs = _triality_solver()
-    assert unique
+    if not unique:
+        raise AssertionError("the triality completion system is not uniquely solvable")
     rhs = [-frac(c) * d1.data[a][i] for (a, i, c) in d1_coeff]
     u = sub_inv.apply(tuple(rhs[r] for r in sel))
     # verify all 512 equations, not just the selected ones
@@ -586,10 +604,12 @@ def commutator_action_matrix(x1: Sequence, x2: Sequence, x3: Sequence) -> Mat:
         ]
         coords = []
         for i in range(n):
-            assert w[i][i].is_real(), "diagonal stayed real"
+            if not w[i][i].is_real():
+                raise AssertionError("commutator left the hermitian matrices: diagonal")
             coords.append(w[i][i].real_part())
         for pi, pj in _hermitian_pairs(n):
-            assert (w[pj][pi] - w[pi][pj].conj()).is_zero()
+            if not (w[pj][pi] - w[pi][pj].conj()).is_zero():
+                raise AssertionError("commutator left the hermitian matrices: off-diagonal")
             coords.extend(w[pi][pj].coords)
         cols.append(coords)
     return Mat.from_rows([[cols[c][r] for c in range(27)] for r in range(27)])

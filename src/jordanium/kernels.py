@@ -3,10 +3,12 @@
 The heavy verifications (the linearized Jordan identity over all basis
 triples, the module operator identity) are cubic or worse in the dimension,
 so they run as numpy matrix products on denominator-cleared integer tensors.
-Float64 GEMMs are used only under proven magnitude bounds: every product and
-partial sum stays below 2**53, so the floating point arithmetic is exact and
-independent of BLAS threading.  If a bound cannot be established the caller
-falls back to slow rational arithmetic.
+Float64 GEMMs are used only under proven magnitude bounds, each covering the
+whole sum a result is built from: every product and partial sum stays below
+2**53, so the floating point arithmetic is exact and independent of BLAS
+threading.  The kernels take the exact tensors as they are and raise
+ExactOverflow, before any float conversion, on object dtype or when a bound
+fails; the caller then falls back to rational arithmetic or exits.
 """
 
 from __future__ import annotations
@@ -24,29 +26,15 @@ class ExactOverflow(Exception):
     """Raised when entries are too large for the fast integer path."""
 
 
-INT_CAP = 2**40  # scaled entries of the fast paths' inputs stay below this
-
-
-def to_int_tensor(
-    entries: Sequence[tuple[tuple[int, ...], Fraction]],
-    shape: tuple[int, ...],
-    force_scale: int | None = None,
-):
+def to_int_tensor(entries: Sequence[tuple[tuple[int, ...], Fraction]], shape: tuple[int, ...]):
     """Clear denominators of a sparse rational tensor.
 
     Returns (array, scale) with array = scale * tensor, exactly: int64 when
-    every entry fits, object dtype otherwise; inputs of the fast paths pass
-    through :func:`check_cap` as well.  force_scale lets two tensors share
-    one scale so their entries stay directly comparable; it must clear
-    every denominator.
+    every entry fits, object dtype otherwise.
     """
     scale = 1
     for _, q in entries:
         scale = lcm(scale, q.denominator)
-    if force_scale is not None:
-        if force_scale % scale != 0:
-            raise ValueError("forced scale does not clear all denominators")
-        scale = force_scale
     vals = [q.numerator * (scale // q.denominator) for _, q in entries]
     fits = all(-(2**62) < v < 2**62 for v in vals)
     out = np.zeros(shape, dtype=np.int64 if fits else object)
@@ -55,10 +43,9 @@ def to_int_tensor(
     return out, scale
 
 
-def check_cap(arr: np.ndarray) -> None:
-    """Raise ExactOverflow unless arr is int64 with every entry below INT_CAP."""
-    if arr.dtype == object or (arr.size and max(arr.max(), -arr.min()) >= INT_CAP):
-        raise ExactOverflow("scaled structure constant too large for fast path")
+def _check_int64(*arrays: np.ndarray):
+    if any(arr.dtype == object for arr in arrays):
+        raise ExactOverflow("entries past int64 have no exact float64 path")
 
 
 def _check_f64(bound: int):
@@ -85,6 +72,7 @@ def jordan_violation(c: np.ndarray) -> Optional[tuple[int, int, int]]:
 
     Returns the lexicographically smallest violating (i, j, k), or None.
     """
+    _check_int64(c)
     n = c.shape[0]
     if n == 0:
         return None
@@ -93,7 +81,7 @@ def jordan_violation(c: np.ndarray) -> Optional[tuple[int, int, int]]:
     _check_f64(cmax * cmax * n)
     u = (c.reshape(n * n, n).astype(np.float64) @ lmat.reshape(n, n * n)).reshape(n, n, n, n)
     umax = int(np.abs(u).max()) if u.size else 0
-    _check_f64(2 * cmax * umax * n)
+    _check_f64(6 * cmax * umax * n)  # s sums six products L U over n terms
     ustore = _smallest_store(u)
     del u
 
@@ -160,6 +148,7 @@ def module_identity_violation(c: np.ndarray, a: np.ndarray) -> Optional[tuple[in
 
     Returns the smallest violating (i, j, k) with i < j, else None.
     """
+    _check_int64(c, a)
     n = c.shape[0]
     m = a.shape[1]
     if n == 0:
@@ -170,7 +159,7 @@ def module_identity_violation(c: np.ndarray, a: np.ndarray) -> Optional[tuple[in
     af = a.astype(np.float64)
 
     # associator tensor assoc[i, k, j, :] = (e_i e_k) e_j - e_i (e_k e_j)
-    _check_f64(cmax * cmax * n)
+    _check_f64(2 * cmax * cmax * n)  # assoc is a difference of two products
     t1 = (cf.reshape(n * n, n) @ cf.reshape(n, n * n)).reshape(n, n, n, n)
     # t1[i, k, j, r] = sum_m c[i,k,m] c[m,j,r]
     c_i_mr = np.ascontiguousarray(cf.transpose(1, 0, 2)).reshape(n, n * n)
@@ -181,14 +170,14 @@ def module_identity_violation(c: np.ndarray, a: np.ndarray) -> Optional[tuple[in
     asmax = int(np.abs(assoc).max()) if assoc.size else 0
 
     # g[i, j] = [A_i, A_j]
-    _check_f64(amax * amax * m)
+    _check_f64(2 * amax * amax * m)  # so is g
     prod = (af.reshape(n * m, m) @ np.ascontiguousarray(
         af.transpose(1, 0, 2)
     ).reshape(m, n * m)).reshape(n, m, n, m)
     g = prod.transpose(0, 2, 1, 3) - prod.transpose(2, 0, 1, 3)  # (n, n, m, m)
     del prod
     gmax = int(np.abs(g).max()) if g.size else 0
-    _check_f64(max(2 * gmax * amax * m, asmax * amax * n))
+    _check_f64(2 * gmax * amax * m + asmax * amax * n)  # h sums all three terms
 
     gf = np.ascontiguousarray(g.reshape(n * n * m, m))
     gf_t = np.ascontiguousarray(g.transpose(2, 0, 1, 3).reshape(m, n * n * m))

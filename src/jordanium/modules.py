@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -97,23 +96,12 @@ class ModuleAction:
         return out
 
     def int_tensors(self):
-        """(algebra tensor, action tensor, scale) under one shared scale."""
-        _, s_alg = self.algebra.int_tensor()
-        act_entries = [((i, b, al), v) for i, al, b, v in self.action_entries()]
-        _, s_act = kernels.to_int_tensor(
-            act_entries, (self.algebra.dim, self.mdim, self.mdim)
-        )
-        s = lcm(s_alg, s_act)
-        n = self.algebra.dim
-        c, _ = kernels.to_int_tensor(
-            [((i, j, k), q) for i, j, k, q in self.algebra.structure_entries()],
-            (n, n, n),
-            force_scale=s,
-        )
-        a, _ = kernels.to_int_tensor(act_entries, (n, self.mdim, self.mdim), force_scale=s)
-        kernels.check_cap(c)
-        kernels.check_cap(a)
-        return c, a, s
+        """(algebra tensor, action tensor, scale), cleared as one (n, n+m, n+m) tensor."""
+        n, m = self.algebra.dim, self.mdim
+        entries = [((i, j, k), q) for i, j, k, q in self.algebra.structure_entries()]
+        entries += [((i, n + b, n + al), v) for i, al, b, v in self.action_entries()]
+        both, s = kernels.to_int_tensor(entries, (n, n + m, n + m))
+        return both[:, :n, :n], both[:, n:, n:], s
 
     def __eq__(self, other):
         return (

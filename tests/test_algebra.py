@@ -21,6 +21,7 @@ from jordanium.algebra import (
     direct_sum,
     unit_check,
 )
+from jordanium import kernels
 from jordanium.kernels import ExactOverflow
 
 fr = Fraction
@@ -185,21 +186,29 @@ class TestCenter:
         assert tuple(x / q for x in z) == a.unit
 
 
+def big_spin(n, forms):
+    """The spin factor on R + R^n whose form has the diagonal entries forms."""
+    structure = {(0, 0): [(0, fr(1))]}
+    for i, q in enumerate(forms, start=1):
+        structure[(0, i)] = [(i, fr(1))]
+        structure[(i, i)] = [(0, fr(q))]
+    unit = (fr(1),) + (fr(0),) * n
+    return AlgebraPresentation("JSpin%d(big)" % n, n + 1, unit, structure)
+
+
 class TestIntTensor:
+    """The float kernels take the one exact tensor and guard it themselves."""
+
     @staticmethod
     def _spin(entry):
         """JSpin3 with form entries entry/3, entry, entry."""
-        structure = {(0, 0): [(0, fr(1))]}
-        for i in range(1, 4):
-            structure[(0, i)] = [(i, fr(1))]
-            structure[(i, i)] = [(0, fr(entry, 3 if i == 1 else 1))]
-        return AlgebraPresentation("JSpin3(big)", 4, (fr(1), fr(0), fr(0), fr(0)), structure)
+        return big_spin(3, (fr(entry, 3), entry, entry))
 
     def test_small_entries_pass_the_cap(self):
         a = self._spin(5)
-        c, s = a.capped_int_tensor()
+        c, s = a.int_tensor()
         assert c.dtype == "int64" and s == 3
-        assert c is a.int_tensor()[0]  # the one exact tensor, capped
+        assert kernels.jordan_violation(c) is None
 
     @pytest.mark.parametrize("entry,dtype", [(2**45, "int64"), (2**63, "object")])
     def test_exact_tensor_past_the_cap(self, entry, dtype):
@@ -209,8 +218,16 @@ class TestIntTensor:
         assert (c[0, 0, 0], c[1, 1, 0], c[2, 2, 0]) == (3, entry, 3 * entry)
         assert a.int_tensor() is a.int_tensor()  # built once
         with pytest.raises(ExactOverflow):
-            a.capped_int_tensor()
+            kernels.jordan_violation(c)
         assert len(center_basis(a)) == 1
+
+    def test_jordan_bound_covers_all_six_products(self):
+        # cmax = umax = 2 * 10**7 and n = 6: two products stay below 2**53,
+        # the six that the kernel adds up do not
+        a = big_spin(5, [2 * 10**7] * 5)
+        with pytest.raises(ExactOverflow):
+            kernels.jordan_violation(a.int_tensor()[0])
+        assert check_jordan(a).passed
 
 
 class TestSerialization:

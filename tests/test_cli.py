@@ -270,7 +270,7 @@ def _big_spin_file(tmp_path, n, entry):
 
 
 class TestLargeEntries:
-    """Form entries beyond the float kernels' cap still get exact verdicts."""
+    """Form entries beyond the float kernels' bounds still get exact verdicts."""
 
     def test_center_of_spin_factor_with_2_45_entries(self, capsys, tmp_path):
         f = _big_spin_file(tmp_path, 5, 2**45)
@@ -286,12 +286,29 @@ class TestLargeEntries:
         assert code == 0
         assert rep["results"]["dim"] == 36
 
+    def test_inner_derivations_of_spin_factor_with_2_45_entries(self, capsys, tmp_path):
+        f = _big_spin_file(tmp_path, 3, 2**45)
+        code, rep = report(capsys, "der", "inner", "--algebra", f)
+        assert code == 0
+        assert rep["results"]["derivation_dim"] == 3
+        assert rep["results"]["spans_derivations"] is True
+
     def test_homdim_with_a_2_63_entry(self, capsys, tmp_path):
         # endomorphisms of the free rank-1 module of a simple algebra: its center
         f = _big_spin_file(tmp_path, 2, 2**63)
         code, rep = report(capsys, "module", "homdim", "--free", "1", "1", "--algebra", f)
         assert code == 0
         assert rep["results"]["dim"] == 1
+
+
+def test_too_large_to_check_exactly_exits_2(capsys, tmp_path):
+    # dimension 46 is past the rational fallback of the Jordan check, and
+    # 2**45 entries are past the float kernel's bounds
+    f = _big_spin_file(tmp_path, 45, 2**45)
+    code, out, err = run_cli(capsys, "algebra", "check", "--algebra", f)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def _canonical_run(cmd, threads):

@@ -1,12 +1,27 @@
 """Derivation algebras: solver, brackets, inner span, d4 and triality."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jordanium.algebra import build_hermitian, build_real, build_spin, direct_sum
+from jordanium.algebra import (
+    AlgebraPresentation,
+    build_hermitian,
+    build_real,
+    build_spin,
+    direct_sum,
+)
 from jordanium.derivations import (
+    _leibniz_witnesses,
+    _scaled_int_mats,
     annihilator_subalgebra,
     check_jacobi,
     check_center_stability,
@@ -26,7 +41,7 @@ from jordanium.derivations import (
     structure_constants,
     triality_defect,
 )
-from jordanium.linalg import Mat, basis_vec, rank
+from jordanium.linalg import Mat, basis_vec, rank, solve, vec_add
 
 fr = Fraction
 
@@ -244,3 +259,151 @@ class TestExceptionalCompletion:
         m = commutator_action_matrix(one_hot, zero8, zero8)
         assert m.apply(basis_vec(27, 0)) == tuple(fr(0) for _ in range(27))
         assert m.apply(basis_vec(27, 1)) != tuple(fr(0) for _ in range(27))
+
+
+# ---------------------------------------------------------------------------
+# the integer derivation layer against Fraction references
+
+
+RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def small_algebras(draw):
+    """Commutative algebras with unit e_0 and fractional structure constants.
+
+    Half are spin factors with a random diagonal form, some of whose products
+    are perturbed; the others are random, so most of them are not Jordan.
+    Entries are scaled by 1, 2**31 or 2**62 to reach every dtype of the
+    exact products: float64, int64 and object.
+    """
+    n = draw(st.integers(2, 5))
+    spin = draw(st.booleans())
+    big = draw(st.sampled_from([1, 2**31, 2**62]))
+    structure = {(0, j): [(j, Fraction(1))] for j in range(n)}
+    for i in range(1, n):
+        for j in range(i, n):
+            entries = {0: draw(RATIONAL)} if spin and i == j else {}
+            if not spin or draw(st.integers(0, 5)) == 0:
+                for k in range(n):
+                    if draw(st.booleans()):
+                        entries[k] = draw(RATIONAL)
+            structure[(i, j)] = [(k, q * big) for k, q in entries.items()]
+    return AlgebraPresentation("random", n, (1,) + (0,) * (n - 1), structure)
+
+
+def random_operator(draw, n):
+    return Mat.from_rows([[draw(RATIONAL) for _ in range(n)] for _ in range(n)])
+
+
+def reference_leibniz(a, x):
+    """First pair i <= j with x(e_i e_j) != x(e_i) e_j + e_i x(e_j), in Fractions."""
+    for i in range(a.dim):
+        ei = a.basis_element(i)
+        for j in range(i, a.dim):
+            ej = a.basis_element(j)
+            rhs = vec_add(a.mul(x.apply(ei), ej), a.mul(ei, x.apply(ej)))
+            if x.apply(a.mul(ei, ej)) != rhs:
+                return (i, j)
+    return None
+
+
+def reference_brackets(der):
+    """Coefficients of every [D_p, D_q], from Fraction commutators."""
+    d = der.dim
+    out = [[tuple(Fraction(0) for _ in range(d))] * d for _ in range(d)]
+    for p in range(d):
+        for q in range(p + 1, d):
+            v = der.coefficients_of(der.mats[p].commutator(der.mats[q]))
+            out[p][q] = v
+            out[q][p] = tuple(-x for x in v)
+    return out
+
+
+def reference_expansions(a, xs):
+    """express_in_inner of each x on Fraction commutators built by inner_operator."""
+    ops = [
+        ((i, j), inner_operator(a, a.basis_element(i), a.basis_element(j)))
+        for i in range(a.dim)
+        for j in range(i + 1, a.dim)
+    ]
+    cols = [m.flatten() for _, m in ops]
+    system = Mat.from_rows([[col[r] for col in cols] for r in range(len(cols[0]))])
+    out = []
+    for x in xs:
+        sol = solve(system, x.flatten())
+        out.append(None if sol is None else [(ops[t][0], q) for t, q in enumerate(sol) if q])
+    return out
+
+
+class TestIntegerLayer:
+    @given(small_algebras())
+    @settings(max_examples=40, deadline=None)
+    def test_commutator_table_matches_inner_operator(self, a):
+        expected = [
+            ((i, j), inner_operator(a, a.basis_element(i), a.basis_element(j)))
+            for i in range(a.dim)
+            for j in range(i + 1, a.dim)
+        ]
+        assert inner_basis_operators(a) == expected
+
+    @given(small_algebras(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_batched_leibniz_matches_reference(self, a, data):
+        ops = [x for _, x in inner_basis_operators(a)]
+        ops += list(derivation_basis(a).mats)
+        ops += [random_operator(data.draw, a.dim) for _ in range(data.draw(st.integers(0, 12)))]
+        expected = [reference_leibniz(a, x) for x in ops]
+        assert [leibniz_violation(a, x) for x in ops] == expected
+        stack, _ = _scaled_int_mats(ops)
+        assert _leibniz_witnesses(a.int_tensor()[0], stack) == expected
+
+    @pytest.mark.parametrize("builder", [lambda: build_hermitian(3, 1), lambda: build_hermitian(3, 2)])
+    def test_brackets_and_expansions_as_with_fraction_operators(self, builder):
+        a = builder()
+        der = derivation_basis(a)
+        assert structure_constants(der) == reference_brackets(der)
+        x = der.element(tuple(Fraction(k - 2, k + 1) for k in range(der.dim)))
+        ys = (x, Mat.identity(a.dim))  # commutators are traceless: no expansion of 1
+        assert [express_in_inner(a, y) for y in ys] == reference_expansions(a, ys)
+
+
+_UNDER_O = """
+import json, sys
+from fractions import Fraction
+from jordanium.algebra import AlgebraPresentation, build_hermitian, build_spin, check_jordan, direct_sum
+from jordanium.derivations import check_lie_rinehart, derivation_basis, inner_span_report, structure_constants
+
+j23 = build_hermitian(3, 1)
+structure = {(0, 0): [(0, Fraction(1))]}
+for i in range(1, 6):
+    structure[(0, i)] = [(i, Fraction(1))]
+    structure[(i, i)] = [(0, Fraction(2 * 10**7))]
+big = AlgebraPresentation("JSpin5(big)", 6, (1, 0, 0, 0, 0, 0), structure)
+brackets = structure_constants(derivation_basis(j23))
+print(json.dumps({
+    "optimize": sys.flags.optimize,
+    "inner": inner_span_report(j23),
+    "brackets": [[[str(q) for q in v] for v in row] for row in brackets],
+    "lie_rinehart": check_lie_rinehart(derivation_basis(direct_sum(build_hermitian(3, 0), build_spin(3)))),
+    "jordan": check_jordan(big).passed,
+}))
+"""
+
+
+def _run_checks(*flags):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _UNDER_O], capture_output=True, text=True, env=env, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_same_results_under_python_O():
+    plain, optimized = _run_checks(), _run_checks("-O")
+    assert (plain.pop("optimize"), optimized.pop("optimize")) == (0, 1)
+    assert optimized == plain
+    assert plain["inner"]["spans_derivations"] and plain["jordan"]
+    assert all(plain["lie_rinehart"].values())
