@@ -77,6 +77,7 @@ class AlgebraPresentation:
         self._table = table
         self._lmats: dict[int, Mat] = {}
         self._int_cache = None
+        self._center_cache: Optional[list[Vec]] = None
         for j in range(self.dim):
             if self.mul(self.unit, basis_vec(self.dim, j)) != basis_vec(self.dim, j):
                 raise ValueError("unit law fails on basis vector %d" % j)
@@ -372,8 +373,14 @@ def center_basis(a: AlgebraPresentation) -> list[Vec]:
 
     For a commutative algebra this associative center is found as one
     nullspace: stack the operators L(e_i e_j) - L_i L_j over all ordered
-    basis pairs.
+    basis pairs.  Computed once per algebra; each call returns a new list.
     """
+    if a._center_cache is None:
+        a._center_cache = _center_basis(a)
+    return list(a._center_cache)
+
+
+def _center_basis(a: AlgebraPresentation) -> list[Vec]:
     c, _ = a.int_tensor()
     n = a.dim
     if n * max_abs_int(c) ** 2 >= 2**62:

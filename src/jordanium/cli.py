@@ -14,7 +14,6 @@ import json
 import random
 import sys
 import time
-from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
@@ -48,11 +47,11 @@ from .derivations import (
     inner_span_report,
     is_block_diagonal_for_slots,
     octonion_slot_block,
+    random_so8,
     triality_defect,
 )
 from .forms import DerForm, d_der
 from .kernels import ExactOverflow
-from .linalg import Mat
 from .modules import (
     build_antihermitian,
     build_clifford,
@@ -250,22 +249,12 @@ def cmd_der_d4(args) -> int:
     return _emit_report(args, "der d4", {"algebra": adict}, results, ok)
 
 
-def _random_so8(rng: random.Random) -> Mat:
-    rows = [[Fraction(0)] * 8 for _ in range(8)]
-    for i in range(8):
-        for j in range(i + 1, 8):
-            q = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            rows[i][j] = q
-            rows[j][i] = -q
-    return Mat.from_rows(rows)
-
-
 def cmd_der_triality(args) -> int:
     rng = random.Random(args.seed)
     count = args.count
     ok = True
     for _ in range(count):
-        d1 = _random_so8(rng)
+        d1 = random_so8(rng)
         d2, d3 = complete_triality(d1)
         if triality_defect(d1, d2, d3) is not None:
             ok = False

@@ -20,6 +20,11 @@ here), is the differential's 1/(n+1)-compensated alternating sum with the
 covariant operators in place of the frame matrices, so that
 grad(w f) = (dw) f + (-1)^n w grad(f) holds exactly under the normalized
 product.
+
+Exactness is decided by batched ``linalg.exact_int_matmul`` products of
+integer stacks on one common scale (``linalg.scaled_int_mats``); ``Mat``
+appears only in what is returned.  The gauge-formula path stays in
+``Fraction`` arithmetic as the independent second route.
 """
 
 from __future__ import annotations
@@ -29,69 +34,98 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .algebra import center_basis
-from .derivations import DerivationBasis, express_in_inner
+from .derivations import DerivationBasis, InnerExpansion, inner_expansions
 from .forms import bracket_table, extend_to_forms, forms_leibniz_check
 from .linalg import (
     Mat,
     Vec,
+    commutators,
+    exact_int_matmul,
     expand_in_basis,
     format_fraction,
     frac,
+    kron,
+    mat_from_flat,
+    mats_from_ints,
+    max_abs_int,
+    pair_products,
     parse_fraction,
+    scale_ints,
+    scaled_int_mats,
     solve,
 )
 from .modules import ModuleAction
 
+_CHUNK = 16  # operators per block of a batched check, bounding its memory
 
-def _kron(b: Mat, m: Mat) -> Mat:
-    """Fiber-block Kronecker product: out[bn+r, cn+s] = b[b,c] * m[r,s]."""
-    p, n = b.rows, m.rows
-    rows = []
-    for br in range(p):
-        for r in range(n):
-            row = []
-            for bc in range(p):
-                coef = b.data[br][bc]
-                if coef:
-                    row.extend(coef * v for v in m.data[r])
-                else:
-                    row.extend([Fraction(0)] * m.cols)
-            rows.append(tuple(row))
-    return Mat(tuple(rows))
+
+def _first_commutator_failure(ops: np.ndarray, lam: np.ndarray, rhs) -> Optional[tuple[int, int]]:
+    """First (s, i), row-major, where [O_s, Lam_i] != rhs(rows)[s - rows.start, i]."""
+    for lo in range(0, len(ops), _CHUNK):
+        block = ops[lo : lo + _CHUNK]
+        comm = pair_products(block, lam) - pair_products(lam, block).transpose(1, 0, 2, 3)
+        hits = np.argwhere((comm != rhs(slice(lo, lo + _CHUNK))).any(axis=(2, 3)))
+        if hits.size:
+            return lo + int(hits[0][0]), int(hits[0][1])
+    return None
+
+
+def _bracket_terms(ops: Sequence[Mat], der: DerivationBasis):
+    """([O_mu, O_nu], sum_tau c^tau_mu_nu O_tau) over pairs mu < nu, flattened
+    and both times s**2 for the common scale s of the operators and constants; s."""
+    brackets = [Mat(tuple(row)) for row in bracket_table(der)]
+    (o, b), s = scaled_int_mats(ops, brackets)
+    (d, r, c), (ii, jj) = o.shape, np.triu_indices(len(o), 1)
+    comm = commutators(o)[ii, jj].reshape(len(ii), r * c)
+    return comm, exact_int_matmul(b[ii, jj], o.reshape(d, r * c)), s
 
 
 def leibniz_defect(
     der: DerivationBasis, module: ModuleAction, ops: Sequence[Mat]
 ) -> Optional[tuple[int, int]]:
-    """First (mu, i) violating the covariant Leibniz rule, None when clean."""
-    for mu, g in enumerate(ops):
-        for i, lam in enumerate(module.ops):
-            x_ei = der.mats[mu].col(i)
-            if g @ lam - lam @ g != module.op_of(x_ei):
-                return mu, i
-    return None
+    """First (mu, i) violating the covariant Leibniz rule, None when clean.
+
+    Compares [G_mu, Lam_i] with sum_j X_mu[j, i] Lam_j, both times s**2.
+    """
+    n, m = der.algebra.dim, module.mdim
+    (x, lam, g), _ = scaled_int_mats(der.mats, module.ops, ops)
+
+    def rhs(rows):
+        xs = x[rows].transpose(0, 2, 1)
+        return exact_int_matmul(xs.reshape(-1, n), lam.reshape(n, m * m)).reshape(len(xs), n, m, m)
+
+    return _first_commutator_failure(g, lam, rhs)
 
 
 def center_linearity_defect(
     der: DerivationBasis, module: ModuleAction, ops: Sequence[Mat]
 ) -> Optional[tuple[int, int]]:
-    """First (t, mu) violating grad_{z X} = z . grad_X over the center basis."""
+    """First (t, mu) violating grad_{z X} = z . grad_X over the center basis.
+
+    The frame coefficients of L_z X_mu are its free coordinates, checked to
+    reproduce it as in DerivationBasis.coefficients_of; both sides carry s**3.
+    """
     zs = center_basis(der.algebra)
     if len(zs) <= 1:
         return None
     alg = der.algebra
-    for t, z in enumerate(zs):
-        lz = alg.left_op(z)
-        zop = module.op_of(z)
-        for mu, x in enumerate(der.mats):
-            coeffs = der.coefficients_of(lz @ x)
-            acc = Mat.zeros(module.mdim, module.mdim)
-            for nu, cq in enumerate(coeffs):
-                if cq:
-                    acc = acc + ops[nu].scale(cq)
-            if acc != zop @ ops[mu]:
-                return t, mu
+    n, m, d = alg.dim, module.mdim, der.dim
+    (x, g, lz, zop), s = scaled_int_mats(
+        der.mats, ops, [alg.left_op(z) for z in zs], [module.op_of(z) for z in zs]
+    )
+    lzx = pair_products(lz, x).reshape(len(zs) * d, n * n)  # s**2 L_z X_mu
+    coeffs = lzx[:, der.free_coords]  # s**2 times the frame coefficients
+    in_span = (exact_int_matmul(coeffs, x.reshape(d, n * n)) == scale_ints(lzx, s)).all(axis=1)
+    zg = pair_products(zop, g).reshape(len(zs) * d, m * m)
+    linear = (exact_int_matmul(coeffs, g.reshape(d, m * m)) == scale_ints(zg, s)).all(axis=1)
+    for tmu in range(len(zs) * d):
+        if not in_span[tmu]:
+            raise ValueError("operator is not in the derivation span")
+        if not linear[tmu]:
+            return divmod(tmu, d)
     return None
 
 
@@ -197,16 +231,10 @@ def free_rank(module: ModuleAction) -> Optional[int]:
     if n == 0 or module.mdim % n:
         return None
     p = module.mdim // n
-    for i in range(n):
-        lm = module.algebra.left_mult_basis(i)
-        op = module.ops[i]
-        for br in range(p):
-            for bc in range(p):
-                for r in range(n):
-                    for c in range(n):
-                        expect = lm.data[r][c] if br == bc else Fraction(0)
-                        if op.data[br * n + r][bc * n + c] != expect:
-                            return None
+    eye = Mat.identity(p)
+    for i, op in enumerate(module.ops):
+        if op != kron(eye, module.algebra.left_mult_basis(i)):
+            return None
     return p
 
 
@@ -215,18 +243,8 @@ def base_connection(der: DerivationBasis, module: ModuleAction) -> Connection:
     p = free_rank(module)
     if p is None:
         raise ValueError("base connection needs a module in free block form")
-    n = der.algebra.dim
-    ops = []
-    for x in der.mats:
-        rows = []
-        for br in range(p):
-            for r in range(n):
-                row = [Fraction(0)] * (p * n)
-                for c in range(n):
-                    row[br * n + c] = x.data[r][c]
-                rows.append(tuple(row))
-        ops.append(Mat(tuple(rows)))
-    conn = Connection(der, module, ops, is_base=True)
+    eye = Mat.identity(p)
+    conn = Connection(der, module, [kron(eye, x) for x in der.mats], is_base=True)
     conn.base_ops = conn.ops
     conn.potential = zero_potential(der, p)
     return conn
@@ -240,7 +258,7 @@ def potential_operator(der: DerivationBasis, a: GaugePotential, mu: int) -> Mat:
     acc = Mat.zeros(a.rank * n, a.rank * n)
     for t, block in enumerate(a.mats[mu]):
         if not block.is_zero():
-            acc = acc + _kron(block, alg.left_op(zs[t]))
+            acc = acc + kron(block, alg.left_op(zs[t]))
     return acc
 
 
@@ -265,29 +283,14 @@ def potential_from_connection(c: Connection, c0: Connection) -> Optional[GaugePo
     if p is None:
         return None
     zs = center_basis(alg)
-    columns = []
-    keys = []
-    for t, z in enumerate(zs):
-        lz = alg.left_op(z)
-        for br in range(p):
-            for bc in range(p):
-                e = Mat(tuple(
-                    tuple(Fraction(1) if (r == br and cc == bc) else Fraction(0) for cc in range(p))
-                    for r in range(p)
-                ))
-                columns.append(_kron(e, lz).flatten())
-                keys.append((t, br, bc))
-    sys = Mat(tuple(zip(*columns)))
+    units = [mat_from_flat(e, p, p) for e in Mat.identity(p * p).data]  # E_(br, bc), row-major
+    sys = Mat(tuple(zip(*(kron(e, lz).flatten() for lz in map(alg.left_op, zs) for e in units))))
     per_mu = []
     for mu in range(c.der.dim):
-        diff = (c.ops[mu] - c0.ops[mu]).flatten()
-        sol = solve(sys, diff)
+        sol = solve(sys, (c.ops[mu] - c0.ops[mu]).flatten())
         if sol is None:
             return None
-        blocks = [[[Fraction(0)] * p for _ in range(p)] for _ in zs]
-        for (t, br, bc), q in zip(keys, sol):
-            blocks[t][br][bc] = q
-        per_mu.append(tuple(Mat.from_rows(b) for b in blocks))
+        per_mu.append(tuple(mat_from_flat(sol[t * p * p : (t + 1) * p * p], p, p) for t in range(len(zs))))
     return GaugePotential(p, tuple(per_mu))
 
 
@@ -313,11 +316,10 @@ class Curvature:
 
     def endomorphism_defect(self) -> Optional[tuple[tuple[int, int], int]]:
         """First (pair, algebra index) where R fails to intertwine the action."""
-        for key, r in self.table.items():
-            for i, lam in enumerate(self.module.ops):
-                if r @ lam != lam @ r:
-                    return key, i
-        return None
+        keys = list(self.table)
+        (r, lam), _ = scaled_int_mats(list(self.table.values()), self.module.ops)
+        hit = _first_commutator_failure(r, lam, lambda rows: 0)
+        return None if hit is None else (keys[hit[0]], hit[1])
 
 
 def _gauge_curvature_table(c: Connection) -> dict:
@@ -357,7 +359,7 @@ def _gauge_curvature_table(c: Connection) -> dict:
         acc = Mat.zeros(c.module.mdim, c.module.mdim)
         for s, block in enumerate(layers):
             if not block.is_zero():
-                acc = acc + _kron(block, alg.left_op(zs[s]))
+                acc = acc + kron(block, alg.left_op(zs[s]))
         out[(mu, nu)] = acc
     return out
 
@@ -365,14 +367,12 @@ def _gauge_curvature_table(c: Connection) -> dict:
 def curvature(c: Connection) -> Curvature:
     """R from the commutator definition; potential-built connections also run
     the gauge formula and the two paths must agree exactly."""
-    br = bracket_table(c.der)
-    table = {}
-    for mu, nu in combinations(range(c.der.dim), 2):
-        r = c.ops[mu] @ c.ops[nu] - c.ops[nu] @ c.ops[mu]
-        for tau, q in enumerate(br[mu][nu]):
-            if q:
-                r = r - c.ops[tau].scale(q)
-        table[(mu, nu)] = r
+    comm, contr, s = _bracket_terms(c.ops, c.der)
+    if max_abs_int(comm) + max_abs_int(contr) >= 2**63:
+        comm = comm.astype(object)
+    keys = list(combinations(range(c.der.dim), 2))
+    m = c.module.mdim
+    table = dict(zip(keys, mats_from_ints((comm - contr).reshape(len(keys), m, m), s * s)))
     if c.potential is not None and c.base_ops is not None:
         alt = _gauge_curvature_table(c)
         for key, r in table.items():
@@ -389,16 +389,8 @@ def lie_hom_check(a: GaugePotential, der: DerivationBasis) -> bool:
     """[A_mu, A_nu] == sum_tau c^tau_mu_nu A_tau; stated over a simple base."""
     if a.center_dim != 1:
         raise ValueError("the bracket criterion applies over a one-dimensional center")
-    br = bracket_table(der)
-    for mu, nu in combinations(range(der.dim), 2):
-        lhs = a.mats[mu][0] @ a.mats[nu][0] - a.mats[nu][0] @ a.mats[mu][0]
-        rhs = Mat.zeros(a.rank, a.rank)
-        for tau, q in enumerate(br[mu][nu]):
-            if q:
-                rhs = rhs + a.mats[tau][0].scale(q)
-        if lhs != rhs:
-            return False
-    return True
+    comm, contr, _ = _bracket_terms([per[0] for per in a.mats], der)
+    return bool((comm == contr).all())
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +399,22 @@ def lie_hom_check(a: GaugePotential, der: DerivationBasis) -> bool:
 
 def inner_operator_on_module(module: ModuleAction, pairs) -> Mat:
     """sum q [Lam_i, Lam_j] for an expansion of a derivation by basis pairs."""
-    acc = Mat.zeros(module.mdim, module.mdim)
-    for (i, j), q in pairs:
-        li, lj = module.ops[i], module.ops[j]
-        acc = acc + (li @ lj - lj @ li).scale(q)
-    return acc
+    return _inner_operators(module, [pairs])[0]
+
+
+def _inner_operators(module: ModuleAction, expansions: Sequence[InnerExpansion]) -> list[Mat]:
+    """sum q [Lam_i, Lam_j] for each expansion: its coefficient grid times the
+    commutator table of the action, one exact product for all expansions."""
+    n, m = module.algebra.dim, module.mdim
+    grids = []
+    for pairs in expansions:
+        q = [[Fraction(0)] * n for _ in range(n)]
+        for (i, j), v in pairs:
+            q[i][j] += frac(v)
+        grids.append(Mat.from_rows(q))
+    (q, lam), s = scaled_int_mats(grids, module.ops)
+    sums = exact_int_matmul(q.reshape(len(grids), n * n), commutators(lam).reshape(n * n, m * m))
+    return mats_from_ints(sums.reshape(len(grids), m, m), s**3)
 
 
 def inner_connection(der: DerivationBasis, module: ModuleAction) -> Connection:
@@ -421,13 +424,10 @@ def inner_connection(der: DerivationBasis, module: ModuleAction) -> Connection:
     carrier; the Leibniz rule is re-verified rather than trusted, since the
     construction silently depends on the chosen expansion.
     """
-    ops = []
-    for x in der.mats:
-        pairs = express_in_inner(der.algebra, x)
-        if pairs is None:
-            raise ValueError("frame element has no inner expansion")
-        ops.append(inner_operator_on_module(module, pairs))
-    return Connection(der, module, ops)
+    expansions = inner_expansions(der.algebra, der.mats)
+    if any(e is None for e in expansions):
+        raise ValueError("frame element has no inner expansion")
+    return Connection(der, module, _inner_operators(module, expansions))
 
 
 # ---------------------------------------------------------------------------

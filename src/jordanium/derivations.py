@@ -22,6 +22,7 @@ taken by ``linalg.exact_int_matmul``, which decides exactness per product
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,26 +35,25 @@ from .cayley_dickson import CD, basis_table
 from .linalg import (
     Mat,
     Vec,
+    commutators,
     exact_int_matmul,
     expand_in_basis,
     frac,
     inverse,
     mat_from_flat,
+    mats_from_ints,
     max_abs_int,
     nullspace_int,
+    pair_products,
     rank_lower_bound,
+    scale_ints,
+    scaled_int_mats,
     scaled_ints,
-    solve,
+    solve_int,
 )
 
 # ---------------------------------------------------------------------------
 # the Leibniz system
-
-
-def _scaled_int_mats(mats: Sequence[Mat]) -> tuple[np.ndarray, int]:
-    """Stack rational matrices as one integer array with a common scale."""
-    shape = (len(mats), mats[0].rows, mats[0].cols) if mats else (0, 0, 0)
-    return scaled_ints([x for m in mats for row in m.data for x in row], shape)
 
 
 def _leibniz_system(a: AlgebraPresentation) -> np.ndarray:
@@ -116,7 +116,8 @@ def leibniz_violation(a: AlgebraPresentation, x: Mat) -> Optional[tuple[int, int
     n = a.dim
     if x.rows != n or x.cols != n:
         raise ValueError("operator shape does not match the algebra")
-    return _leibniz_witnesses(a.int_tensor()[0], _scaled_int_mats([x])[0])[0]
+    (xs,), _ = scaled_int_mats([x])
+    return _leibniz_witnesses(a.int_tensor()[0], xs)[0]
 
 
 @dataclass(frozen=True)
@@ -176,27 +177,6 @@ def derivation_basis(a: AlgebraPresentation) -> DerivationBasis:
 
 
 # ---------------------------------------------------------------------------
-# batched operator products
-
-
-def _pair_products(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """p[s, t] = X_s Y_t for stacks of integer matrices, as one exact product."""
-    (b, n, _), d = xs.shape, len(ys)
-    prod = exact_int_matmul(xs.reshape(b * n, n), ys.transpose(1, 0, 2).reshape(n, d * n))
-    return prod.reshape(b, n, d, n).transpose(0, 2, 1, 3)
-
-
-def _commutators(xs: np.ndarray) -> np.ndarray:
-    """c[s, t] = [X_s, X_t] for a stack of integer matrices.
-
-    Every product comes from one exact_int_matmul, int64 below 2**62 or
-    object dtype, so the difference of two cannot overflow.
-    """
-    prod = _pair_products(xs, xs)
-    return prod - prod.transpose(1, 0, 2, 3)
-
-
-# ---------------------------------------------------------------------------
 # structure constants of the derivation algebra
 
 
@@ -211,16 +191,14 @@ def structure_constants(der: DerivationBasis) -> list[list[Vec]]:
     n = der.algebra.dim
     if d == 0:
         return []
-    ints, s = _scaled_int_mats(der.mats)
+    (ints,), s = scaled_int_mats(der.mats)
     flat = ints.reshape(d, n * n)
     free = np.array(der.free_coords, dtype=np.int64)
     ps, qs = np.triu_indices(d, 1)
-    commflat = _commutators(ints)[ps, qs].reshape(len(ps), n * n)
+    commflat = commutators(ints)[ps, qs].reshape(len(ps), n * n)
     # scaled coefficients: comm = sum_g (chat[g]/s) * mats[g] (both sides x s^2)
     chat = commflat[:, free]
-    if max(max_abs_int(commflat), 1) * s >= 2**63:
-        commflat = commflat.astype(object)
-    if not (exact_int_matmul(chat, flat) == s * commflat).all():
+    if not (exact_int_matmul(chat, flat) == scale_ints(commflat, s)).all():
         raise AssertionError("derivation bracket left the computed span")
     s2 = s * s
     out = [[tuple(Fraction(0) for _ in range(d))] * d for _ in range(d)]
@@ -277,7 +255,7 @@ def check_lie_rinehart(der: DerivationBasis) -> dict:
     if d == 0 or not center:
         return {"center_stable": True, "module_closed": True, "mixed_bracket": True}
     c, _ = a.int_tensor()
-    dints, _ = _scaled_int_mats(der.mats)
+    (dints,), _ = scaled_int_mats(der.mats)
     k = len(center)
     zints, _ = scaled_ints([x for z in center for x in z], (k, n))
     # lz[z] = L_z and ldz[z, p] = L(D_p z), with L_x[r, m] = sum_i x_i c[i, m, r]
@@ -285,16 +263,16 @@ def check_lie_rinehart(der: DerivationBasis) -> dict:
     dz = exact_int_matmul(zints, dints.reshape(d * n, n).T)  # dz[z, (p, r)] = D_p(z)_r
     ldz = exact_int_matmul(dz.reshape(k * d, n), c.reshape(n, n * n))
     ldz = ldz.reshape(k, d, n, n).transpose(0, 1, 3, 2)
-    comm = _commutators(dints)
+    comm = commutators(dints)
     module_ok = True
     bracket_ok = True
     for z in range(k):
-        lzd = _pair_products(lz[z : z + 1], dints)[0]  # L_z D_p
+        lzd = pair_products(lz[z : z + 1], dints)[0]  # L_z D_p
         if any(w is not None for w in _leibniz_witnesses(c, lzd)):
             module_ok = False
-        lhs = _pair_products(dints, lzd) - _pair_products(lzd, dints).transpose(1, 0, 2, 3)
-        z_comm = _pair_products(lz[z : z + 1], comm.reshape(d * d, n, n))[0]
-        rhs = _pair_products(ldz[z], dints) + z_comm.reshape(d, d, n, n)
+        lhs = pair_products(dints, lzd) - pair_products(lzd, dints).transpose(1, 0, 2, 3)
+        z_comm = pair_products(lz[z : z + 1], comm.reshape(d * d, n, n))[0]
+        rhs = pair_products(ldz[z], dints) + z_comm.reshape(d, d, n, n)
         if (lhs != rhs).any():
             bracket_ok = False
     return {
@@ -319,17 +297,14 @@ def _inner_table(a: AlgebraPresentation) -> tuple[list[tuple[int, int]], np.ndar
     """Pairs i < j, the integer stack s**2 [L_i, L_j] with L_i = c[i]^T, and s**2."""
     c, s = a.int_tensor()
     ii, jj = np.triu_indices(a.dim, 1)
-    table = _commutators(c.transpose(0, 2, 1))[ii, jj]
+    table = commutators(c.transpose(0, 2, 1))[ii, jj]
     return list(zip(ii.tolist(), jj.tolist())), table, s * s
 
 
 def inner_basis_operators(a: AlgebraPresentation) -> list[tuple[tuple[int, int], Mat]]:
     """[L_i, L_j] for basis pairs i < j."""
     pairs, table, s2 = _inner_table(a)
-    return [
-        (ij, Mat(tuple(tuple(Fraction(v, s2) for v in row) for row in m)))
-        for ij, m in zip(pairs, table.tolist())
-    ]
+    return list(zip(pairs, mats_from_ints(table, s2)))
 
 
 def inner_span_report(a: AlgebraPresentation, der: Optional[DerivationBasis] = None) -> dict:
@@ -364,20 +339,31 @@ def inner_span_report(a: AlgebraPresentation, der: Optional[DerivationBasis] = N
     }
 
 
-def express_in_inner(a: AlgebraPresentation, x: Mat) -> Optional[list[tuple[tuple[int, int], Fraction]]]:
-    """Write x as sum of q_(i,j) [L_i, L_j] over basis pairs, or None.
+InnerExpansion = list[tuple[tuple[int, int], Fraction]]
 
-    The columns are the integer table s**2 [L_i, L_j], so the right-hand
-    side is s**2 x; scaling both sides by s**2 leaves the solution as it is.
+
+def express_in_inner(a: AlgebraPresentation, x: Mat) -> Optional[InnerExpansion]:
+    """Write x as sum of q_(i,j) [L_i, L_j] over basis pairs, or None."""
+    return inner_expansions(a, [x])[0]
+
+
+def inner_expansions(a: AlgebraPresentation, xs: Sequence[Mat]) -> list[Optional[InnerExpansion]]:
+    """:func:`express_in_inner` for each operator of xs, on one integer table.
+
+    The columns are the integer table s**2 [L_i, L_j] and the right-hand
+    side is d x, cleared by its common denominator d; the solution of that
+    system is (d / s**2) times the coefficients.
     """
     pairs, table, s2 = _inner_table(a)
     if not pairs:
-        return None
-    system = Mat.from_rows(table.reshape(len(pairs), -1).T.tolist())
-    sol = solve(system, [s2 * v for v in x.flatten()])
-    if sol is None:
-        return None
-    return [(pairs[t], q) for t, q in enumerate(sol) if q]
+        return [None] * len(xs)
+    system = table.reshape(len(pairs), -1).T
+    out: list[Optional[InnerExpansion]] = []
+    for x in xs:
+        rhs, d = scaled_ints(x.flatten(), (a.dim * a.dim,))
+        sol = solve_int(system, rhs)
+        out.append(None if sol is None else [(pairs[t], q * s2 / d) for t, q in enumerate(sol) if q])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +385,7 @@ def annihilator_subalgebra(
     if der.dim == 0:
         return []
     n = a.dim
-    ints, _ = _scaled_int_mats(der.mats)
+    (ints,), _ = scaled_int_mats(der.mats)
     rows = np.zeros((len(idempotent_indices) * n, der.dim), dtype=ints.dtype)
     for t, i in enumerate(idempotent_indices):
         rows[t * n : (t + 1) * n] = ints[:, :, i].T
@@ -431,6 +417,16 @@ def is_block_diagonal_for_slots(x: Mat, n_diag: int = 3, d: int = 8) -> bool:
 
 def _antisym_pairs(d: int = 8) -> list[tuple[int, int]]:
     return [(i, j) for i in range(d) for j in range(i + 1, d)]
+
+
+def random_so8(rng: random.Random) -> Mat:
+    """Random antisymmetric 8x8 rational matrix, entries p/q with |p| <= 9, q <= 4."""
+    rows = [[Fraction(0)] * 8 for _ in range(8)]
+    for i, j in _antisym_pairs():
+        q = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        rows[i][j] = q
+        rows[j][i] = -q
+    return Mat.from_rows(rows)
 
 
 @lru_cache(maxsize=1)

@@ -3,12 +3,14 @@
 The heavy verifications (the linearized Jordan identity over all basis
 triples, the module operator identity) are cubic or worse in the dimension,
 so they run as numpy matrix products on denominator-cleared integer tensors.
-Float64 GEMMs are used only under proven magnitude bounds, each covering the
-whole sum a result is built from: every product and partial sum stays below
-2**53, so the floating point arithmetic is exact and independent of BLAS
-threading.  The kernels take the exact tensors as they are and raise
-ExactOverflow, before any float conversion, on object dtype or when a bound
-fails; the caller then falls back to rational arithmetic or exits.
+
+The module identity takes linalg.exact_int_matmul products, exact on any
+input.  The Jordan kernel uses float64 GEMMs only under proven magnitude
+bounds, each covering the whole sum a result is built from: every product
+and partial sum stays below 2**53, so the floating point arithmetic is exact
+and independent of BLAS threading.  It takes the exact tensor as it is and
+raises ExactOverflow, before any float conversion, on object dtype or when a
+bound fails; the caller then falls back to rational arithmetic or exits.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from math import lcm
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .linalg import commutators, exact_int_matmul
 
 _F64_SAFE = 2**53
 
@@ -146,54 +150,40 @@ def module_identity_violation(c: np.ndarray, a: np.ndarray) -> Optional[tuple[in
     that the two terms are comparable.  Checks all triples with i < j; both
     sides are antisymmetric in (i, j) and vanish at i = j.
 
+    Every product is one exact_int_matmul, so no entry size is too large.
+    The terms are compared as g a_k + assoc . a against a_k g, each side a
+    sum of at most two int64 products below 2**62, so nothing overflows.
+
     Returns the smallest violating (i, j, k) with i < j, else None.
     """
-    _check_int64(c, a)
     n = c.shape[0]
     m = a.shape[1]
-    if n == 0:
+    if n < 2:
         return None
-    cmax = int(np.abs(c).max()) if c.size else 0
-    amax = int(np.abs(a).max()) if a.size else 0
-    cf = c.astype(np.float64)
-    af = a.astype(np.float64)
-
-    # associator tensor assoc[i, k, j, :] = (e_i e_k) e_j - e_i (e_k e_j)
-    _check_f64(2 * cmax * cmax * n)  # assoc is a difference of two products
-    t1 = (cf.reshape(n * n, n) @ cf.reshape(n, n * n)).reshape(n, n, n, n)
+    # assoc[i, k, j, :] = (e_i e_k) e_j - e_i (e_k e_j)
+    t1 = exact_int_matmul(c.reshape(n * n, n), c.reshape(n, n * n)).reshape(n, n, n, n)
     # t1[i, k, j, r] = sum_m c[i,k,m] c[m,j,r]
-    c_i_mr = np.ascontiguousarray(cf.transpose(1, 0, 2)).reshape(n, n * n)
-    t2 = (cf.reshape(n * n, n) @ c_i_mr).reshape(n, n, n, n)
+    c_i_mr = np.ascontiguousarray(c.transpose(1, 0, 2)).reshape(n, n * n)
+    t2 = exact_int_matmul(c.reshape(n * n, n), c_i_mr).reshape(n, n, n, n)
     # t2[k, j, i, r] = sum_m c[k,j,m] c[i,m,r]
     assoc = t1 - t2.transpose(2, 0, 1, 3)
     del t1, t2
-    asmax = int(np.abs(assoc).max()) if assoc.size else 0
 
-    # g[i, j] = [A_i, A_j]
-    _check_f64(2 * amax * amax * m)  # so is g
-    prod = (af.reshape(n * m, m) @ np.ascontiguousarray(
-        af.transpose(1, 0, 2)
-    ).reshape(m, n * m)).reshape(n, m, n, m)
-    g = prod.transpose(0, 2, 1, 3) - prod.transpose(2, 0, 1, 3)  # (n, n, m, m)
-    del prod
-    gmax = int(np.abs(g).max()) if g.size else 0
-    _check_f64(2 * gmax * amax * m + asmax * amax * n)  # h sums all three terms
-
-    gf = np.ascontiguousarray(g.reshape(n * n * m, m))
-    gf_t = np.ascontiguousarray(g.transpose(2, 0, 1, 3).reshape(m, n * n * m))
+    # g[p] = [A_i, A_j] for the p-th pair i < j, in lexicographic order
+    ii, jj = np.triu_indices(n, 1)
+    g = commutators(a)[ii, jj]
+    npairs = len(ii)
+    g_rows = g.reshape(npairs * m, m)
+    g_cols = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(m, npairs * m)
+    a_flat = a.reshape(n, m * m)
     best: Optional[tuple[int, int, int]] = None
     for k in range(n):
-        h = (gf @ af[k]).reshape(n, n, m, m)
-        h -= (af[k] @ gf_t).reshape(m, n, n, m).transpose(1, 2, 0, 3)
-        lam = (assoc[:, k].reshape(n * n, n) @ af.reshape(n, m * m)).reshape(n, n, m, m)
-        h += lam
-        bad = np.abs(h).max(axis=(2, 3))
-        if bad.any():
-            for i, j in zip(*np.nonzero(bad)):
-                i, j = int(i), int(j)
-                if i < j:
-                    t = (i, j, k)
-                    if best is None or t < best:
-                        best = t
-        del h, lam
+        lhs = exact_int_matmul(g_rows, a[k]).reshape(npairs, m, m)
+        lhs = lhs + exact_int_matmul(assoc[ii, k, jj], a_flat).reshape(npairs, m, m)
+        rhs = exact_int_matmul(a[k], g_cols).reshape(m, npairs, m).transpose(1, 0, 2)
+        hits = np.flatnonzero((lhs != rhs).any(axis=(1, 2)))
+        if hits.size:
+            t = (int(ii[hits[0]]), int(jj[hits[0]]), k)
+            if best is None or t < best:
+                best = t
     return best

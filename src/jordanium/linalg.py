@@ -21,18 +21,21 @@ one integer product with the full matrix before any Gram compression.
 :func:`solve` is the kernel vector of the normal equations A^T [A | b] whose
 free coordinate is the right-hand side, negated; only that one vector is
 lifted, and the answer is checked exactly against A x = b.
+
+Operator identities run on integer stacks of one scale (:func:`scaled_int_mats`),
+each :func:`pair_products` or :func:`commutators` one :func:`exact_int_matmul`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-Scalar = Fraction
 Vec = tuple[Fraction, ...]
 
 LARGE_COLS = 200
@@ -116,9 +119,6 @@ class Mat:
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         return self.data[ij[0]][ij[1]]
 
-    def row(self, i: int) -> Vec:
-        return self.data[i]
-
     def col(self, j: int) -> Vec:
         return tuple(r[j] for r in self.data)
 
@@ -157,16 +157,6 @@ class Mat:
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.data for x in r)
-
-    def trace(self) -> Fraction:
-        return sum((self.data[i][i] for i in range(min(self.rows, self.cols))), Fraction(0))
-
-    def to_object_array(self) -> np.ndarray:
-        out = np.empty((self.rows, self.cols), dtype=object)
-        for i, r in enumerate(self.data):
-            for j, x in enumerate(r):
-                out[i, j] = x
-        return out
 
     def __repr__(self) -> str:  # keep debug output short
         return "Mat(%dx%d)" % (self.rows, self.cols)
@@ -391,6 +381,66 @@ def exact_int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ao @ bo
 
 
+# ---------------------------------------------------------------------------
+# stacks of integer operators
+
+
+def scaled_int_mats(*stacks: Sequence[Mat]) -> tuple[tuple[np.ndarray, ...], int]:
+    """Stacks of equal-shape rational matrices as (len, rows, cols) integer
+    arrays s * stack with one common scale s, so identities between stacks
+    carry equal powers of s on both sides."""
+    shapes = [(len(st), st[0].rows, st[0].cols) if st else (0, 0, 0) for st in stacks]
+    flat = [x for st in stacks for m in st for row in m.data for x in row]
+    ints, s = scaled_ints(flat, (len(flat),))
+    parts = np.split(ints, np.cumsum([np.prod(sh) for sh in shapes])[:-1])
+    return tuple(p.reshape(sh) for p, sh in zip(parts, shapes)), s
+
+
+def mats_from_ints(ints: np.ndarray, s: int) -> list[Mat]:
+    """The rational matrices ints[t] / s of an integer stack."""
+    zero = Fraction(0)
+    return [
+        Mat(tuple(tuple(Fraction(v, s) if v else zero for v in row) for row in m))
+        for m in ints.tolist()
+    ]
+
+
+def scale_ints(arr: np.ndarray, s: int) -> np.ndarray:
+    """s * arr for an integer array, in object dtype where int64 would overflow."""
+    if arr.dtype != object and max(max_abs_int(arr), 1) * abs(s) >= 2**63:
+        arr = arr.astype(object)
+    return arr * s
+
+
+def pair_products(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """p[s, t] = X_s Y_t for stacks of integer matrices, as one exact product."""
+    (b, r, k), (d, _, c) = xs.shape, ys.shape
+    prod = exact_int_matmul(xs.reshape(b * r, k), ys.transpose(1, 0, 2).reshape(k, d * c))
+    return prod.reshape(b, r, d, c).transpose(0, 2, 1, 3)
+
+
+def commutators(xs: np.ndarray) -> np.ndarray:
+    """c[s, t] = [X_s, X_t] for a stack of square integer matrices.
+
+    Every product comes from one exact_int_matmul, int64 below 2**62 or
+    object dtype, so the difference of two cannot overflow.
+    """
+    prod = pair_products(xs, xs)
+    return prod - prod.transpose(1, 0, 2, 3)
+
+
+def kron(b: Mat, m: Mat) -> Mat:
+    """Kronecker product: out[i * m.rows + r, j * m.cols + c] = b[i, j] * m[r, c]."""
+    blank = (Fraction(0),) * m.cols
+    return Mat(tuple(
+        tuple(chain.from_iterable(
+            row if q == 1 else tuple(q * v for v in row) if q else blank for q in brow
+        ))
+        for brow in b.data
+        for row in m.data
+    ))
+
+
 def _annihilates(arr: np.ndarray, vectors: Sequence[Vec]) -> bool:
     """arr @ v == 0 for every v, as one exact integer product."""
     if not vectors:
@@ -562,7 +612,14 @@ def solve(m: Mat, b: Sequence[Fraction]) -> Optional[Vec]:
     if m.rows == 0:
         return zero_vec(nc)
     aug = _int_array(Mat(tuple(r + (frac(x),) for r, x in zip(m.data, b))))
-    kernel, _ = _nullspace_of_int(exact_int_matmul(aug[:, :nc].T, aug), lift=nc)
+    return solve_int(aug[:, :nc], aug[:, nc])
+
+
+def solve_int(arr: np.ndarray, rhs: np.ndarray) -> Optional[Vec]:
+    """:func:`solve` for an integer matrix and an integer right-hand side."""
+    nc = arr.shape[1]
+    aug = np.concatenate((arr, rhs.reshape(-1, 1)), axis=1)
+    kernel, _ = _nullspace_of_int(exact_int_matmul(arr.T, aug), lift=nc)
     if not kernel or not _annihilates(aug, kernel):
         return None
     return tuple(-x for x in kernel[0][:nc])

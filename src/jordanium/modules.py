@@ -14,6 +14,10 @@ Constructors: free modules (block copies of left multiplication),
 antihermitian matrices over the associative Cayley-Dickson levels acting by
 the symmetrized product, and Clifford modules over the spin factors.  Module
 homomorphisms are computed exactly as intertwiner nullspaces.
+
+Exactness: oracle one is check_jordan (float kernel under proven bounds,
+else rational); oracle two reads c and the action off the extension's
+integer tensor and takes exact_int_matmul products, on any entry size.
 """
 
 from __future__ import annotations
@@ -41,9 +45,11 @@ from .linalg import (
     expand_in_basis,
     format_fraction,
     frac,
+    kron,
     nullspace_int,
+    pair_products,
     parse_fraction,
-    scaled_ints,
+    scaled_int_mats,
 )
 
 
@@ -60,12 +66,7 @@ class ModuleAction:
         for op in self.ops:
             if op.rows != self.mdim or op.cols != self.mdim:
                 raise ValueError("action operators must be square and same size")
-        ident = Mat.identity(self.mdim)
-        acc = Mat.zeros(self.mdim, self.mdim)
-        for u, op in zip(algebra.unit, self.ops):
-            if u:
-                acc = acc + Mat(tuple(tuple(u * x for x in row) for row in op.data))
-        if self.mdim and acc != ident:
+        if self.mdim and self.op_of(algebra.unit) != Mat.identity(self.mdim):
             raise ValueError("unit does not act as the identity")
 
     def op_of(self, x: Sequence) -> Mat:
@@ -94,14 +95,6 @@ class ModuleAction:
                         out.append((i, alpha, beta, v))
         out.sort(key=lambda e: e[:3])
         return out
-
-    def int_tensors(self):
-        """(algebra tensor, action tensor, scale), cleared as one (n, n+m, n+m) tensor."""
-        n, m = self.algebra.dim, self.mdim
-        entries = [((i, j, k), q) for i, j, k, q in self.algebra.structure_entries()]
-        entries += [((i, n + b, n + al), v) for i, al, b, v in self.action_entries()]
-        both, s = kernels.to_int_tensor(entries, (n, n + m, n + m))
-        return both[:, :n, :n], both[:, n:, n:], s
 
     def __eq__(self, other):
         return (
@@ -160,8 +153,10 @@ def check_module(mod: ModuleAction) -> ModuleVerdict:
     """
     snx = split_null_extension(mod)
     ext = check_jordan(snx)
-    c, a, _ = mod.int_tensors()
-    witness = kernels.module_identity_violation(c, a)
+    # one scale for both oracles: t[i, n + alpha, n + beta] = A_i[beta, alpha]
+    n = mod.algebra.dim
+    t, _ = snx.int_tensor()
+    witness = kernels.module_identity_violation(t[:n, :n, :n], t[:n, n:, n:].transpose(0, 2, 1))
     return ModuleVerdict(ext.passed and witness is None, ext, witness)
 
 
@@ -173,17 +168,8 @@ def build_free(a: AlgebraPresentation, p: int) -> ModuleAction:
     """p block copies of the algebra acting on itself by left multiplication."""
     if p < 0:
         raise ValueError("rank must be nonnegative")
-    n = a.dim
-    ops = []
-    for i in range(n):
-        li = a.left_mult_basis(i)
-        rows = [[Fraction(0)] * (n * p) for _ in range(n * p)]
-        for t in range(p):
-            for r in range(n):
-                for c in range(n):
-                    if li.data[r][c]:
-                        rows[t * n + r][t * n + c] = li.data[r][c]
-        ops.append(Mat.from_rows(rows))
+    eye = Mat.identity(p)
+    ops = [kron(eye, a.left_mult_basis(i)) for i in range(a.dim)]
     return ModuleAction(a, ops, "free%d(%s)" % (p, a.label))
 
 
@@ -219,11 +205,13 @@ def _antiherm_coords(n: int, level: int, w: list[list[CD]]) -> Vec:
     coords: list[Fraction] = []
     for i in range(n):
         entry = w[i][i]
-        assert entry.coords[0] == 0, "diagonal must stay imaginary"
+        if entry.coords[0] != 0:
+            raise AssertionError("antihermitian product left the module: diagonal")
         coords.extend(entry.coords[k] for k in range(1, d))
     for pi, pj in _hermitian_pairs(n):
         entry = w[pi][pj]
-        assert (w[pj][pi] + entry.conj()).is_zero()
+        if not (w[pj][pi] + entry.conj()).is_zero():
+            raise AssertionError("antihermitian product left the module: off-diagonal")
         coords.extend(entry.coords[k] for k in range(d))
     return tuple(coords)
 
@@ -351,23 +339,20 @@ def hom_basis(m1: ModuleAction, m2: ModuleAction) -> list[ModuleHom]:
     if p == 0 or q == 0:
         return []
     n = m1.algebra.dim
-    flat = [x for mod in (m1, m2) for op in mod.ops for row in op.data for x in row]
-    ints, _ = scaled_ints(flat, (len(flat),))
-    a1s = ints[: n * p * p].reshape(n, p, p)
-    a2s = ints[n * p * p :].reshape(n, q, q)
-    rows = np.zeros((n * q * p, q * p), dtype=ints.dtype)
+    (a1s, a2s), _ = scaled_int_mats(m1.ops, m2.ops)
+    rows = np.zeros((n * q * p, q * p), dtype=a1s.dtype)
     eye_p = np.eye(p, dtype=np.int64)
     eye_q = np.eye(q, dtype=np.int64)
     for i in range(n):
         rows[i * q * p : (i + 1) * q * p] = np.kron(a2s[i], eye_p) - np.kron(eye_q, a1s[i].T)
     basis, _ = nullspace_int(rows)
-    out = []
-    for v in basis:
-        mat = Mat.from_rows([[v[r * p + c] for c in range(p)] for r in range(q)])
-        hom = ModuleHom(m1, m2, mat)
-        assert hom.intertwining_defect() is None
-        out.append(hom)
-    return out
+    mats = [Mat.from_rows([[v[r * p + c] for c in range(p)] for r in range(q)]) for v in basis]
+    if mats:
+        # T_i H == H S_i for every basis element i and hom H, both sides scaled alike
+        (hs,), _ = scaled_int_mats(mats)
+        if (pair_products(a2s, hs) != pair_products(hs, a1s).transpose(1, 0, 2, 3)).any():
+            raise AssertionError("hom basis element fails to intertwine")
+    return [ModuleHom(m1, m2, mat) for mat in mats]
 
 
 def hom_center_restriction(hom: ModuleHom) -> Optional[list[list[Vec]]]:

@@ -39,6 +39,7 @@ from jordanium.derivations import (
     derivation_from_triality,
     inner_span_report,
     leibniz_violation,
+    random_so8,
     structure_constants,
     triality_defect,
 )
@@ -86,16 +87,6 @@ def _rand_mat(rng, p):
     return Mat.from_rows(
         [[fr(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(p)] for _ in range(p)]
     )
-
-
-def _random_so8(rng):
-    rows = [[fr(0)] * 8 for _ in range(8)]
-    for i in range(8):
-        for j in range(i + 1, 8):
-            q = fr(rng.randint(-9, 9), rng.randint(1, 4))
-            rows[i][j] = q
-            rows[j][i] = -q
-    return Mat.from_rows(rows)
 
 
 def test_criterion_01_classification_constructors():
@@ -163,7 +154,7 @@ def test_criterion_04_triality_completion(albert_ctx):
     rng = random.Random(20260826)
     problems = []
     for trial in range(20):
-        d1 = _random_so8(rng)
+        d1 = random_so8(rng)
         d2, d3 = complete_triality(d1)
         bad = triality_defect(d1, d2, d3)
         if bad is not None:

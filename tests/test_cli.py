@@ -5,14 +5,16 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from jordanium.algebra import build_spin
+from jordanium.algebra import algebra_loads, build_spin
 from jordanium.cli import main
 from jordanium.connections import gauge_potential, potential_to_dict
 from jordanium.derivations import derivation_basis, structure_constants
 from jordanium.linalg import Mat
+from jordanium.modules import build_free, module_dumps
 
 REPORT_KEYS = {"tool", "version", "command", "inputs_digest", "results", "timing_ms"}
 
@@ -292,6 +294,17 @@ class TestLargeEntries:
         assert code == 0
         assert rep["results"]["derivation_dim"] == 3
         assert rep["results"]["spans_derivations"] is True
+
+    def test_module_check_of_free_module_with_2_45_entries(self, capsys, tmp_path):
+        # the operator identity is decided by exact integer products, so the
+        # genuine module passes both oracles instead of exiting 2
+        a = algebra_loads(Path(_big_spin_file(tmp_path, 3, 2**45)).read_text())
+        f = tmp_path / "module.json"
+        f.write_text(module_dumps(build_free(a, 1)))
+        code, rep = report(capsys, "module", "check", "--module", str(f))
+        assert code == 0
+        assert rep["results"]["passed"] is True
+        assert rep["results"]["oracles_agree"] is True
 
     def test_homdim_with_a_2_63_entry(self, capsys, tmp_path):
         # endomorphisms of the free rank-1 module of a simple algebra: its center

@@ -2,13 +2,19 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jordanium.algebra import build_hermitian, build_spin, direct_sum
+from jordanium.algebra import build_hermitian, build_spin, center_basis, direct_sum
 from jordanium.connections import (
     Connection,
+    Curvature,
     base_connection,
+    center_linearity_defect,
     curvature,
     curvature_report,
     extend_to_forms,
@@ -17,6 +23,8 @@ from jordanium.connections import (
     free_rank,
     gauge_potential,
     inner_connection,
+    inner_operator_on_module,
+    leibniz_defect,
     lie_hom_check,
     potential_from_connection,
     potential_from_dict,
@@ -27,7 +35,7 @@ from jordanium.connections import (
 )
 from jordanium.derivations import derivation_basis, structure_constants
 from jordanium.forms import DerForm, module_element_form, wedge
-from jordanium.linalg import Mat
+from jordanium.linalg import Mat, expand_in_basis
 from jordanium.modules import build_antihermitian, build_free
 
 fr = Fraction
@@ -359,3 +367,161 @@ class TestPotentialWireFormat:
         der = derivation_basis(build_spin(3))
         with pytest.raises(ValueError):
             gauge_potential(der, 1, [Mat.identity(1)])
+
+
+# ---------------------------------------------------------------------------
+# batched integer checks against Fraction loops kept here as the reference
+
+
+def ref_leibniz_defect(der, module, ops):
+    for mu, g in enumerate(ops):
+        for i, lam in enumerate(module.ops):
+            if g @ lam - lam @ g != module.op_of(der.mats[mu].col(i)):
+                return mu, i
+    return None
+
+
+def ref_center_linearity_defect(der, module, ops):
+    zs = center_basis(der.algebra)
+    if len(zs) <= 1:
+        return None
+    for t, z in enumerate(zs):
+        lz = der.algebra.left_op(z)
+        zop = module.op_of(z)
+        for mu, x in enumerate(der.mats):
+            coeffs = der.coefficients_of(lz @ x)
+            acc = Mat.zeros(module.mdim, module.mdim)
+            for nu, cq in enumerate(coeffs):
+                if cq:
+                    acc = acc + ops[nu].scale(cq)
+            if acc != zop @ ops[mu]:
+                return t, mu
+    return None
+
+
+def ref_curvature_table(c):
+    br = structure_constants(c.der)
+    table = {}
+    for mu, nu in combinations(range(c.der.dim), 2):
+        r = c.ops[mu] @ c.ops[nu] - c.ops[nu] @ c.ops[mu]
+        for tau, q in enumerate(br[mu][nu]):
+            if q:
+                r = r - c.ops[tau].scale(q)
+        table[(mu, nu)] = r
+    return table
+
+
+def ref_endomorphism_defect(cur):
+    for key, r in cur.table.items():
+        for i, lam in enumerate(cur.module.ops):
+            if r @ lam != lam @ r:
+                return key, i
+    return None
+
+
+def ref_lie_hom_check(a, der):
+    br = structure_constants(der)
+    for mu, nu in combinations(range(der.dim), 2):
+        lhs = a.mats[mu][0] @ a.mats[nu][0] - a.mats[nu][0] @ a.mats[mu][0]
+        rhs = Mat.zeros(a.rank, a.rank)
+        for tau, q in enumerate(br[mu][nu]):
+            if q:
+                rhs = rhs + a.mats[tau][0].scale(q)
+        if lhs != rhs:
+            return False
+    return True
+
+
+def ref_inner_operator(module, pairs):
+    acc = Mat.zeros(module.mdim, module.mdim)
+    for (i, j), q in pairs:
+        acc = acc + module.ops[i].commutator(module.ops[j]).scale(q)
+    return acc
+
+
+# label -> (constructor, basis indices of the unit of each summand; None when simple)
+_ALGEBRAS = {
+    "J2_2": (lambda: build_hermitian(2, 1), None),
+    "JSpin3": (lambda: build_spin(3), None),
+    "J1_2+J1_2": (lambda: direct_sum(build_hermitian(2, 0), build_hermitian(2, 0)), ((0, 1), (3, 4))),
+    "J1_2+JSpin3": (lambda: direct_sum(build_hermitian(2, 0), build_spin(3)), ((0, 1), (3,))),
+}
+@lru_cache(maxsize=None)
+def _der(label):
+    return derivation_basis(_ALGEBRAS[label][0]())
+
+
+def _summand_weights(label, der):
+    """Per frame element, center coordinates of the unit of the summand it acts on."""
+    units = _ALGEBRAS[label][1]
+    if units is None:
+        return [(fr(1),)] * der.dim
+    a = der.algebra
+    center = center_basis(a)
+    weights = [
+        expand_in_basis(center, tuple(fr(1) if k in idx else fr(0) for k in range(a.dim)))
+        for idx in units
+    ]
+    # the first summand is J1_2, on basis elements 0..2
+    return [weights[0] if any(any(r) for r in x.data[:3]) else weights[1] for x in der.mats]
+
+
+_ENTRY = st.builds(
+    lambda num, den, big: fr(num * big, den),
+    st.integers(-3, 3),
+    st.integers(1, 3),
+    st.sampled_from([1, 1, 2**31 + 1, 2**62 + 1]),
+)
+
+
+class TestIntegerChecksMatchFractionLoops:
+    @given(st.sampled_from(sorted(_ALGEBRAS)), st.integers(1, 2), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_same_witnesses_and_tables(self, label, p, data):
+        der = _der(label)
+        mod = build_free(der.algebra, p)
+        c0 = base_connection(der, mod)
+        blocks = [
+            Mat.from_rows([[data.draw(_ENTRY) for _ in range(p)] for _ in range(p)])
+            for _ in range(der.dim)
+        ]
+        weights = _summand_weights(label, der)
+        pot = gauge_potential(der, p, [tuple(b.scale(q) for q in w) for b, w in zip(blocks, weights)])
+        c = with_potential(c0, pot)
+
+        cur = curvature(c)  # also asserts the gauge-formula path equal
+        assert cur.table == ref_curvature_table(c)
+        assert cur.endomorphism_defect() is None
+        if len(pot.mats[0]) == 1:
+            assert lie_hom_check(pot, der) == ref_lie_hom_check(pot, der)
+
+        # operators that break the Leibniz rule or center linearity
+        ops = list(c.ops)
+        mu = data.draw(st.integers(0, der.dim - 1))
+        r, s = data.draw(st.integers(0, mod.mdim - 1)), data.draw(st.integers(0, mod.mdim - 1))
+        bump = Mat.from_rows(
+            [[data.draw(_ENTRY) if (i, j) == (r, s) else 0 for j in range(mod.mdim)] for i in range(mod.mdim)]
+        )
+        ops[mu] = ops[mu] + bump
+        raw = [c0.ops[nu] + potential_operator(der, pot, nu) for nu in range(der.dim)]
+        # a potential on the other summand's center layer breaks center linearity
+        swapped = gauge_potential(der, p, [tuple(b.scale(q) for q in w[::-1]) for b, w in zip(blocks, weights)])
+        nu = data.draw(st.integers(0, der.dim - 1))
+        raw[nu] = raw[nu] + potential_operator(der, swapped, nu)
+        for trial in (ops, raw):
+            assert leibniz_defect(der, mod, trial) == ref_leibniz_defect(der, mod, trial)
+            assert center_linearity_defect(der, mod, trial) == ref_center_linearity_defect(der, mod, trial)
+
+        table = dict(cur.table)
+        if table:
+            key = sorted(table)[data.draw(st.integers(0, len(table) - 1))]
+            table[key] = table[key] + bump
+            bent = Curvature(der, mod, table)
+            assert bent.endomorphism_defect() == ref_endomorphism_defect(bent)
+
+        n = der.algebra.dim
+        pairs = [
+            ((data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))), data.draw(_ENTRY))
+            for _ in range(data.draw(st.integers(0, 4)))
+        ]
+        assert inner_operator_on_module(mod, pairs) == ref_inner_operator(mod, pairs)

@@ -21,7 +21,6 @@ from jordanium.algebra import (
 )
 from jordanium.derivations import (
     _leibniz_witnesses,
-    _scaled_int_mats,
     annihilator_subalgebra,
     check_jacobi,
     check_center_stability,
@@ -41,7 +40,7 @@ from jordanium.derivations import (
     structure_constants,
     triality_defect,
 )
-from jordanium.linalg import Mat, basis_vec, rank, solve, vec_add
+from jordanium.linalg import Mat, basis_vec, rank, scaled_int_mats, solve, vec_add
 
 fr = Fraction
 
@@ -355,7 +354,7 @@ class TestIntegerLayer:
         ops += [random_operator(data.draw, a.dim) for _ in range(data.draw(st.integers(0, 12)))]
         expected = [reference_leibniz(a, x) for x in ops]
         assert [leibniz_violation(a, x) for x in ops] == expected
-        stack, _ = _scaled_int_mats(ops)
+        (stack,), _ = scaled_int_mats(ops)
         assert _leibniz_witnesses(a.int_tensor()[0], stack) == expected
 
     @pytest.mark.parametrize("builder", [lambda: build_hermitian(3, 1), lambda: build_hermitian(3, 2)])
@@ -372,7 +371,10 @@ _UNDER_O = """
 import json, sys
 from fractions import Fraction
 from jordanium.algebra import AlgebraPresentation, build_hermitian, build_spin, check_jordan, direct_sum
+from jordanium.connections import base_connection, curvature, curvature_report, gauge_potential, lie_hom_check, with_potential
 from jordanium.derivations import check_lie_rinehart, derivation_basis, inner_span_report, structure_constants
+from jordanium.linalg import Mat
+from jordanium.modules import build_antihermitian, build_free, check_module
 
 j23 = build_hermitian(3, 1)
 structure = {(0, 0): [(0, Fraction(1))]}
@@ -381,12 +383,19 @@ for i in range(1, 6):
     structure[(i, i)] = [(0, Fraction(2 * 10**7))]
 big = AlgebraPresentation("JSpin5(big)", 6, (1, 0, 0, 0, 0, 0), structure)
 brackets = structure_constants(derivation_basis(j23))
+js3 = derivation_basis(build_spin(3))
+pot = gauge_potential(js3, 2, [Mat.from_rows([[Fraction(k - r, 1 + c) for c in range(2)] for r in range(2)]) for k in range(3)])
+conn = with_potential(base_connection(js3, build_free(js3.algebra, 2)), pot)
+modules = [build_free(js3.algebra, 2), build_free(j23, 1), build_antihermitian(3, 1)]
 print(json.dumps({
     "optimize": sys.flags.optimize,
     "inner": inner_span_report(j23),
     "brackets": [[[str(q) for q in v] for v in row] for row in brackets],
     "lie_rinehart": check_lie_rinehart(derivation_basis(direct_sum(build_hermitian(3, 0), build_spin(3)))),
     "jordan": check_jordan(big).passed,
+    "curvature": curvature_report(curvature(conn), full=True),
+    "lie_hom": lie_hom_check(pot, js3),
+    "modules": [check_module(m).passed for m in modules],
 }))
 """
 
@@ -407,3 +416,5 @@ def test_same_results_under_python_O():
     assert optimized == plain
     assert plain["inner"]["spans_derivations"] and plain["jordan"]
     assert all(plain["lie_rinehart"].values())
+    assert not plain["curvature"]["flat"] and not plain["lie_hom"]
+    assert plain["modules"] == [True, True, True]
