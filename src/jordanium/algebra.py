@@ -35,8 +35,10 @@ from .linalg import (
     Mat,
     Vec,
     basis_vec,
+    exact_int_matmul,
     frac,
     format_fraction,
+    mats_from_ints,
     max_abs_int,
     nullspace_int,
     parse_fraction,
@@ -288,11 +290,13 @@ def build_hermitian(n: int, level: int) -> AlgebraPresentation:
             doubled: list[int] = []
             for i in range(n):
                 e = _entry_sum(ab[i][i], ba[i][i], d)
-                assert all(v == 0 for v in e[1:]), "diagonal not real"
+                if any(e[1:]):
+                    raise AssertionError("symmetrized product has a non-real diagonal entry")
                 doubled.append(e[0])
             for pi, pj in pairs:
                 e = _entry_sum(ab[pi][pj], ba[pi][pj], d)
-                assert _entry_sum(ab[pj][pi], ba[pj][pi], d) == _conj_coords(e)
+                if _entry_sum(ab[pj][pi], ba[pj][pi], d) != _conj_coords(e):
+                    raise AssertionError("symmetrized product is not hermitian")
                 doubled.extend(e)
             entries = [(k, Fraction(v, 2)) for k, v in enumerate(doubled) if v]
             if entries:
@@ -326,28 +330,25 @@ class JordanVerdict:
 
 
 def jordan_witness_operator(a: AlgebraPresentation, i: int, j: int, k: int) -> Mat:
-    """[L(e_i e_j), L_k] + [L(e_k e_i), L_j] + [L(e_j e_k), L_i], exactly."""
+    """[L(e_i e_j), L_k] + [L(e_k e_i), L_j] + [L(e_j e_k), L_i], exactly.
 
-    def term(x: int, y: int, z: int) -> Mat:
-        u = a.left_op(a.basis_product(x, y))
-        return u.commutator(a.left_mult_basis(z))
-
-    return term(i, j, k) + term(k, i, j) + term(j, k, i)
-
-
-def _jordan_violation_exact(a: AlgebraPresentation) -> Optional[tuple[int, int, int]]:
+    Built from the integer structure tensor c = s * constants.  For the
+    three terms (x, y, z), U_t = s**2 L(e_x e_y) and Z_t = s L_z, and the
+    sum of commutators is the one exact product
+    [U_1 U_2 U_3 Z_1 Z_2 Z_3] [Z_1; Z_2; Z_3; -U_1; -U_2; -U_3] = s**3 value.
+    """
+    c, s = a.int_tensor()
     n = a.dim
-    if n > 40:
-        raise kernels.ExactOverflow(
-            "structure constants too large for the fast integer path and the "
-            "dimension too large for rational fallback"
-        )
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                if not jordan_witness_operator(a, i, j, k).is_zero():
-                    return (i, j, k)
-    return None
+    lm = np.ascontiguousarray(c.transpose(0, 2, 1))  # s * L_x as lm[x][r][j]
+    triples = ((i, j, k), (k, i, j), (j, k, i))
+    pairs = np.stack([c[x, y] for x, y, _ in triples])
+    u = exact_int_matmul(pairs, lm.reshape(n, n * n)).reshape(3, n, n)
+    z = lm[[t[2] for t in triples]]
+    total = exact_int_matmul(
+        np.concatenate((u, z)).transpose(1, 0, 2).reshape(n, 6 * n),
+        np.concatenate((z, -u)).reshape(6 * n, n),
+    )
+    return mats_from_ints(total[None], s**3)[0]
 
 
 def check_jordan(a: AlgebraPresentation) -> JordanVerdict:
@@ -355,16 +356,15 @@ def check_jordan(a: AlgebraPresentation) -> JordanVerdict:
 
     The identity [L(xy), L_z] + [L(zx), L_y] + [L(yz), L_x] = 0 is linear in
     each argument and fully symmetric, so checking representative triples
-    i <= j <= k over the basis decides it for the whole algebra.
+    i <= j <= k over the basis decides it for the whole algebra; the kernel
+    is exact on any entry size.
     """
-    try:
-        witness = kernels.jordan_violation(a.int_tensor()[0])
-    except kernels.ExactOverflow:
-        witness = _jordan_violation_exact(a)
+    witness = kernels.jordan_violation(a.int_tensor()[0])
     if witness is None:
         return JordanVerdict(True)
     op = jordan_witness_operator(a, *witness)
-    assert not op.is_zero()
+    if op.is_zero():
+        raise AssertionError("Jordan witness %s evaluates to zero" % (witness,))
     return JordanVerdict(False, witness, op)
 
 
@@ -394,7 +394,7 @@ def _center_basis(a: AlgebraPresentation) -> list[Vec]:
             lilj = li[i] @ li[j]  # scale^2 * L_i L_j
             rows[pos : pos + n] = lij - lilj
             pos += n
-    basis, _ = nullspace_int(rows)
+    basis, _ = nullspace_int(rows[rows.any(axis=1)])
     return basis
 
 

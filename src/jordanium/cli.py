@@ -51,7 +51,6 @@ from .derivations import (
     triality_defect,
 )
 from .forms import DerForm, d_der
-from .kernels import ExactOverflow
 from .modules import (
     build_antihermitian,
     build_clifford,
@@ -487,9 +486,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except UsageError as e:
         print(str(e), file=sys.stderr)
-        return 2
-    except ExactOverflow as e:
-        print("input too large to check exactly: %s" % e, file=sys.stderr)
         return 2
     except BrokenPipeError:
         return 2

@@ -2,15 +2,14 @@
 
 The heavy verifications (the linearized Jordan identity over all basis
 triples, the module operator identity) are cubic or worse in the dimension,
-so they run as numpy matrix products on denominator-cleared integer tensors.
+so they run vectorized on denominator-cleared integer tensors, and both are
+exact on any input: no float64 path remains.
 
-The module identity takes linalg.exact_int_matmul products, exact on any
-input.  The Jordan kernel uses float64 GEMMs only under proven magnitude
-bounds, each covering the whole sum a result is built from: every product
-and partial sum stays below 2**53, so the floating point arithmetic is exact
-and independent of BLAS threading.  It takes the exact tensor as it is and
-raises ExactOverflow, before any float conversion, on object dtype or when a
-bound fails; the caller then falls back to rational arithmetic or exits.
+The Jordan identity is summed over joins of the nonzero structure
+constants only, in int64 under a proven bound on every sum and in object
+dtype past it.  The module identity takes linalg.exact_int_matmul
+products.  Neither raises ExactOverflow; the class stays for callers that
+catch it.
 """
 
 from __future__ import annotations
@@ -21,13 +20,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import commutators, exact_int_matmul
-
-_F64_SAFE = 2**53
+from .linalg import commutators, exact_int_matmul, max_abs_int
 
 
 class ExactOverflow(Exception):
-    """Raised when entries are too large for the fast integer path."""
+    """Entries too large for an exact path; no check in the package raises
+    it any longer, and it stays for callers that catch it."""
 
 
 def to_int_tensor(entries: Sequence[tuple[tuple[int, ...], Fraction]], shape: tuple[int, ...]):
@@ -47,22 +45,25 @@ def to_int_tensor(entries: Sequence[tuple[tuple[int, ...], Fraction]], shape: tu
     return out, scale
 
 
-def _check_int64(*arrays: np.ndarray):
-    if any(arr.dtype == object for arr in arrays):
-        raise ExactOverflow("entries past int64 have no exact float64 path")
+def _row_pairs(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Join positions into rows with the entries of CSR rows (row offsets
+    ptr): pair t is position left[t] with entry right[t] of its row."""
+    cnt = ptr[rows + 1] - ptr[rows]
+    left = np.repeat(np.arange(len(rows)), cnt)
+    right = np.arange(left.size) + np.repeat(ptr[rows] - np.cumsum(cnt) + cnt, cnt)
+    return left, right
 
 
-def _check_f64(bound: int):
-    if bound >= _F64_SAFE:
-        raise ExactOverflow("magnitude bound %d too large for exact float64" % bound)
-
-
-def _smallest_store(arr: np.ndarray) -> np.ndarray:
-    m = int(np.abs(arr).max()) if arr.size else 0
-    for dt, lim in ((np.int8, 127), (np.int16, 32767), (np.int32, 2**31 - 1)):
-        if m <= lim:
-            return arr.astype(dt)
-    return arr.astype(np.int64)
+def _sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys in increasing order with the nonzero sums of their values."""
+    if keys.size == 0:
+        return keys, vals
+    order = np.argsort(keys)
+    keys, vals = keys[order], vals[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    sums = np.add.reduceat(vals, starts)
+    nz = sums != 0
+    return keys[starts][nz], sums[nz]
 
 
 def jordan_violation(c: np.ndarray) -> Optional[tuple[int, int, int]]:
@@ -74,72 +75,57 @@ def jordan_violation(c: np.ndarray) -> Optional[tuple[int, int, int]]:
 
         [L(e_i e_j), L_k] + [L(e_k e_i), L_j] + [L(e_j e_k), L_i] = 0.
 
+    Applied to e_l, each commutator is G(i, j, k, l) = (e_i e_j)(e_k e_l)
+    - e_k((e_i e_j) e_l), and summing G over every ordering of (i, j, k)
+    gives 2, 1 or 1/3 times the identity's value on e_l (three, two or one
+    distinct indices).  Both terms are joins of the nonzero entries of c
+    through X(i, j, b, r) = sum_a c[i, j, a] c[a, b, r]; the sums are
+    taken one l at a time under the key (sorted (i, j, k), r).  Every sum
+    is of at most 12 n**2 products of three entries, so int64 is used when
+    that bound stays below 2**63 and object dtype otherwise: exact on any
+    input.
+
     Returns the lexicographically smallest violating (i, j, k), or None.
     """
-    _check_int64(c)
     n = c.shape[0]
-    if n == 0:
+    cmax = max_abs_int(c)
+    if cmax == 0:
         return None
-    cmax = int(np.abs(c).max()) if c.size else 0
-    lmat = np.ascontiguousarray(c.transpose(0, 2, 1)).astype(np.float64)  # L[i][r][j]
-    _check_f64(cmax * cmax * n)
-    u = (c.reshape(n * n, n).astype(np.float64) @ lmat.reshape(n, n * n)).reshape(n, n, n, n)
-    umax = int(np.abs(u).max()) if u.size else 0
-    _check_f64(6 * cmax * umax * n)  # s sums six products L U over n terms
-    ustore = _smallest_store(u)
-    del u
+    dtype = np.int64 if 12 * n * n * cmax**3 < 2**63 else object
+    # the entries of c in row-major order, so CSR by the first index
+    ci, cj, ck = np.nonzero(c)
+    cv = c[ci, cj, ck].astype(dtype)
+    cptr = np.searchsorted(ci, np.arange(n + 1))
+    # X(i, j, b, r), CSR by b
+    left, right = _row_pairs(cptr, ck)
+    keys, xv = _sum_by_key(
+        ((cj[right] * n + ci[left]) * n + cj[left]) * n + ck[right], cv[left] * cv[right]
+    )
+    xb, xi, xj, xr = keys // n**3, keys // n**2 % n, keys // n % n, keys % n
+    xptr = np.searchsorted(xb, np.arange(n + 1))
 
-    best: Optional[tuple[int, int, int]] = None
-
-    def note(i: int, j: int, k: int):
-        nonlocal best
-        t = (i, j, k)
-        if best is None or t < best:
-            best = t
-
-    for j in range(n):
-        kcnt = n - j
-        uj = ustore[j, j:].astype(np.float64)  # U[j,k], k >= j
-        uj_t = np.ascontiguousarray(uj.transpose(1, 0, 2)).reshape(n, kcnt * n)
-        uj_f = uj.reshape(kcnt * n, n)
-        uij_all = ustore[: j + 1, j].astype(np.float64)  # U[i,j], i <= j
-        blk = max(1, 12_000_000 // max(1, kcnt * n * n))
-        for i0 in range(0, j + 1, blk):
-            i1 = min(j + 1, i0 + blk)
-            b = i1 - i0
-            li = lmat[i0:i1]  # (b, n, n)
-            li_t = np.ascontiguousarray(li.transpose(1, 0, 2)).reshape(n, b * n)
-            # X1 = [L_i, U_jk]
-            p1 = (li.reshape(b * n, n) @ uj_t).reshape(b, n, kcnt, n)
-            q1 = (uj_f @ li_t).reshape(kcnt, n, b, n)
-            s = p1.transpose(0, 2, 1, 3) - q1.transpose(2, 0, 1, 3)
-            del p1, q1
-            # X2 = [L_j, U_ik]
-            usub = ustore[i0:i1, j:].astype(np.float64)  # (b, kcnt, n, n)
-            p2 = (lmat[j] @ usub.transpose(2, 0, 1, 3).reshape(n, b * kcnt * n)).reshape(
-                n, b, kcnt, n
-            )
-            q2 = (usub.reshape(b * kcnt * n, n) @ lmat[j]).reshape(b, kcnt, n, n)
-            s += p2.transpose(1, 2, 0, 3)
-            s -= q2
-            del p2, q2, usub
-            # X3 = [L_k, U_ij]
-            uij = uij_all[i0:i1]  # (b, n, n)
-            p3 = (lmat[j:].reshape(kcnt * n, n) @ np.ascontiguousarray(
-                uij.transpose(1, 0, 2)
-            ).reshape(n, b * n)).reshape(kcnt, n, b, n)
-            q3 = (uij.reshape(b * n, n) @ np.ascontiguousarray(
-                lmat[j:].transpose(1, 0, 2)
-            ).reshape(n, kcnt * n)).reshape(b, n, kcnt, n)
-            s += p3.transpose(2, 0, 1, 3)
-            s -= q3.transpose(0, 2, 1, 3)
-            del p3, q3
-            bad = np.abs(s).max(axis=(2, 3))
-            if bad.any():
-                for il, kl in zip(*np.nonzero(bad)):
-                    note(i0 + int(il), j, j + int(kl))
-            del s
-    return best
+    best: Optional[int] = None
+    for l in range(n):
+        # (e_i e_j)(e_k e_l): c[l, k, b] against X(i, j, b, r)
+        row = np.arange(cptr[l], cptr[l + 1])
+        s, t = _row_pairs(xptr, ck[row])
+        s = row[s]
+        i1, j1, k1, r1, v1 = xi[t], xj[t], cj[s], xr[t], xv[t] * cv[s]
+        # e_k((e_i e_j) e_l): X(i, j, l, m) against c[m, k, r]
+        xs = np.arange(xptr[l], xptr[l + 1])
+        s, t = _row_pairs(cptr, xr[xs])
+        s = xs[s]
+        i2, j2, k2, r2, v2 = xi[s], xj[s], cj[t], ck[t], -(xv[s] * cv[t])
+        i, j, k, r = (np.concatenate(p) for p in ((i1, i2), (j1, j2), (k1, k2), (r1, r2)))
+        lo = np.minimum(np.minimum(i, j), k)
+        hi = np.maximum(np.maximum(i, j), k)
+        code = (lo * n + (i + j + k - lo - hi)) * n + hi
+        keys, _ = _sum_by_key(code * n + r, np.concatenate((v1, v2)))
+        if keys.size and (best is None or keys[0] // n < best):
+            best = int(keys[0] // n)
+    if best is None:
+        return None
+    return best // (n * n), best // n % n, best % n
 
 
 def module_identity_violation(c: np.ndarray, a: np.ndarray) -> Optional[tuple[int, int, int]]:

@@ -15,9 +15,10 @@ antihermitian matrices over the associative Cayley-Dickson levels acting by
 the symmetrized product, and Clifford modules over the spin factors.  Module
 homomorphisms are computed exactly as intertwiner nullspaces.
 
-Exactness: oracle one is check_jordan (float kernel under proven bounds,
-else rational); oracle two reads c and the action off the extension's
-integer tensor and takes exact_int_matmul products, on any entry size.
+Exactness: oracle one is check_jordan, an exact integer sum over the
+extension's nonzero structure constants; oracle two reads c and the action
+off the extension's integer tensor and takes exact_int_matmul products.
+Both decide on any entry size.
 """
 
 from __future__ import annotations

@@ -19,10 +19,10 @@ from jordanium.algebra import (
     center_basis,
     check_jordan,
     direct_sum,
+    jordan_witness_operator,
     unit_check,
 )
 from jordanium import kernels
-from jordanium.kernels import ExactOverflow
 
 fr = Fraction
 
@@ -197,7 +197,7 @@ def big_spin(n, forms):
 
 
 class TestIntTensor:
-    """The float kernels take the one exact tensor and guard it themselves."""
+    """The kernels take the one exact tensor as it is, on any entry size."""
 
     @staticmethod
     def _spin(entry):
@@ -217,17 +217,104 @@ class TestIntTensor:
         assert c.dtype == dtype and s == 3
         assert (c[0, 0, 0], c[1, 1, 0], c[2, 2, 0]) == (3, entry, 3 * entry)
         assert a.int_tensor() is a.int_tensor()  # built once
-        with pytest.raises(ExactOverflow):
-            kernels.jordan_violation(c)
+        assert kernels.jordan_violation(c) is None
         assert len(center_basis(a)) == 1
 
     def test_jordan_bound_covers_all_six_products(self):
-        # cmax = umax = 2 * 10**7 and n = 6: two products stay below 2**53,
-        # the six that the kernel adds up do not
+        # cmax = 2 * 10**7 and n = 6: 12 n**2 cmax**3 is past 2**63, so the
+        # kernel sums in object dtype and decides without ExactOverflow
         a = big_spin(5, [2 * 10**7] * 5)
-        with pytest.raises(ExactOverflow):
-            kernels.jordan_violation(a.int_tensor()[0])
+        assert kernels.jordan_violation(a.int_tensor()[0]) is None
         assert check_jordan(a).passed
+
+
+def reference_witness_operator(a, i, j, k):
+    """[L(e_i e_j), L_k] + [L(e_k e_i), L_j] + [L(e_j e_k), L_i] from
+    Fraction left-multiplication operators."""
+
+    def term(x, y, z):
+        u = a.left_op(a.basis_product(x, y))
+        return u.commutator(a.left_mult_basis(z))
+
+    return term(i, j, k) + term(k, i, j) + term(j, k, i)
+
+
+def reference_jordan_violation(a):
+    """Smallest i <= j <= k whose witness operator is nonzero, in Fractions."""
+    n = a.dim
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                if not reference_witness_operator(a, i, j, k).is_zero():
+                    return (i, j, k)
+    return None
+
+
+RATIONAL = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+PERTURBABLE = [
+    # (builder, index of the first basis element that is not diagonal)
+    (lambda: build_hermitian(2, 0), 2),
+    (lambda: build_hermitian(3, 0), 3),
+    (lambda: build_hermitian(2, 1), 2),
+    (lambda: build_hermitian(2, 2), 2),
+    (lambda: build_hermitian(3, 1), 3),
+    (lambda: build_spin(3), 1),
+]
+
+
+@st.composite
+def jordan_candidates(draw):
+    """Commutative unital algebras, most of them not Jordan, with every
+    structure constant scaled by 1, 2**22, 2**31 + 1 or 2**62 + 1 (and the
+    unit divided by it), so the kernel sums in int64 and in object dtype.
+    At 2**22 every product of three entries is a multiple of 2**64: summed
+    in int64, each would wrap to zero.
+
+    Half are random tables on a unit e_0; the others are small hermitian
+    algebras and spin factors with products of two off-diagonal elements
+    perturbed, which keeps the unit law.
+    """
+    big = draw(st.sampled_from([1, 2**22, 2**31 + 1, 2**62 + 1]))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 5))
+        unit = (1,) + (0,) * (n - 1)
+        table = {(0, j): {j: Fraction(1)} for j in range(n)}
+        for i in range(1, n):
+            for j in range(i, n):
+                table[(i, j)] = {k: draw(RATIONAL) for k in range(n) if draw(st.booleans())}
+    else:
+        builder, first = draw(st.sampled_from(PERTURBABLE))
+        base = builder()
+        n, unit = base.dim, base.unit
+        table = {}
+        for i, j, k, q in base.structure_entries():
+            if i <= j:
+                table.setdefault((i, j), {})[k] = q
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(first, n - 1))
+            j = draw(st.integers(i, n - 1))
+            k = draw(st.integers(0, n - 1))
+            entries = table.setdefault((i, j), {})
+            entries[k] = entries.get(k, 0) + draw(RATIONAL)
+    structure = {ij: [(k, q * big) for k, q in e.items()] for ij, e in table.items()}
+    return AlgebraPresentation("candidate", n, [Fraction(x) / big for x in unit], structure)
+
+
+class TestSparseKernel:
+    """The sparse integer Jordan kernel against the Fraction triple loop."""
+
+    @given(jordan_candidates(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_same_witness_and_operator_as_fraction_loop(self, a, data):
+        expected = reference_jordan_violation(a)
+        assert kernels.jordan_violation(a.int_tensor()[0]) == expected
+        verdict = check_jordan(a)
+        assert verdict.passed == (expected is None)
+        assert verdict.witness_triple == expected
+        if expected is not None:
+            assert verdict.witness_operator == reference_witness_operator(a, *expected)
+        i, j, k = (data.draw(st.integers(0, a.dim - 1)) for _ in range(3))
+        assert jordan_witness_operator(a, i, j, k) == reference_witness_operator(a, i, j, k)
 
 
 class TestSerialization:

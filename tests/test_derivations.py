@@ -382,6 +382,13 @@ for i in range(1, 6):
     structure[(0, i)] = [(i, Fraction(1))]
     structure[(i, i)] = [(0, Fraction(2 * 10**7))]
 big = AlgebraPresentation("JSpin5(big)", 6, (1, 0, 0, 0, 0, 0), structure)
+table = {}
+for i, j, k, q in build_hermitian(3, 2).structure_entries():
+    if i <= j:
+        table.setdefault((i, j), {})[k] = q
+entries = table.setdefault((3, 4), {})
+entries[5] = entries.get(5, 0) + Fraction(1, 3)
+bad = check_jordan(AlgebraPresentation("J4_3(bad)", 15, (1,) * 3 + (0,) * 12, {ij: list(e.items()) for ij, e in table.items()}))
 brackets = structure_constants(derivation_basis(j23))
 js3 = derivation_basis(build_spin(3))
 pot = gauge_potential(js3, 2, [Mat.from_rows([[Fraction(k - r, 1 + c) for c in range(2)] for r in range(2)]) for k in range(3)])
@@ -393,6 +400,7 @@ print(json.dumps({
     "brackets": [[[str(q) for q in v] for v in row] for row in brackets],
     "lie_rinehart": check_lie_rinehart(derivation_basis(direct_sum(build_hermitian(3, 0), build_spin(3)))),
     "jordan": check_jordan(big).passed,
+    "jordan_bad": [bad.witness_triple, [[str(q) for q in row] for row in bad.witness_operator.data]],
     "curvature": curvature_report(curvature(conn), full=True),
     "lie_hom": lie_hom_check(pot, js3),
     "modules": [check_module(m).passed for m in modules],
@@ -415,6 +423,7 @@ def test_same_results_under_python_O():
     assert (plain.pop("optimize"), optimized.pop("optimize")) == (0, 1)
     assert optimized == plain
     assert plain["inner"]["spans_derivations"] and plain["jordan"]
+    assert plain["jordan_bad"][0] is not None
     assert all(plain["lie_rinehart"].values())
     assert not plain["curvature"]["flat"] and not plain["lie_hom"]
     assert plain["modules"] == [True, True, True]
