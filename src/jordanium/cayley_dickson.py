@@ -147,9 +147,9 @@ def basis_table(level: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         for j in range(n):
             prod = CD.basis(level, i) * CD.basis(level, j)
             nz = [(k, c) for k, c in enumerate(prod.coords) if c != 0]
-            assert len(nz) == 1 and abs(nz[0][1]) == 1
+            if len(nz) != 1 or abs(nz[0][1]) != 1 or nz[0][0] != i ^ j:
+                raise AssertionError("eps_%d * eps_%d is not +-eps_%d" % (i, j, i ^ j))
             k, c = nz[0]
-            assert k == i ^ j
             row.append((k, 1 if c > 0 else -1))
         out.append(tuple(row))
     return tuple(out)

@@ -180,11 +180,17 @@ def cmd_algebra_build(args) -> int:
     if args.type == "herm":
         if args.n is None or args.level is None:
             raise UsageError("--type herm needs --n and --level")
-        a = build_hermitian(args.n, args.level)
+        try:
+            a = build_hermitian(args.n, args.level)
+        except ValueError as e:
+            raise UsageError(str(e))
     elif args.type == "spin":
         if args.n is None:
             raise UsageError("--type spin needs --n")
-        a = build_spin(args.n)
+        try:
+            a = build_spin(args.n)
+        except ValueError as e:
+            raise UsageError(str(e))
     else:
         if not args.parts or len(args.parts) < 2:
             raise UsageError("--type sum needs at least two --parts")
@@ -251,6 +257,8 @@ def cmd_der_d4(args) -> int:
 def cmd_der_triality(args) -> int:
     rng = random.Random(args.seed)
     count = args.count
+    if count < 0:
+        raise UsageError("--count must be >= 0")
     ok = True
     for _ in range(count):
         d1 = random_so8(rng)

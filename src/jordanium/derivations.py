@@ -39,7 +39,6 @@ from .linalg import (
     exact_int_matmul,
     expand_in_basis,
     frac,
-    inverse,
     mat_from_flat,
     mats_from_ints,
     max_abs_int,
@@ -434,9 +433,10 @@ def _triality_solver():
     """One-time exact data for the completion solve.
 
     The defining relation, evaluated on all basis pairs and coordinates,
-    is linear in the two unknown antisymmetric matrices; the system has a
-    trivial nullspace (uniqueness) and a fixed 56x56 invertible row
-    submatrix whose inverse answers every query.
+    is linear in the two unknown antisymmetric matrices: 512 integer rows
+    in 56 unknowns, one right-hand side coefficient of d1 per row.  The
+    system has a trivial nullspace, so every consistent query has exactly
+    one solution; the uniqueness bit is computed once here.
     """
     table = basis_table(3)
     pairs = _antisym_pairs()
@@ -479,43 +479,29 @@ def _triality_solver():
                     rows[rowid, c3[0]] += coef * c3[1]
                 rowid += 1
     null, _ = nullspace_int(rows)
-    unique = len(null) == 0
-    # independent rows: pivot columns of the transpose are row indices here
-    from .linalg import rref
-
-    _, piv = rref(Mat.from_rows([[int(v) for v in r] for r in rows.T]))
-    sel = list(piv)
-    sub = Mat.from_rows([[Fraction(int(v)) for v in rows[r]] for r in sel])
-    sub_inv = inverse(sub)
-    return rows, d1_coeff, sel, sub_inv, unique, pairs
+    return rows, d1_coeff, len(null) == 0, pairs
 
 
 def complete_triality(d1: Mat) -> tuple[Mat, Mat]:
     """The unique antisymmetric (d2, d3) compatible with antisymmetric d1.
 
     Compatibility means (d1 x) y + x (d2 y) = conj(d3(conj(x y))) for all
-    octonions x, y; the result is verified on every basis pair before
-    returning.
+    octonions x, y.  The 512 equations are one ``solve_int`` call on the
+    cached integer system, whose exact integer product verifies every
+    equation before the solution is returned.
     """
     if d1.rows != 8 or d1.cols != 8:
         raise ValueError("expected an 8x8 matrix")
     if d1 != -d1.transpose():
         raise ValueError("triality completion needs an antisymmetric input")
-    rows, d1_coeff, sel, sub_inv, unique, pairs = _triality_solver()
+    rows, d1_coeff, unique, pairs = _triality_solver()
     if not unique:
         raise AssertionError("the triality completion system is not uniquely solvable")
-    rhs = [-frac(c) * d1.data[a][i] for (a, i, c) in d1_coeff]
-    u = sub_inv.apply(tuple(rhs[r] for r in sel))
-    # verify all 512 equations, not just the selected ones
-    nc = rows.shape[1]
-    for r in range(512):
-        acc = -rhs[r]
-        row = rows[r]
-        for c in range(nc):
-            if row[c]:
-                acc += int(row[c]) * u[c]
-        if acc != 0:
-            raise ValueError("no compatible completion exists")
+    rhs, s = scaled_ints([-c * d1.data[a][i] for (a, i, c) in d1_coeff], (len(d1_coeff),))
+    x = solve_int(rows, rhs)
+    if x is None:
+        raise ValueError("no compatible completion exists")
+    u = [v / s for v in x]
 
     def unpack(offset: int) -> Mat:
         m = [[Fraction(0)] * 8 for _ in range(8)]

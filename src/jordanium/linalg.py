@@ -11,12 +11,12 @@ Every exact solve goes through one nullspace engine on integer matrices
 (rational input is cleared of denominators row by row; int64 where it fits,
 Python ints otherwise).  A matrix with more than twice as many rows as
 columns is first replaced by its Gram matrix, which has the same nullspace.
-Up to ``LARGE_COLS`` unknowns the engine takes the rational RREF.  Above,
-it eliminates modulo several word-size primes and lifts the result back to
-rationals by CRT and rational reconstruction; Bareiss (fraction-free)
-elimination runs only when the primes run out without a verified answer.
-Whatever the route, each returned kernel vector is checked once, exactly, by
-one integer product with the full matrix before any Gram compression.
+At every size the engine eliminates modulo several word-size primes and
+lifts the result back to rationals by CRT and rational reconstruction;
+Bareiss (fraction-free) elimination runs only when the primes run out
+without a verified answer.  Each returned kernel vector is checked once,
+exactly, by one integer product with the full matrix before any Gram
+compression.  :func:`rref` stays as the plain rational reference.
 
 :func:`solve` is the kernel vector of the normal equations A^T [A | b] whose
 free coordinate is the right-hand side, negated; only that one vector is
@@ -37,8 +37,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 Vec = tuple[Fraction, ...]
-
-LARGE_COLS = 200
 
 # Primes just below 2**21: residues fit in int64 with exact products
 # (p*p < 2**42), and float64 matmuls on residue matrices stay exact.
@@ -163,7 +161,8 @@ class Mat:
 
 
 def mat_from_flat(flat: Sequence[Fraction], rows: int, cols: int) -> Mat:
-    assert len(flat) == rows * cols
+    if len(flat) != rows * cols:
+        raise ValueError("%d entries do not fill a %dx%d matrix" % (len(flat), rows, cols))
     return Mat(tuple(tuple(flat[i * cols + j] for j in range(cols)) for i in range(rows)))
 
 
@@ -224,8 +223,8 @@ def rref_bareiss(m: Mat) -> tuple[Mat, tuple[int, ...]]:
             if i == r:
                 continue
             fi = a[i][c]
-            if fi == 0 and prev == 1:
-                continue
+            if fi == 0 and piv == prev:
+                continue  # the update would leave the row as it is
             a[i] = [(piv * a[i][j] - fi * a[r][j]) // prev for j in range(nc)]
         prev = piv
         pivots.append(c)
@@ -236,7 +235,8 @@ def rref_bareiss(m: Mat) -> tuple[Mat, tuple[int, ...]]:
             piv = row[pivots[i]]
             out.append(tuple(Fraction(x, piv) for x in row))
         else:
-            assert all(x == 0 for x in row), "Bareiss left a nonzero non-pivot row"
+            if any(row):
+                raise AssertionError("Bareiss left a nonzero non-pivot row")
             out.append(tuple(Fraction(0) for _ in row))
     return Mat(tuple(out)), tuple(pivots)
 
@@ -355,11 +355,7 @@ def _crt_pair(r1: np.ndarray, m1: int, r2: np.ndarray, m2: int) -> np.ndarray:
 
 
 def max_abs_int(arr: np.ndarray) -> int:
-    if arr.size == 0:
-        return 0
-    if arr.dtype == object:
-        return max((abs(int(x)) for x in arr.flat), default=0)
-    return int(np.max(np.abs(arr)))
+    return int(np.abs(arr).max()) if arr.size else 0
 
 
 def exact_int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -507,21 +503,19 @@ def _nullspace_of_int(
     lift=None gives the vector of every free column; an int gives only that
     column's vector, or none when it is a pivot.  Tall matrices are
     compressed to their Gram matrix first: over an ordered field
-    null(A^T A) = null(A), and A^T A is exact integer arithmetic.  Up to
-    LARGE_COLS columns the rational RREF of that matrix is taken; above, the
-    modular engine runs, and Bareiss elimination when it gives no answer.
-    Every returned vector is checked exactly against arr, once.
+    null(A^T A) = null(A), and A^T A is exact integer arithmetic.  The
+    modular engine runs at every size; Bareiss elimination runs only when it
+    gives no answer.  Every returned vector is checked exactly against arr,
+    once.
     """
     nr, nc = arr.shape
     if nc == 0:
         return [], ()
     work = exact_int_matmul(arr.T, arr) if nr > 2 * nc else arr
-    if nc > LARGE_COLS:
-        found = _nullspace_modular(arr, work, lift)
-        if found is not None:
-            return found
-    elim = rref if nc <= LARGE_COLS else rref_bareiss
-    red, pivots = elim(Mat.from_rows([[int(x) for x in r] for r in work]))
+    found = _nullspace_modular(arr, work, lift)
+    if found is not None:
+        return found
+    red, pivots = rref_bareiss(Mat.from_rows([[int(x) for x in r] for r in work]))
     cols = _free_columns(nc, pivots, lift)
     coeffs = [[-red.data[i][f] for f in cols] for i in range(len(pivots))]
     basis = _kernel_vectors(nc, pivots, cols, coeffs)
@@ -582,20 +576,6 @@ def rank_lower_bound(arr: np.ndarray, target: int) -> int:
     return best
 
 
-def inverse(m: Mat) -> Mat:
-    """Exact inverse of a square matrix; raises on singular input."""
-    if m.rows != m.cols:
-        raise ValueError("only square matrices invert")
-    n = m.rows
-    aug = Mat(tuple(r + Mat.identity(n).data[i] for i, r in enumerate(m.data)))
-    red, pivots = rref(aug)
-    if pivots[:n] != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    inv = Mat(tuple(row[n:] for row in red.data))
-    assert m @ inv == Mat.identity(n)
-    return inv
-
-
 def solve(m: Mat, b: Sequence[Fraction]) -> Optional[Vec]:
     """One exact solution of m x = b (free variables set to 0), or None.
 
@@ -623,17 +603,6 @@ def solve_int(arr: np.ndarray, rhs: np.ndarray) -> Optional[Vec]:
     if not kernel or not _annihilates(aug, kernel):
         return None
     return tuple(-x for x in kernel[0][:nc])
-
-
-def span_rref(vectors: Sequence[Sequence[Fraction]]) -> Mat:
-    """Canonical form of a span: RREF rows with zero rows dropped.
-
-    Two lists of vectors span the same subspace iff their span_rref agree.
-    """
-    if not vectors:
-        return Mat(())
-    red, pivots = rref(Mat.from_rows(vectors))
-    return Mat(red.data[: len(pivots)])
 
 
 def expand_in_basis(vectors: Sequence[Vec], target: Vec) -> Optional[Vec]:

@@ -127,6 +127,23 @@ class TestBuildCommands:
         assert "rank" in err
 
 
+class TestOutOfRangeInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["algebra", "build", "--type", "herm", "--n", "0", "--level", "1"],
+            ["algebra", "build", "--type", "herm", "--n", "3", "--level", "9"],
+            ["algebra", "build", "--type", "spin", "--n", "0"],
+            ["der", "triality", "--count", "-1"],
+        ],
+    )
+    def test_exits_2_without_traceback(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.strip() and "Traceback" not in err
+
+
 class TestDerivationCommands:
     def test_basis_dim(self, capsys):
         code, rep = report(capsys, "der", "basis", "--algebra", "j23")
