@@ -70,6 +70,8 @@ class AlgebraPresentation:
             cleaned = tuple(
                 (int(k), frac(q)) for k, q in sorted(entries, key=lambda e: e[0]) if frac(q) != 0
             )
+            if any(not 0 <= k < self.dim for k, _ in cleaned):
+                raise ValueError("structure index out of range")
             if not cleaned:
                 continue
             if (j, i) in table and table[(j, i)] != cleaned:

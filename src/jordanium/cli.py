@@ -63,6 +63,11 @@ from .modules import (
 )
 
 
+# Largest hom_basis system `module homdim` builds: 2 * 10**7 entries, 160 MB
+# in int64.  Free 1 -> 1 over the Albert algebra has 1.4 * 10**7.
+HOM_SYSTEM_CAP = 2 * 10**7
+
+
 class UsageError(Exception):
     pass
 
@@ -319,6 +324,12 @@ def cmd_module_homdim(args) -> int:
     p, q = args.free
     if p < 1 or q < 1:
         raise UsageError("ranks must be positive")
+    # hom_basis builds an (n Q P) x (Q P) integer system, for module dimensions P = p n, Q = q n
+    entries = a.dim * (p * a.dim * q * a.dim) ** 2
+    if entries > HOM_SYSTEM_CAP:
+        raise UsageError(
+            "the hom system has %d entries, above the cap of %d" % (entries, HOM_SYSTEM_CAP)
+        )
     homs = hom_basis(build_free(a, p), build_free(a, q))
     results = {"label": a.label, "p": p, "q": q, "dim": len(homs)}
     return _emit_report(

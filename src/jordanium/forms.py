@@ -17,14 +17,31 @@ and the pair satisfies d(w^f) = (dw)^f + (-1)^n w^(df), d^2 = 0, and
 graded commutativity w^f = (-1)^{nl} f^w, all as exact identities.  A
 connection extends to module-valued forms (:func:`extend_to_forms`) by the
 same sum with its covariant operators in place of the frame matrices.
+
+Both are computed on integers.  A form is cleared to one (C(D, n), V)
+integer array over its sorted keys with one scale (``linalg.scaled_ints``).
+The differential of degree n is a :class:`KoszulOperator`, assembled once
+per frame (``d_der``) or connection (``extend_to_forms``) and cached on it:
+one exact product with the operators stacked side by side, n + 1 signed
+gathers of its rows, and one sparse signed map for the bracket term, over
+a common scale that also holds the 1/(n+1).  ``wedge`` is one exact
+contraction of the two coefficient arrays with the algebra's structure
+tensor (or the module's action tensor), gathered over the disjoint key pairs
+and summed into the merged keys with their shuffle signs; n! l! / (n+l)!
+joins the one denominator.  Sums run in int64 only below a bound checked
+before they start, in object dtype otherwise, and each result is divided
+once when its ``Fraction`` coefficients are built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial
+from math import comb
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+
+import numpy as np
 
 from .algebra import center_basis
 from .derivations import DerivationBasis, structure_constants
@@ -32,9 +49,13 @@ from .linalg import (
     Mat,
     Vec,
     basis_vec,
+    exact_int_matmul,
     format_fraction,
     frac,
+    max_abs_int,
     parse_fraction,
+    scaled_int_mats,
+    scaled_ints,
     vec_add,
     vec_scale,
     zero_vec,
@@ -256,6 +277,166 @@ def coordinate_form(der: DerivationBasis, k: int) -> DerForm:
 
 
 # ---------------------------------------------------------------------------
+# forms as integer arrays
+
+
+@lru_cache(maxsize=None)
+def _keys(dim: int, degree: int) -> tuple[tuple[Key, ...], dict[Key, int]]:
+    """The sorted keys of one degree, and the row of each."""
+    keys = tuple(combinations(range(dim), degree))
+    return keys, {key: t for t, key in enumerate(keys)}
+
+
+def _form_ints(w: DerForm) -> tuple[np.ndarray, int]:
+    """(x, s): row t of x is s times the value on the t-th sorted key."""
+    _, rows = _keys(w.der.dim, w.degree)
+    flat = [v for vec in w.coeffs.values() for v in vec]
+    vals, s = scaled_ints(flat, (len(w.coeffs), w.value_dim))
+    x = np.zeros((len(rows), w.value_dim), dtype=vals.dtype)
+    x[[rows[key] for key in w.coeffs]] = vals
+    return x, s
+
+
+def _form_from_ints(
+    der: DerivationBasis, degree: int, x: np.ndarray, s: int, module: Optional[ModuleAction]
+) -> DerForm:
+    """The form whose value on the t-th sorted key is x[t] / s."""
+    keys, _ = _keys(der.dim, degree)
+    coeffs = {
+        keys[t]: tuple(Fraction(v, s) for v in x[t].tolist())
+        for t in np.flatnonzero((x != 0).any(axis=1)).tolist()
+    }
+    return DerForm(der, degree, coeffs, module)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+class KoszulOperator:
+    """The differential on degree-n forms as integer data, with one scale.
+
+    For a form cleared to x = s_x * w over the sorted keys, apply(x) is
+    scale * s_x * (dw) over the sorted keys of degree n + 1:
+
+    - stack is (V, D V), the integer operators s O_mu transposed and side by
+      side, so one exact product gives every O_mu w(key);
+    - target key t with its p-th index mu = frame[p, t] removed is source
+      key src[p, t], entering with sign (-1)^p;
+    - the bracket term adds coeff[e] * x[br_src[e]] to row br_dst[e];
+    - scale is (n + 1) s, for the common scale s of the operators and the
+      bracket table;
+    - row_l1 bounds |apply(x)| by row_l1 * max |x|, which decides int64 or
+      object dtype before any sum.
+    """
+
+    __slots__ = ("stack", "src", "frame", "br_dst", "br_src", "br_coeff", "scale", "row_l1")
+
+    def __init__(self, stack, src, frame, br_dst, br_src, br_coeff, scale: int, row_l1: int):
+        # a plain class: a dataclass costs each CLI process milliseconds at import
+        self.stack, self.src, self.frame = _read_only(stack, src, frame)
+        self.br_dst, self.br_src, self.br_coeff = _read_only(br_dst, br_src, br_coeff)
+        self.scale, self.row_l1 = scale, row_l1
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Integer image of x, shape (..., C(D, n), V) -> (..., C(D, n + 1), V)."""
+        if max_abs_int(x) * self.row_l1 >= 2**63:
+            x = x.astype(object)
+        v = self.stack.shape[0]
+        xo = exact_int_matmul(x.reshape(-1, v), self.stack)
+        xo = xo.reshape(x.shape[:-1] + (self.stack.shape[1] // v, v))
+        out = xo[..., self.src[0], self.frame[0], :]
+        for p in range(1, len(self.src)):
+            term = xo[..., self.src[p], self.frame[p], :]
+            out = out - term if p % 2 else out + term
+        contrib = x[..., self.br_src, :] * self.br_coeff[:, None]
+        np.add.at(out, (Ellipsis, self.br_dst, slice(None)), contrib)
+        return out
+
+
+def _build_koszul(der: DerivationBasis, ops: Sequence[Mat], n: int) -> KoszulOperator:
+    """Assemble the degree-n differential with ops along the frame."""
+    targets, _ = _keys(der.dim, n + 1)
+    _, rows = _keys(der.dim, n)
+    brackets = [Mat(tuple(row)) for row in bracket_table(der)]
+    (o, b), s = scaled_int_mats(ops, brackets)
+    v = o.shape[1]
+    src = np.array(
+        [[rows[key[:p] + key[p + 1 :]] for key in targets] for p in range(n + 1)], dtype=np.intp
+    )
+    frame = np.array([[key[p] for key in targets] for p in range(n + 1)], dtype=np.intp)
+    # the bracket term of the Koszul sum, summed per (target, source) pair
+    nonzero = [[[(tau, q) for tau, q in enumerate(row) if q] for row in mu] for mu in b.tolist()]
+    acc: dict[tuple[int, int], int] = {}
+    for t, key in enumerate(targets):
+        for r, u in combinations(range(n + 1), 2):
+            rest = tuple(key[i] for i in range(n + 1) if i != r and i != u)
+            sgn_ru = -1 if (r + u) % 2 else 1
+            for tau, q in nonzero[key[r]][key[u]]:
+                ins = _insert_index(tau, rest)
+                if ins is None:
+                    continue
+                kk, isign = ins
+                pair = (t, rows[kk])
+                acc[pair] = acc.get(pair, 0) + q * sgn_ru * isign
+    entries = [(pair, c) for pair, c in acc.items() if c]
+    br_l1 = [0] * len(targets)
+    for (t, _), c in entries:
+        br_l1[t] += abs(c)
+    fits = all(abs(c) < 2**62 for _, c in entries)
+    ops_l1 = int(np.abs(o).sum(axis=2).max()) if o.size else 0
+    return KoszulOperator(
+        o.transpose(2, 0, 1).reshape(v, der.dim * v),
+        src,
+        frame,
+        np.array([t for (t, _), _ in entries], dtype=np.intp),
+        np.array([e for (_, e), _ in entries], dtype=np.intp),
+        np.array([c for _, c in entries], dtype=np.int64 if fits else object),
+        scale=(n + 1) * s,
+        row_l1=(n + 1) * ops_l1 + max(br_l1, default=0),
+    )
+
+
+def koszul_operator(owner: Union[DerivationBasis, "Connection"], degree: int) -> KoszulOperator:
+    """The differential on degree-n forms, built once per owner and degree.
+
+    A DerivationBasis owns the frame's differential (:func:`d_der`), a
+    Connection the one of its covariant operators (:func:`extend_to_forms`).
+    """
+    if not 0 <= degree < DEGREE_CAP:
+        raise ValueError("differential would exceed the degree cap of %d" % DEGREE_CAP)
+    cache = getattr(owner, "_koszul_cache", None)
+    if cache is None:
+        cache = {}
+        # DerivationBasis is frozen; stash through the back door
+        object.__setattr__(owner, "_koszul_cache", cache)
+    if degree not in cache:
+        if isinstance(owner, DerivationBasis):
+            cache[degree] = _build_koszul(owner, owner.mats, degree)
+        else:
+            cache[degree] = _build_koszul(owner.der, owner.ops, degree)
+    return cache[degree]
+
+
+@lru_cache(maxsize=None)
+def _shuffles(dim: int, n: int, l: int) -> tuple[np.ndarray, ...]:
+    """(left, right, merged, sign) over the disjoint pairs of sorted keys of
+    degrees n and l: their rows, the row of the merged key and the shuffle sign."""
+    left, _ = _keys(dim, n)
+    right, _ = _keys(dim, l)
+    _, merged = _keys(dim, n + l)
+    found = []
+    for a, k1 in enumerate(left):
+        for b, k2 in enumerate(right):
+            if not set(k1) & set(k2):
+                key, sign = _merge_sign(k1, k2)
+                found.append((a, b, merged[key], sign))
+    return _read_only(*np.array(found, dtype=np.intp).reshape(-1, 4).T.copy())
+
+
+# ---------------------------------------------------------------------------
 # product and differential
 
 
@@ -268,68 +449,37 @@ def wedge(w: DerForm, f: DerForm) -> DerForm:
     n, l = w.degree, f.degree
     if n + l > DEGREE_CAP:
         raise ValueError("wedge degree exceeds the cap of %d" % DEGREE_CAP)
-    factor = Fraction(factorial(n) * factorial(l), factorial(n + l))
-    alg = w.der.algebra
     mod = f.module
-    out: dict[Key, Vec] = {}
-    for k1, v1 in w.coeffs.items():
-        s1 = set(k1)
-        for k2, v2 in f.coeffs.items():
-            if s1 & set(k2):
-                continue
-            key, sign = _merge_sign(k1, k2)
-            val = alg.mul(v1, v2) if mod is None else mod.act(v1, v2)
-            contrib = vec_scale(factor if sign == 1 else -factor, val)
-            cur = out.get(key)
-            out[key] = contrib if cur is None else vec_add(cur, contrib)
-    return DerForm(w.der, n + l, out, mod)
+    if w.is_zero() or f.is_zero():
+        return zero_form(w.der, n + l, mod)
+    # c[i, j, k] = s_c times coordinate k of e_i times value basis vector j
+    c, s_c = w.der.algebra.int_tensor() if mod is None else mod.int_tensor()
+    xw, s_w = _form_ints(w)
+    xf, s_f = _form_ints(f)
+    mult = comb(n + l, n)
+    c_l1 = int(np.abs(c).sum(axis=(0, 1)).max())
+    # |each sum| <= max|xw| max|xf| c_l1 mult, the bound on int64 sums
+    if max_abs_int(xw) * max_abs_int(xf) * c_l1 * mult >= 2**63:
+        xw = xw.astype(object)
+    vdim, jdim, kdim = c.shape
+    t = exact_int_matmul(xw, c.reshape(vdim, jdim * kdim)).reshape(-1, jdim, kdim)
+    prod = exact_int_matmul(t.transpose(0, 2, 1).reshape(-1, jdim), xf.T)
+    prod = prod.reshape(len(xw), kdim, len(xf))
+    left, right, merged, sign = _shuffles(w.der.dim, n, l)
+    out = np.zeros((len(_keys(w.der.dim, n + l)[0]), kdim), dtype=prod.dtype)
+    np.add.at(out, merged, prod[left, :, right] * sign[:, None])
+    return _form_from_ints(w.der, n + l, out, s_c * s_w * s_f * mult, mod)
 
 
-def _koszul(w: DerForm, ops: Sequence[Mat]) -> DerForm:
-    """1/(n+1) times the Koszul alternating sum of a degree-n form.
-
-    ops[mu] acts on the values along frame element mu: the frame matrices
-    for algebra-valued forms, a connection's covariant operators for
-    module-valued ones.
-    """
+def _koszul(w: DerForm, owner: Union[DerivationBasis, "Connection"]) -> DerForm:
+    """1/(n+1) times the Koszul alternating sum of a degree-n form, with the
+    owner's operators acting on the values along the frame."""
     n = w.degree
-    der = w.der
-    brackets = bracket_table(der)
-    scale = Fraction(1, n + 1)
-    out: dict[Key, Vec] = {}
-    for key in combinations(range(der.dim), n + 1):
-        acc = [Fraction(0)] * w.value_dim
-        for p, kp in enumerate(key):
-            rest = key[:p] + key[p + 1 :]
-            val = w.coeffs.get(rest)
-            if val is None:
-                continue
-            term = ops[kp].apply(val)
-            if p % 2:
-                for t, v in enumerate(term):
-                    acc[t] -= v
-            else:
-                for t, v in enumerate(term):
-                    acc[t] += v
-        for r, s in combinations(range(n + 1), 2):
-            rest = tuple(key[t] for t in range(n + 1) if t != r and t != s)
-            sgn_rs = -1 if (r + s) % 2 else 1
-            for tau, q in enumerate(brackets[key[r]][key[s]]):
-                if not q:
-                    continue
-                ins = _insert_index(tau, rest)
-                if ins is None:
-                    continue
-                kk, isign = ins
-                val = w.coeffs.get(kk)
-                if val is None:
-                    continue
-                c = q * sgn_rs * isign
-                for t, v in enumerate(val):
-                    acc[t] += c * v
-        if any(acc):
-            out[key] = tuple(v * scale for v in acc)
-    return DerForm(der, n + 1, out, w.module)
+    if w.is_zero() or n + 1 > w.der.dim:
+        return zero_form(w.der, n + 1, w.module)
+    op = koszul_operator(owner, n)
+    x, s = _form_ints(w)
+    return _form_from_ints(w.der, n + 1, op.apply(x), op.scale * s, w.module)
 
 
 def d_der(w: DerForm) -> DerForm:
@@ -340,7 +490,7 @@ def d_der(w: DerForm) -> DerForm:
         )
     if w.degree + 1 > DEGREE_CAP:
         raise ValueError("differential would exceed the degree cap of %d" % DEGREE_CAP)
-    return _koszul(w, w.der.mats)
+    return _koszul(w, w.der)
 
 
 def extend_to_forms(c: "Connection", phi: DerForm) -> DerForm:
@@ -349,7 +499,7 @@ def extend_to_forms(c: "Connection", phi: DerForm) -> DerForm:
         raise ValueError("form must take values in the connection's module")
     if phi.degree + 1 > DEGREE_CAP:
         raise ValueError("extension would exceed the degree cap of %d" % DEGREE_CAP)
-    return _koszul(phi, c.ops)
+    return _koszul(phi, c)
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,11 @@ def format_fraction(q: Fraction) -> str:
 
 
 def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
+    """A rational from its wire form; ValueError for malformed text or a zero denominator."""
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (s,)) from None
 
 
 def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:

@@ -69,6 +69,7 @@ class ModuleAction:
                 raise ValueError("action operators must be square and same size")
         if self.mdim and self.op_of(algebra.unit) != Mat.identity(self.mdim):
             raise ValueError("unit does not act as the identity")
+        self._int_cache = None
 
     def op_of(self, x: Sequence) -> Mat:
         acc = [[Fraction(0)] * self.mdim for _ in range(self.mdim)]
@@ -96,6 +97,14 @@ class ModuleAction:
                         out.append((i, alpha, beta, v))
         out.sort(key=lambda e: e[:3])
         return out
+
+    def int_tensor(self):
+        """(tensor, scale) with tensor[i, alpha, beta] = scale * the f_beta
+        coordinate of e_i f_alpha, exact; int64 when it fits, built once."""
+        if self._int_cache is None:
+            (lam,), s = scaled_int_mats(self.ops)
+            self._int_cache = np.ascontiguousarray(lam.transpose(0, 2, 1)), s
+        return self._int_cache
 
     def __eq__(self, other):
         return (
@@ -417,7 +426,10 @@ def module_from_dict(
     m = int(d["mdim"])
     grids = [[[Fraction(0)] * m for _ in range(m)] for _ in range(a.dim)]
     for i, alpha, beta, v in d["action"]:
-        grids[int(i)][int(beta)][int(alpha)] = parse_fraction(v)
+        i, alpha, beta = int(i), int(alpha), int(beta)
+        if not (0 <= i < a.dim and 0 <= alpha < m and 0 <= beta < m):
+            raise ValueError("action index out of range")
+        grids[i][beta][alpha] = parse_fraction(v)
     ops = [Mat.from_rows(g) for g in grids]
     return ModuleAction(a, ops, d["label"])
 

@@ -1,5 +1,6 @@
 """Command line interface: schemas, exit codes, pipelines, determinism."""
 
+import io
 import json
 import os
 import subprocess
@@ -9,12 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from jordanium.algebra import algebra_loads, build_spin
-from jordanium.cli import main
+from jordanium.algebra import algebra_dumps, algebra_loads, build_spin
+from jordanium.cli import HOM_SYSTEM_CAP, main
 from jordanium.connections import gauge_potential, potential_to_dict
 from jordanium.derivations import derivation_basis, structure_constants
 from jordanium.linalg import Mat
-from jordanium.modules import build_free, module_dumps
+from jordanium.modules import build_antihermitian, build_free, module_dumps
 
 REPORT_KEYS = {"tool", "version", "command", "inputs_digest", "results", "timing_ms"}
 
@@ -142,6 +143,76 @@ class TestOutOfRangeInput:
         assert code == 2
         assert out == ""
         assert err.strip() and "Traceback" not in err
+
+
+def _spin2_wire(**changes):
+    """Wire dict of JSpin2 with some fields replaced."""
+    d = json.loads(algebra_dumps(build_spin(2)))
+    d.update(changes)
+    return d
+
+
+def _free_module_wire(entry_change):
+    d = json.loads(module_dumps(build_free(build_spin(2), 1)))
+    t, field, value = entry_change
+    d["action"][t][field] = value
+    return d
+
+
+class TestMalformedInput:
+    """A zero denominator or an out-of-range index is unusable input: exit 2."""
+
+    ZERO_DEN = _spin2_wire(structure=[[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 1, 0, "1/0"]])
+    BAD_K = _spin2_wire(structure=[[0, 0, 0, "1"], [0, 1, 5, "1"], [1, 1, 0, "1"]])
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["algebra", "check", "--algebra", "-"], ZERO_DEN),
+            (["module", "homdim", "--free", "1", "1", "--algebra", "-"], ZERO_DEN),
+            (["der", "basis", "--algebra", "-"], ZERO_DEN),
+            (["algebra", "check", "--algebra", "-"], BAD_K),
+            (["module", "homdim", "--free", "1", "1", "--algebra", "-"], BAD_K),
+            (["module", "check", "--module", "-"], _free_module_wire((0, 3, "1/0"))),
+            (["module", "check", "--module", "-"], _free_module_wire((0, 2, 7))),
+            (["module", "check", "--module", "-"], _free_module_wire((0, 0, 9))),
+            (["module", "check", "--module", "-"], _free_module_wire((1, 1, -1))),
+        ],
+    )
+    def test_exits_2_without_traceback(self, capsys, monkeypatch, argv, doc):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.strip() and "Traceback" not in err
+
+    def test_potential_with_zero_denominator(self, capsys, tmp_path):
+        der = derivation_basis(build_spin(3))
+        d = potential_to_dict(gauge_potential(der, 1, [Mat.from_rows([[1]])] * der.dim))
+        d["algebra"] = "jspin3"
+        d["potential"][0][0][0] = "2/0"
+        f = tmp_path / "pot.json"
+        f.write_text(json.dumps(d))
+        code, out, err = run_cli(capsys, "conn", "curvature", "--potential", str(f))
+        assert code == 2
+        assert "Traceback" not in err
+
+
+class TestHomSystemCap:
+    def test_oversized_hom_system_exits_2_before_allocating(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("hom_basis called above the cap")
+
+        monkeypatch.setattr("jordanium.cli.hom_basis", refuse)
+        # free 2 -> 2 over the Albert algebra: 27 * 2916**2 entries
+        argv = ["module", "homdim", "--free", "2", "2", "--algebra", "albert"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert str(27 * 2916**2) in err
+
+    def test_albert_one_to_one_is_under_the_cap(self):
+        assert 27 * 729**2 <= HOM_SYSTEM_CAP
 
 
 class TestDerivationCommands:
@@ -343,10 +414,10 @@ def test_too_large_to_check_exactly_exits_2(capsys, tmp_path):
     assert rep["results"]["center_dim"] == 1
 
 
-def _canonical_run(cmd, threads):
+def _canonical_run(cmd, threads, flags=()):
     env = dict(os.environ, JORDANIUM_THREADS=str(threads))
     proc = subprocess.run(
-        [sys.executable, "-m", "jordanium.cli"] + cmd,
+        [sys.executable, *flags, "-m", "jordanium.cli"] + cmd,
         capture_output=True,
         text=True,
         env=env,
@@ -371,3 +442,15 @@ class TestDeterminism:
         first = _canonical_run(cmd, 1)
         assert _canonical_run(cmd, 1) == first
         assert _canonical_run(cmd, 8) == first
+
+
+class TestOptimizedInterpreter:
+    def test_reports_equal_under_python_O(self, tmp_path):
+        # python -O strips assert statements; exactness checks must not be asserts
+        mod = tmp_path / "antiherm.json"
+        mod.write_text(module_dumps(build_antihermitian(2, 1)))
+        for cmd in (
+            ["forms", "d2check", "--algebra", "j23", "--maxdeg", "1"],
+            ["conn", "innerflat", "--module", str(mod)],
+        ):
+            assert _canonical_run(cmd, 1, ("-O",)) == _canonical_run(cmd, 1)

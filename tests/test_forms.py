@@ -2,10 +2,24 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
+from math import comb, factorial
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jordanium.algebra import build_hermitian, build_spin, direct_sum
+from jordanium import forms
+from jordanium.algebra import (
+    algebra_from_dict,
+    build_hermitian,
+    build_spin,
+    center_basis,
+    direct_sum,
+)
+from jordanium.connections import base_connection, gauge_potential, with_potential
 from jordanium.derivations import derivation_basis, structure_constants
 from jordanium.forms import (
     DEGREE_CAP,
@@ -13,10 +27,12 @@ from jordanium.forms import (
     coordinate_form,
     d_der,
     element_form,
+    extend_to_forms,
     form_associator,
     form_from_dict,
     form_to_dict,
     graded_commutativity_check,
+    koszul_operator,
     leibniz_check,
     module_element_form,
     unit_form,
@@ -24,6 +40,7 @@ from jordanium.forms import (
     z_linearity_defect,
     zero_form,
 )
+from jordanium.linalg import Mat, expand_in_basis, vec_add, vec_scale
 from jordanium.modules import build_free
 
 fr = Fraction
@@ -361,3 +378,202 @@ class TestWireFormat:
         )
         again = form_from_dict(der, form_to_dict(phi), module=mod)
         assert again == phi
+
+
+# ---------------------------------------------------------------------------
+# the integer differential and product against the Fraction loops
+
+
+def _koszul_reference(w, ops):
+    """1/(n+1) times the Koszul alternating sum, entry by entry in Fraction."""
+    n = w.degree
+    der = w.der
+    brackets = structure_constants(der)
+    out = {}
+    for key in combinations(range(der.dim), n + 1):
+        acc = [fr(0)] * w.value_dim
+        for p, kp in enumerate(key):
+            val = w.coeffs.get(key[:p] + key[p + 1 :])
+            if val is None:
+                continue
+            for t, v in enumerate(ops[kp].apply(val)):
+                acc[t] += -v if p % 2 else v
+        for r, s in combinations(range(n + 1), 2):
+            rest = tuple(key[t] for t in range(n + 1) if t != r and t != s)
+            sgn_rs = -1 if (r + s) % 2 else 1
+            for tau, q in enumerate(brackets[key[r]][key[s]]):
+                if not q or tau in rest:
+                    continue
+                pos = sum(1 for x in rest if x < tau)
+                val = w.coeffs.get(rest[:pos] + (tau,) + rest[pos:])
+                if val is None:
+                    continue
+                c = q * sgn_rs * (-1 if pos % 2 else 1)
+                for t, v in enumerate(val):
+                    acc[t] += c * v
+        if any(acc):
+            out[key] = tuple(v / (n + 1) for v in acc)
+    return DerForm(der, n + 1, out, w.module)
+
+
+def _wedge_reference(w, f):
+    """The shuffle sum of the normalized product, pair by pair in Fraction."""
+    n, l = w.degree, f.degree
+    factor = fr(factorial(n) * factorial(l), factorial(n + l))
+    alg, mod = w.der.algebra, f.module
+    out = {}
+    for k1, v1 in w.coeffs.items():
+        for k2, v2 in f.coeffs.items():
+            if set(k1) & set(k2):
+                continue
+            inv = sum(1 for a in k1 for b in k2 if a > b)
+            key = tuple(sorted(k1 + k2))
+            val = alg.mul(v1, v2) if mod is None else mod.act(v1, v2)
+            contrib = vec_scale(-factor if inv % 2 else factor, val)
+            out[key] = vec_add(out[key], contrib) if key in out else contrib
+    return DerForm(w.der, n + l, out, mod)
+
+
+def _big_spin(n, entry):
+    """The spin factor on R + R^n whose form is entry * identity."""
+    structure = [[0, 0, 0, "1"]]
+    for i in range(1, n + 1):
+        structure += [[0, i, i, "1"], [i, i, 0, str(entry)]]
+    unit = ["1"] + ["0"] * n
+    return algebra_from_dict(
+        {"label": "JSpin%d(big)" % n, "dim": n + 1, "unit": unit, "structure": structure}
+    )
+
+
+_ALGEBRAS = {
+    "J1_3": lambda: build_hermitian(3, 0),
+    "J2_3": lambda: build_hermitian(3, 1),
+    "JSpin2": lambda: build_spin(2),
+    "JSpin3": lambda: build_spin(3),
+    "JSpin4": lambda: build_spin(4),
+    "J1_2+J1_2": lambda: direct_sum(build_hermitian(2, 0), build_hermitian(2, 0)),
+}
+
+
+@lru_cache(maxsize=None)
+def _der(label):
+    if label == "JSpin3(2**45)":
+        return derivation_basis(_big_spin(3, 2**45))
+    return derivation_basis(_ALGEBRAS[label]())
+
+
+def _random_form(der, degree, rng, value_dim, module=None, big=1):
+    keys = list(combinations(range(der.dim), degree))
+    coeffs = {
+        key: tuple(big * fr(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(value_dim))
+        for key in keys
+        if rng.random() < 0.7
+    }
+    return DerForm(der, degree, coeffs, module)
+
+
+@lru_cache(maxsize=None)
+def _connection(label, rank, seed):
+    """A free module of the given rank with a random rational gauge potential."""
+    der = _der(label)
+    a = der.algebra
+    rng = random.Random(seed)
+    center = center_basis(a)
+    # a direct sum's frame element acts in one summand, and its potential is
+    # a block times that summand's unit, expanded over the center basis
+    half = a.dim // 2
+    units = [
+        tuple(u if (k < half) == first else fr(0) for k, u in enumerate(a.unit))
+        for first in (True, False)
+    ]
+    weights = [expand_in_basis(center, z) for z in units] if len(center) > 1 else [(fr(1),)] * 2
+    per_mu = []
+    for x in der.mats:
+        block = Mat.from_rows(
+            [[fr(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rank)] for _ in range(rank)]
+        )
+        in_first = any(x.data[r][c] for r in range(half) for c in range(a.dim))
+        per_mu.append(tuple(block.scale(q) for q in weights[0 if in_first else 1]))
+    pot = gauge_potential(der, rank, per_mu)
+    return with_potential(base_connection(der, build_free(a, rank)), pot)
+
+
+class TestIntegerCalculus:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(sorted(_ALGEBRAS) + ["JSpin3(2**45)"]),
+        st.integers(0, DEGREE_CAP - 1),
+        st.integers(0, DEGREE_CAP - 1),
+        st.integers(0, 2**32),
+    )
+    def test_d_and_wedge_equal_the_fraction_loops(self, label, n, l, seed):
+        der = _der(label)
+        rng = random.Random(seed)
+        big = (2**45 if seed % 2 else 2**62) if "2**45" in label else 1
+        w = _random_form(der, n, rng, der.algebra.dim, big=big)
+        assert d_der(w) == _koszul_reference(w, der.mats)
+        l = min(l, DEGREE_CAP - n)
+        f = _random_form(der, l, rng, der.algebra.dim, big=big)
+        assert wedge(w, f) == _wedge_reference(w, f)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sampled_from(sorted(_ALGEBRAS)),
+        st.integers(1, 2),
+        st.integers(0, DEGREE_CAP - 1),
+        st.integers(0, DEGREE_CAP - 1),
+        st.integers(0, 2**32),
+    )
+    def test_module_valued_forms_equal_the_fraction_loops(self, label, rank, n, l, seed):
+        c = _connection(label, rank, seed % 3)
+        rng = random.Random(seed)
+        phi = _random_form(c.der, n, rng, c.module.mdim, module=c.module)
+        assert extend_to_forms(c, phi) == _koszul_reference(phi, c.ops)
+        l = min(l, DEGREE_CAP - n)
+        w = _random_form(c.der, l, rng, c.der.algebra.dim)
+        assert wedge(w, phi) == _wedge_reference(w, phi)
+
+    def test_large_entries_take_the_object_route(self, monkeypatch):
+        seen = []
+        real = forms.exact_int_matmul
+
+        def spy(a, b):
+            seen.append((a.dtype, b.dtype))
+            return real(a, b)
+
+        monkeypatch.setattr(forms, "exact_int_matmul", spy)
+        der = _der("JSpin3(2**45)")
+        v = der.algebra.dim
+        # entries just below 2**62 fit int64 one by one, but their sums do not
+        near = tuple(fr(2**62 - 1 - t) for t in range(v))
+        w = DerForm(der, 1, {(k,): near for k in range(der.dim)})
+        assert d_der(w) == _koszul_reference(w, der.mats)
+        assert seen and seen[0][0] == np.dtype(object)
+        seen.clear()
+        rng = random.Random(4)
+        w, f = (_random_form(der, 1, rng, v, big=2**45) for _ in range(2))
+        assert wedge(w, f) == _wedge_reference(w, f)
+        assert seen and seen[0][0] == np.dtype(object)
+
+    @pytest.mark.parametrize("label", sorted(_ALGEBRAS) + ["JSpin3(2**45)"])
+    def test_d_squared_vanishes_on_the_whole_space(self, label):
+        der = _der(label)
+        v = der.algebra.dim
+        for n in range(DEGREE_CAP - 1):
+            rows = comb(der.dim, n)
+            # every basis form of degree n at once: one per (key, coordinate)
+            basis = np.eye(rows * v, dtype=np.int64).reshape(rows * v, rows, v)
+            first = koszul_operator(der, n).apply(basis)
+            assert first.any() or comb(der.dim, n + 1) == 0
+            assert not koszul_operator(der, n + 1).apply(first).any()
+
+    def test_operators_are_cached_on_their_owner(self):
+        der = _der("JSpin3")
+        assert koszul_operator(der, 1) is koszul_operator(der, 1)
+        c = _connection("JSpin3", 1, 0)
+        assert koszul_operator(c, 1) is koszul_operator(c, 1)
+        assert koszul_operator(c, 1) is not koszul_operator(der, 1)
+
+    def test_operator_degree_capped(self):
+        with pytest.raises(ValueError):
+            koszul_operator(_der("JSpin3"), DEGREE_CAP)
