@@ -25,12 +25,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import kernels
-from .cayley_dickson import _conj_coords, _mul_coords
+from .cayley_dickson import _conj_coords, _mul_coords, conj_array
 from .linalg import (
     Mat,
     Vec,
@@ -200,7 +201,7 @@ def build_spin(n: int) -> AlgebraPresentation:
     return AlgebraPresentation("JSpin%d" % n, dim, unit, structure)
 
 
-def _hermitian_pairs(n: int) -> list[tuple[int, int]]:
+def hermitian_pairs(n: int) -> list[tuple[int, int]]:
     """Positions carrying the unconjugated entry of each off-diagonal basis
     element.  For n = 3 the cyclic convention (2,3), (3,1), (1,2) is used
     (0-based: (1,2), (2,0), (0,1)); otherwise lexicographic (i, j), i < j.
@@ -210,29 +211,44 @@ def _hermitian_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _herm_basis_int(n: int, level: int):
-    """Basis matrices as n x n grids of integer coordinate tuples.
+@lru_cache(maxsize=None)
+def hermitian_basis(n: int, level: int) -> np.ndarray:
+    """Read-only (N, n, n, d) int64 array of the basis of :func:`build_hermitian`.
 
-    None marks a zero entry so the multiplication loop can skip it.
+    The diagonal units, then for each of :func:`hermitian_pairs` the d unit
+    entries eps_k there, with conj(eps_k) at the transposed position.
     """
+    return _matrix_basis(n, level, 1)
+
+
+@lru_cache(maxsize=None)
+def antihermitian_basis(n: int, level: int) -> np.ndarray:
+    """Read-only (N, n, n, d) int64 array of antihermitian basis matrices.
+
+    The d - 1 imaginary units on each diagonal position, then for each of
+    :func:`hermitian_pairs` the d unit entries eps_k there, with
+    -conj(eps_k) at the transposed position.
+    """
+    return _matrix_basis(n, level, -1)
+
+
+def _matrix_basis(n: int, level: int, sign: int) -> np.ndarray:
     d = 2**level
-    mats = []
-
-    def blank():
-        return [[None] * n for _ in range(n)]
-
+    eye = np.eye(d, dtype=np.int64)
+    diag = eye[:1] if sign == 1 else eye[1:]
+    blocks = []
     for i in range(n):
-        m = blank()
-        m[i][i] = (1,) + (0,) * (d - 1)
-        mats.append(m)
-    for pi, pj in _hermitian_pairs(n):
-        for k in range(d):
-            m = blank()
-            eps = tuple(1 if t == k else 0 for t in range(d))
-            m[pi][pj] = eps
-            m[pj][pi] = _conj_coords(eps)
-            mats.append(m)
-    return mats
+        block = np.zeros((len(diag), n, n, d), dtype=np.int64)
+        block[:, i, i] = diag
+        blocks.append(block)
+    for pi, pj in hermitian_pairs(n):
+        block = np.zeros((d, n, n, d), dtype=np.int64)
+        block[:, pi, pj] = eye
+        block[:, pj, pi] = sign * conj_array(eye)
+        blocks.append(block)
+    basis = np.concatenate(blocks)
+    basis.setflags(write=False)
+    return basis
 
 
 def _mat_mul_sparse(a, b, n):
@@ -280,9 +296,14 @@ def build_hermitian(n: int, level: int) -> AlgebraPresentation:
             "hermitian octonion matrices are only Jordan for n <= 3; n=%d rejected" % n
         )
     d = 2**level
-    basis = _herm_basis_int(n, level)
+    # n x n grids of integer coordinate tuples, None marking a zero entry
+    # so the multiplication loop can skip it
+    basis = [
+        [[tuple(e) if any(e) else None for e in row] for row in m]
+        for m in hermitian_basis(n, level).tolist()
+    ]
     dim = len(basis)
-    pairs = _hermitian_pairs(n)
+    pairs = hermitian_pairs(n)
     structure: dict[tuple[int, int], list[TableEntry]] = {}
     for a in range(dim):
         for b in range(a, dim):

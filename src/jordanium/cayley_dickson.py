@@ -9,6 +9,12 @@ and conjugation is (a, b)* = (a*, -b).  Basis vectors multiply by XOR of
 their indices up to sign: eps(i) eps(j) = +/- eps(i ^ j), with the sign
 produced by the recursion.  Levels above 3 lose the composition property
 and are rejected.
+
+:class:`CD` is the reference arithmetic and the source of
+:func:`basis_table`.  Matrices with Cayley-Dickson entries are computed on
+integers instead: ``sign_tensor(level)`` is the table as one signed
+(d, d, d) array, and :func:`mat_product` multiplies (..., n, n, d) integer
+arrays through it (Baez, "The Octonions", Bull. AMS 39, 2002).
 """
 
 from __future__ import annotations
@@ -16,9 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .linalg import frac
+import numpy as np
+
+from .linalg import frac, max_abs_int
 
 MAX_LEVEL = 3
 
@@ -153,3 +161,57 @@ def basis_table(level: int) -> tuple[tuple[tuple[int, int], ...], ...]:
             row.append((k, 1 if c > 0 else -1))
         out.append(tuple(row))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def sign_tensor(level: int) -> np.ndarray:
+    """Read-only (d, d, d) int64 array o with eps_a eps_b = sum_c o[a, b, c] eps_c.
+
+    The nonzero entries are o[a, b, a ^ b] = +/-1, read off :func:`basis_table`.
+    """
+    table = basis_table(level)
+    d = len(table)
+    o = np.zeros((d, d, d), dtype=np.int64)
+    for a, row in enumerate(table):
+        for b, (c, sign) in enumerate(row):
+            o[a, b, c] = sign
+    o.setflags(write=False)
+    return o
+
+
+def conj_array(x: np.ndarray) -> np.ndarray:
+    """Entrywise conjugate of an array whose last axis holds coordinates."""
+    return np.concatenate((x[..., :1], -x[..., 1:]), axis=-1)
+
+
+def mat_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Products of n x n matrices with Cayley-Dickson entries, as (..., n, n, d) arrays.
+
+    (xy)[i, j] = sum_t x[i, t] y[t, j], each entry product contracted with
+    ``sign_tensor``; leading axes broadcast.  The sum runs in int64 only when
+    max|x| max|y| n d is below 2**63, and in object dtype otherwise: every
+    output has at most n d nonzero terms, so this bounds the partial sums of
+    any contraction order einsum picks.
+    """
+    n, d = x.shape[-2:]
+    if max_abs_int(x) * max_abs_int(y) * n * d >= 2**63:
+        x, y = x.astype(object), y.astype(object)
+    o = sign_tensor(d.bit_length() - 1)
+    return np.einsum("...ita,...tjb,abc->...ijc", x, y, o, optimize=True)
+
+
+def coords_in_basis(w: np.ndarray, basis: np.ndarray) -> Optional[np.ndarray]:
+    """Integer coordinates of each (n, n, d) matrix of w in basis, or None.
+
+    basis is (N, n, n, d) with entries 0, +1, -1 and pairwise disjoint
+    supports, so a coordinate is the inner product with its basis matrix
+    divided by that matrix's squared norm.  None when some matrix of w is not
+    the integer combination of the basis its coordinates give.  Each sum has
+    at most two nonzero terms, so int64 input below 2**62 cannot overflow.
+    """
+    b = basis.reshape(len(basis), int(np.prod(basis.shape[1:])))
+    flat = w.reshape(-1, b.shape[1])
+    coords = (flat @ b.T) // (b * b).sum(axis=1)
+    if not (coords @ b == flat).all():
+        return None
+    return coords.reshape(w.shape[:-3] + (len(basis),))

@@ -18,6 +18,9 @@ The commutators [L_i, L_j] and [D_p, D_q] and the Leibniz test are products
 of the exact integer structure tensor ``AlgebraPresentation.int_tensor()``
 taken by ``linalg.exact_int_matmul``, which decides exactness per product
 (float64, int64 or object dtype); no entry size raises ``ExactOverflow``.
+The octonion constructions read the integer ``cayley_dickson.sign_tensor(3)``:
+the triality defect and completion system are signed gathers of matrix
+entries, and a commutator action is one exact product with a cached tensor.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraPresentation, center_basis
-from .cayley_dickson import CD, basis_table
+from .algebra import AlgebraPresentation, antihermitian_basis, center_basis, hermitian_basis
+from .cayley_dickson import coords_in_basis, conj_array, mat_product, sign_tensor
 from .linalg import (
     Mat,
     Vec,
@@ -429,57 +432,46 @@ def random_so8(rng: random.Random) -> Mat:
 
 
 @lru_cache(maxsize=1)
+def _triality_terms() -> tuple[np.ndarray, np.ndarray]:
+    """Where the defect (d1 x) y + x (d2 y) - conj(d3(conj(x y))) reads d1, d2, d3.
+
+    At x = eps_i, y = eps_j coordinate r of the defect is three signed
+    entries: d1[r ^ j, i], d2[i ^ r, j] and d3[r, i ^ j], the signs read off
+    ``sign_tensor(3)``.  Returns (index, sign), both (3, 512): flat indices
+    into d1, d2, d3 stacked and flattened row-major, column 64 i + 8 j + r.
+    """
+    o = sign_tensor(3)
+    kappa = conj_array(np.ones(8, dtype=np.int64))
+    i, j, r = np.indices((8, 8, 8)).reshape(3, 512)
+    m = i ^ j
+    index = np.stack((8 * (r ^ j) + i, 64 + 8 * (i ^ r) + j, 128 + 8 * r + m))
+    sign = np.stack((o[r ^ j, j, r], o[i, i ^ r, r], -kappa[r] * kappa[m] * o[i, j, m]))
+    return index, sign
+
+
+@lru_cache(maxsize=1)
 def _triality_solver():
     """One-time exact data for the completion solve.
 
-    The defining relation, evaluated on all basis pairs and coordinates,
-    is linear in the two unknown antisymmetric matrices: 512 integer rows
-    in 56 unknowns, one right-hand side coefficient of d1 per row.  The
-    system has a trivial nullspace, so every consistent query has exactly
-    one solution; the uniqueness bit is computed once here.
+    The defect is linear in the two unknown antisymmetric matrices: their
+    terms, folded by antisymmetry, give 512 integer rows in 56 unknowns,
+    and the d1 term is the right-hand side.  The system has a trivial
+    nullspace, so every consistent query has exactly one solution; the
+    uniqueness bit is computed once here.
     """
-    table = basis_table(3)
     pairs = _antisym_pairs()
-    pos = {pq: t for t, pq in enumerate(pairs)}
-    ncols = 2 * len(pairs)
-
-    def col2(b, j):
-        # column and sign for the D2[b, j] unknown, antisymmetry folded in
-        if b == j:
-            return None
-        return (pos[(b, j)], 1) if b < j else (pos[(j, b)], -1)
-
-    def col3(r, m):
-        if r == m:
-            return None
-        t = pos[(r, m)] if r < m else pos[(m, r)]
-        return (len(pairs) + t, 1 if r < m else -1)
-
-    def kappa(m):
-        return 1 if m == 0 else -1
-
-    rows = np.zeros((512, ncols), dtype=np.int64)
-    d1_coeff = []  # (a, i, coefficient) per row: contribution of D1[a, i]
-    rowid = 0
-    for i in range(8):
-        for j in range(8):
-            m, s_ij = table[i][j]
-            for r in range(8):
-                a = r ^ j
-                _, s1 = table[a][j]
-                d1_coeff.append((a, i, s1))
-                b = i ^ r
-                c2 = col2(b, j)
-                if c2 is not None:
-                    _, s2 = table[i][b]
-                    rows[rowid, c2[0]] += s2 * c2[1]
-                c3 = col3(r, m)
-                if c3 is not None:
-                    coef = -s_ij * kappa(m) * kappa(r)
-                    rows[rowid, c3[0]] += coef * c3[1]
-                rowid += 1
+    col = np.zeros(64, dtype=np.int64)
+    fold = np.zeros(64, dtype=np.int64)  # 0 on the diagonal
+    for t, (i, j) in enumerate(pairs):
+        col[[8 * i + j, 8 * j + i]] = t
+        fold[[8 * i + j, 8 * j + i]] = (1, -1)
+    index, sign = _triality_terms()
+    rows = np.zeros((512, 2 * len(pairs)), dtype=np.int64)
+    for t in (1, 2):
+        entry = index[t] - 64 * t
+        np.add.at(rows, (np.arange(512), col[entry] + len(pairs) * (t - 1)), sign[t] * fold[entry])
     null, _ = nullspace_int(rows)
-    return rows, d1_coeff, len(null) == 0, pairs
+    return rows, len(null) == 0, pairs
 
 
 def complete_triality(d1: Mat) -> tuple[Mat, Mat]:
@@ -494,11 +486,12 @@ def complete_triality(d1: Mat) -> tuple[Mat, Mat]:
         raise ValueError("expected an 8x8 matrix")
     if d1 != -d1.transpose():
         raise ValueError("triality completion needs an antisymmetric input")
-    rows, d1_coeff, unique, pairs = _triality_solver()
+    rows, unique, pairs = _triality_solver()
     if not unique:
         raise AssertionError("the triality completion system is not uniquely solvable")
-    rhs, s = scaled_ints([-c * d1.data[a][i] for (a, i, c) in d1_coeff], (len(d1_coeff),))
-    x = solve_int(rows, rhs)
+    index, sign = _triality_terms()
+    (d1_ints,), s = scaled_int_mats([d1])
+    x = solve_int(rows, -sign[0] * d1_ints.reshape(64)[index[0]])
     if x is None:
         raise ValueError("no compatible completion exists")
     u = [v / s for v in x]
@@ -531,29 +524,41 @@ def derivation_from_triality(d1: Mat) -> Mat:
 
 
 def triality_defect(d1: Mat, d2: Mat, d3: Mat) -> Optional[tuple[int, int]]:
-    """First octonion basis pair violating the compatibility relation."""
-    for i in range(8):
-        x = CD.basis(3, i)
-        dx = CD.from_coords(3, tuple(d1.data[a][i] for a in range(8)))
-        for j in range(8):
-            y = CD.basis(3, j)
-            dy = CD.from_coords(3, tuple(d2.data[b][j] for b in range(8)))
-            lhs = dx * y + x * dy
-            xy = (x * y).conj()
-            d3xy = CD.from_coords(
-                3,
-                tuple(
-                    sum((d3.data[r][m] * xy.coords[m] for m in range(8)), Fraction(0))
-                    for r in range(8)
-                ),
-            )
-            if lhs.coords != d3xy.conj().coords:
-                return (i, j)
-    return None
+    """First octonion basis pair (i, j) violating the compatibility relation.
+
+    The defect on all 64 basis pairs is three signed gathers from d1, d2,
+    d3 cleared to one scale; the pair returned is the first in row-major
+    order, or None.  Entries below 2**62 (int64) bound each term, and the
+    third is compared with minus the sum of the other two, so no int64
+    sum overflows; larger entries are object dtype.
+    """
+    if any(m.rows != 8 or m.cols != 8 for m in (d1, d2, d3)):
+        raise ValueError("expected 8x8 matrices")
+    (ints,), _ = scaled_int_mats([d1, d2, d3])
+    index, sign = _triality_terms()
+    t = ints.reshape(192)[index] * sign
+    hits = np.flatnonzero(t[0] + t[1] != -t[2])
+    return None if hits.size == 0 else divmod(int(hits[0]) // 8, 8)
 
 
 # ---------------------------------------------------------------------------
 # off-diagonal commutator derivations
+
+
+@lru_cache(maxsize=1)
+def _commutator_tensor() -> np.ndarray:
+    """(24, 27 * 27) integer t with z -> M z - z M equal to sum_p x_p t[p].
+
+    x_p are the 24 octonion parameters of M and t[p] is the operator of
+    the p-th unit parameter, row-major.  Hermitian closure of every
+    M z - z M is checked here, once.
+    """
+    herm = hermitian_basis(3, 3)
+    unit = antihermitian_basis(3, 3)[21:, None]  # off-diagonal slots only
+    coords = coords_in_basis(mat_product(unit, herm) - mat_product(herm, unit), herm)
+    if coords is None:
+        raise AssertionError("commutator left the hermitian matrices")
+    return coords.transpose(0, 2, 1).reshape(24, 27 * 27)
 
 
 def commutator_action_matrix(x1: Sequence, x2: Sequence, x3: Sequence) -> Mat:
@@ -562,51 +567,11 @@ def commutator_action_matrix(x1: Sequence, x2: Sequence, x3: Sequence) -> Mat:
     The three octonion parameters fill the off-diagonal slots of a 3x3
     antihermitian matrix M with zero diagonal (same slot convention as the
     hermitian basis); the operator is z -> M z - z M, which preserves
-    hermiticity and satisfies the derivation rule.
+    hermiticity and satisfies the derivation rule.  It is linear in the
+    parameters: one exact product of their cleared integers with the cached
+    integer tensor of the unit parameters.
     """
-    from .algebra import _hermitian_pairs
-
-    n = 3
-    xs = [CD.from_coords(3, tuple(frac(v) for v in x)) for x in (x1, x2, x3)]
     if any(len(x) != 8 for x in (x1, x2, x3)):
         raise ValueError("octonion parameters need 8 coordinates")
-    m = [[CD.zero(3) for _ in range(n)] for _ in range(n)]
-    for (pi, pj), x in zip(_hermitian_pairs(n), xs):
-        m[pi][pj] = x
-        m[pj][pi] = -x.conj()
-    cols = []
-    for idx in range(27):
-        z = _albert_entry_matrix(idx)
-        w = [
-            [
-                sum((m[i][t] * z[t][j] - z[i][t] * m[t][j] for t in range(n)), CD.zero(3))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        coords = []
-        for i in range(n):
-            if not w[i][i].is_real():
-                raise AssertionError("commutator left the hermitian matrices: diagonal")
-            coords.append(w[i][i].real_part())
-        for pi, pj in _hermitian_pairs(n):
-            if not (w[pj][pi] - w[pi][pj].conj()).is_zero():
-                raise AssertionError("commutator left the hermitian matrices: off-diagonal")
-            coords.extend(w[pi][pj].coords)
-        cols.append(coords)
-    return Mat.from_rows([[cols[c][r] for c in range(27)] for r in range(27)])
-
-
-def _albert_entry_matrix(idx: int) -> list[list[CD]]:
-    from .algebra import _hermitian_pairs
-
-    n = 3
-    m = [[CD.zero(3) for _ in range(n)] for _ in range(n)]
-    if idx < n:
-        m[idx][idx] = CD.one(3)
-    else:
-        p, k = divmod(idx - n, 8)
-        pi, pj = _hermitian_pairs(n)[p]
-        m[pi][pj] = CD.basis(3, k)
-        m[pj][pi] = CD.basis(3, k).conj()
-    return m
+    ints, s = scaled_ints([frac(v) for x in (x1, x2, x3) for v in x], (1, 24))
+    return mats_from_ints(exact_int_matmul(ints, _commutator_tensor()).reshape(1, 27, 27), s)[0]

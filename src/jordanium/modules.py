@@ -36,10 +36,13 @@ from .algebra import (
     JordanVerdict,
     algebra_from_dict,
     algebra_to_dict,
+    antihermitian_basis,
+    build_hermitian,
     center_basis,
     check_jordan,
+    hermitian_basis,
 )
-from .cayley_dickson import CD
+from .cayley_dickson import coords_in_basis, mat_product
 from .linalg import (
     Mat,
     Vec,
@@ -47,6 +50,7 @@ from .linalg import (
     format_fraction,
     frac,
     kron,
+    mats_from_ints,
     nullspace_int,
     pair_products,
     parse_fraction,
@@ -183,93 +187,27 @@ def build_free(a: AlgebraPresentation, p: int) -> ModuleAction:
     return ModuleAction(a, ops, "free%d(%s)" % (p, a.label))
 
 
-def _antiherm_basis_cd(n: int, level: int) -> list[list[list[CD]]]:
-    """Antihermitian basis: imaginary diagonals first, then off-diag slots."""
-    from .algebra import _hermitian_pairs
-
-    d = 2**level
-    mats = []
-
-    def blank():
-        return [[CD.zero(level) for _ in range(n)] for _ in range(n)]
-
-    for i in range(n):
-        for k in range(1, d):
-            m = blank()
-            m[i][i] = CD.basis(level, k)
-            mats.append(m)
-    for pi, pj in _hermitian_pairs(n):
-        for k in range(d):
-            m = blank()
-            eps = CD.basis(level, k)
-            m[pi][pj] = eps
-            m[pj][pi] = -eps.conj()
-            mats.append(m)
-    return mats
-
-
-def _antiherm_coords(n: int, level: int, w: list[list[CD]]) -> Vec:
-    from .algebra import _hermitian_pairs
-
-    d = 2**level
-    coords: list[Fraction] = []
-    for i in range(n):
-        entry = w[i][i]
-        if entry.coords[0] != 0:
-            raise AssertionError("antihermitian product left the module: diagonal")
-        coords.extend(entry.coords[k] for k in range(1, d))
-    for pi, pj in _hermitian_pairs(n):
-        entry = w[pi][pj]
-        if not (w[pj][pi] + entry.conj()).is_zero():
-            raise AssertionError("antihermitian product left the module: off-diagonal")
-        coords.extend(entry.coords[k] for k in range(d))
-    return tuple(coords)
-
-
 def build_antihermitian(n: int, level: int) -> ModuleAction:
     """Antihermitian n x n matrices over associative Cayley-Dickson entries,
     acted on by the hermitian algebra through x a = (xa + ax)/2.
 
     Carrier dimension n(n-1)/2 * 2**level + n * (2**level - 1).  Octonion
-    entries are rejected: the symmetrized action needs associativity.
+    entries are rejected: the symmetrized action needs associativity.  All
+    products xa + ax of basis matrices come from one integer
+    ``mat_product``; closure in the antihermitian matrices is checked on
+    their coordinates.
     """
-    from .algebra import _herm_basis_int, build_hermitian
-
     if not (0 <= level <= 2):
         raise ValueError("antihermitian module needs Cayley-Dickson level 0..2")
     if n < 1:
         raise ValueError("need n >= 1")
-    a = build_hermitian(n, level)
-    herm = [_int_grid_to_cd(g, n, level) for g in _herm_basis_int(n, level)]
-    anti = _antiherm_basis_cd(n, level)
-    half = Fraction(1, 2)
-    ops = []
-    for x in herm:
-        cols = []
-        for z in anti:
-            w = [
-                [
-                    sum(
-                        (x[i][t] * z[t][j] + z[i][t] * x[t][j] for t in range(n)),
-                        CD.zero(level),
-                    )
-                    * half
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            cols.append(_antiherm_coords(n, level, w))
-        m = len(anti)
-        ops.append(Mat.from_rows([[cols[c][r] for c in range(m)] for r in range(m)]))
-    return ModuleAction(a, ops, "A%d_%d" % (2**level, n))
-
-
-def _int_grid_to_cd(grid, n: int, level: int) -> list[list[CD]]:
-    zero = CD.zero(level)
-    return [
-        [zero if grid[i][j] is None else CD.from_coords(level, grid[i][j]) for j in range(n)]
-        for i in range(n)
-    ]
+    herm = hermitian_basis(n, level)[:, None]
+    anti = antihermitian_basis(n, level)
+    coords = coords_in_basis(mat_product(herm, anti) + mat_product(anti, herm), anti)
+    if coords is None:
+        raise AssertionError("antihermitian product left the module")
+    ops = mats_from_ints(coords.transpose(0, 2, 1), 2)
+    return ModuleAction(build_hermitian(n, level), ops, "A%d_%d" % (2**level, n))
 
 
 def _blade_mult_sign(i: int, mask: int, from_left: bool) -> int:

@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jordanium.cayley_dickson import CD, MAX_LEVEL, basis_table
+from jordanium.cayley_dickson import CD, MAX_LEVEL, basis_table, conj_array, mat_product, sign_tensor
 
 rationals = st.fractions(
     min_value=-5, max_value=5, max_denominator=4
@@ -116,3 +117,37 @@ class TestElementOps:
     def test_level_cap(self):
         with pytest.raises(ValueError):
             basis_table(MAX_LEVEL + 1)
+
+
+class TestIntegerMatrices:
+    @pytest.mark.parametrize("level", range(MAX_LEVEL + 1))
+    def test_sign_tensor_is_the_table(self, level):
+        o = sign_tensor(level)
+        for i, row in enumerate(basis_table(level)):
+            for j, (k, sign) in enumerate(row):
+                expected = np.zeros(2**level, dtype=np.int64)
+                expected[k] = sign
+                assert (o[i, j] == expected).all()
+        assert not o.flags.writeable
+
+    @given(st.integers(0, MAX_LEVEL), st.integers(1, 3), st.sampled_from([1, 2**20, 2**61]), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_mat_product_matches_cd(self, level, n, big, data):
+        # int64 inputs; at 2**61 the checked bound moves the sum to object dtype
+        d = 2**level
+        ints = st.integers(-3, 3).map(lambda v: v * big)
+        x, y = (
+            np.array(data.draw(st.lists(ints, min_size=n * n * d, max_size=n * n * d)), dtype=np.int64).reshape(n, n, d)
+            for _ in range(2)
+        )
+        got = mat_product(x, y)
+        for i in range(n):
+            for j in range(n):
+                want = CD.zero(level)
+                for t in range(n):
+                    want = want + CD.from_coords(level, x[i, t].tolist()) * CD.from_coords(level, y[t, j].tolist())
+                assert [int(v) for v in got[i, j]] == list(want.coords)
+
+    def test_conj_array(self):
+        x = np.arange(8).reshape(1, 8)
+        assert conj_array(x).tolist() == [list(CD.from_coords(3, range(8)).conj().coords)]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jordanium import derivations
 from jordanium.algebra import (
     AlgebraPresentation,
     build_hermitian,
@@ -40,7 +41,18 @@ from jordanium.derivations import (
     structure_constants,
     triality_defect,
 )
-from jordanium.linalg import Mat, basis_vec, rank, scaled_int_mats, solve, vec_add
+from jordanium.linalg import (
+    Mat,
+    basis_vec,
+    exact_int_matmul,
+    max_abs_int,
+    rank,
+    scaled_int_mats,
+    solve,
+    vec_add,
+)
+
+from cd_reference import commutator_action_reference, triality_defect_reference
 
 fr = Fraction
 
@@ -365,6 +377,58 @@ class TestIntegerLayer:
         x = der.element(tuple(Fraction(k - 2, k + 1) for k in range(der.dim)))
         ys = (x, Mat.identity(a.dim))  # commutators are traceless: no expansion of 1
         assert [express_in_inner(a, y) for y in ys] == reference_expansions(a, ys)
+
+
+
+OCTONION_SCALES = st.sampled_from([1, 2**31, 2**62, 2**62 + 1])
+
+
+class TestOctonionIntegerRoutes:
+    """The sign-tensor routes against the CD-object loops of cd_reference."""
+
+    @given(st.lists(RATIONAL, min_size=24, max_size=24), OCTONION_SCALES)
+    @settings(max_examples=30, deadline=None)
+    def test_commutator_action_matches_cd_loop(self, coords, big):
+        params = [[q * big for q in coords[8 * s : 8 * s + 8]] for s in range(3)]
+        assert commutator_action_matrix(*params) == commutator_action_reference(*params)
+
+    @given(st.integers(0, 2**32), st.integers(0, 2), st.integers(0, 7), st.integers(0, 7), RATIONAL, OCTONION_SCALES)
+    @settings(max_examples=15, deadline=None)
+    def test_triality_defect_matches_cd_loop(self, seed, which, i, j, q, big):
+        d1 = random_so8(random.Random(seed))
+        ms = [d1, *complete_triality(d1)]
+        assert triality_defect(*ms) is None
+        assert triality_defect_reference(*ms) is None
+        bump = Mat.from_rows([[q * big if (r, c) == (i, j) else fr(0) for c in range(8)] for r in range(8)])
+        ms[which] = ms[which] + bump
+        expected = triality_defect_reference(*ms)
+        assert (expected is None) == (q == 0)
+        assert triality_defect(*ms) == expected
+
+    def test_large_parameters_take_exact_int_matmul(self, monkeypatch):
+        seen = []
+
+        def spy(a, b):
+            seen.append(max_abs_int(a))
+            return exact_int_matmul(a, b)
+
+        monkeypatch.setattr(derivations, "exact_int_matmul", spy)
+        params = [[fr(2**62 + 3 * s + k, 1 + k % 3) for k in range(8)] for s in range(3)]
+        assert commutator_action_matrix(*params) == commutator_action_reference(*params)
+        assert len(seen) == 1 and seen[0] >= 2**62
+
+    def test_defect_rejects_non_8x8_input(self):
+        with pytest.raises(ValueError):
+            triality_defect(Mat.identity(7), Mat.identity(8), Mat.identity(8))
+        with pytest.raises(ValueError):
+            triality_defect(Mat.identity(8), Mat.identity(8), Mat.zeros(8, 9))
+
+    def test_parameter_length_checked_first(self):
+        zero8 = [fr(0)] * 8
+        with pytest.raises(ValueError, match="8 coordinates"):
+            commutator_action_matrix([fr(1)] * 7, zero8, zero8)
+        with pytest.raises(ValueError, match="8 coordinates"):
+            commutator_action_matrix(zero8, zero8, [fr(1)] * 9)
 
 
 _UNDER_O = """

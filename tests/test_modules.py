@@ -28,6 +28,8 @@ from jordanium.modules import (
     split_null_extension,
 )
 
+from cd_reference import antihermitian_reference
+
 fr = Fraction
 
 
@@ -110,6 +112,11 @@ class TestConstructors:
         mod = build_antihermitian(n, level)
         assert mod.mdim == expected
         assert mod.algebra.label == "J%d_%d" % (2**level, n)
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_antihermitian_matches_cd_loop(self, n, level):
+        assert build_antihermitian(n, level).ops == tuple(antihermitian_reference(n, level))
 
     def test_antihermitian_rejects_octonions(self):
         with pytest.raises(ValueError):

@@ -38,3 +38,16 @@ def test_no_assert_statements_in_exactness_guards():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         offenders += ["%s:%d" % (path.name, n.lineno) for n in ast.walk(tree) if isinstance(n, ast.Assert)]
     assert offenders == []
+
+
+def test_octonion_hot_paths_avoid_cd_objects():
+    # derivations and modules compute on the integer sign tensor; CD and its
+    # recursive coordinate formulas are the tests' reference route
+    banned = {"CD", "_mul_coords", "_conj_coords"}
+    offenders = []
+    for name in ("derivations", "modules"):
+        path = SRC / (name + ".py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module and node.module.endswith("cayley_dickson"):
+                offenders += ["%s:%d %s" % (path.name, node.lineno, a.name) for a in node.names if a.name in banned]
+    assert offenders == []
