@@ -1,26 +1,21 @@
 """Vectorized exact identity checks on integer structure tensors.
 
-The heavy verifications (the linearized Jordan identity over all basis
-triples, the module operator identity) are cubic or worse in the dimension,
-so they run vectorized on denominator-cleared integer tensors, and both are
-exact on any input: no float64 path remains.
-
-The Jordan identity is summed over joins of the nonzero structure
-constants only, in int64 under a proven bound on every sum and in object
-dtype past it.  The module identity takes linalg.exact_int_matmul
-products.  Neither raises ExactOverflow; the class stays for callers that
-catch it.
+The heavy verifications, the linearized Jordan identity over all basis
+triples and the module operator identity, are cubic or worse in the
+dimension.  Both are summed over joins of the nonzero entries of the
+denominator-cleared tensors only, in int64 under a proven bound on every
+sum and in object dtype past it: exact on any input, with no float64 path.
+Neither raises ExactOverflow; the class stays for callers that catch it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import commutators, exact_int_matmul, max_abs_int
+from .linalg import max_abs_int, scaled_ints
 
 
 class ExactOverflow(Exception):
@@ -34,22 +29,18 @@ def to_int_tensor(entries: Sequence[tuple[tuple[int, ...], Fraction]], shape: tu
     Returns (array, scale) with array = scale * tensor, exactly: int64 when
     every entry fits, object dtype otherwise.
     """
-    scale = 1
-    for _, q in entries:
-        scale = lcm(scale, q.denominator)
-    vals = [q.numerator * (scale // q.denominator) for _, q in entries]
-    fits = all(-(2**62) < v < 2**62 for v in vals)
-    out = np.zeros(shape, dtype=np.int64 if fits else object)
+    vals, scale = scaled_ints([q for _, q in entries], (len(entries),))
+    out = np.zeros(shape, dtype=vals.dtype)
     for (idx, _), v in zip(entries, vals):
         out[idx] = v
     return out, scale
 
 
-def _row_pairs(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _row_pairs(ptr: np.ndarray, rows: np.ndarray, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Join positions into rows with the entries of CSR rows (row offsets
-    ptr): pair t is position left[t] with entry right[t] of its row."""
+    ptr): pair t is position first + left[t] with entry right[t] of its row."""
     cnt = ptr[rows + 1] - ptr[rows]
-    left = np.repeat(np.arange(len(rows)), cnt)
+    left = np.repeat(np.arange(first, first + len(rows)), cnt)
     right = np.arange(left.size) + np.repeat(ptr[rows] - np.cumsum(cnt) + cnt, cnt)
     return left, right
 
@@ -64,6 +55,13 @@ def _sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndar
     sums = np.add.reduceat(vals, starts)
     nz = sums != 0
     return keys[starts][nz], sums[nz]
+
+
+def _csr(t: np.ndarray, dtype) -> tuple[np.ndarray, ...]:
+    """Nonzero entries (i, j, k, value) of a 3-tensor in row-major order,
+    with the offsets of its rows i."""
+    i, j, k = np.nonzero(t)
+    return i, j, k, t[i, j, k].astype(dtype), np.searchsorted(i, np.arange(t.shape[0] + 1))
 
 
 def jordan_violation(c: np.ndarray) -> Optional[tuple[int, int, int]]:
@@ -88,33 +86,21 @@ def jordan_violation(c: np.ndarray) -> Optional[tuple[int, int, int]]:
     Returns the lexicographically smallest violating (i, j, k), or None.
     """
     n = c.shape[0]
-    cmax = max_abs_int(c)
-    if cmax == 0:
-        return None
-    dtype = np.int64 if 12 * n * n * cmax**3 < 2**63 else object
-    # the entries of c in row-major order, so CSR by the first index
-    ci, cj, ck = np.nonzero(c)
-    cv = c[ci, cj, ck].astype(dtype)
-    cptr = np.searchsorted(ci, np.arange(n + 1))
+    dtype = np.int64 if 12 * n * n * max_abs_int(c) ** 3 < 2**63 else object
+    ci, cj, ck, cv, cptr = _csr(c, dtype)
     # X(i, j, b, r), CSR by b
-    left, right = _row_pairs(cptr, ck)
-    keys, xv = _sum_by_key(
-        ((cj[right] * n + ci[left]) * n + cj[left]) * n + ck[right], cv[left] * cv[right]
-    )
+    s, t = _row_pairs(cptr, ck)
+    keys, xv = _sum_by_key(((cj[t] * n + ci[s]) * n + cj[s]) * n + ck[t], cv[s] * cv[t])
     xb, xi, xj, xr = keys // n**3, keys // n**2 % n, keys // n % n, keys % n
     xptr = np.searchsorted(xb, np.arange(n + 1))
 
     best: Optional[int] = None
     for l in range(n):
         # (e_i e_j)(e_k e_l): c[l, k, b] against X(i, j, b, r)
-        row = np.arange(cptr[l], cptr[l + 1])
-        s, t = _row_pairs(xptr, ck[row])
-        s = row[s]
+        s, t = _row_pairs(xptr, ck[cptr[l] : cptr[l + 1]], cptr[l])
         i1, j1, k1, r1, v1 = xi[t], xj[t], cj[s], xr[t], xv[t] * cv[s]
         # e_k((e_i e_j) e_l): X(i, j, l, m) against c[m, k, r]
-        xs = np.arange(xptr[l], xptr[l + 1])
-        s, t = _row_pairs(cptr, xr[xs])
-        s = xs[s]
+        s, t = _row_pairs(cptr, xr[xptr[l] : xptr[l + 1]], xptr[l])
         i2, j2, k2, r2, v2 = xi[s], xj[s], cj[t], ck[t], -(xv[s] * cv[t])
         i, j, k, r = (np.concatenate(p) for p in ((i1, i2), (j1, j2), (k1, k2), (r1, r2)))
         lo = np.minimum(np.minimum(i, j), k)
@@ -133,43 +119,52 @@ def module_identity_violation(c: np.ndarray, a: np.ndarray) -> Optional[tuple[in
 
     c is the algebra structure tensor, a[i] the action operator of e_i
     (a[i][out][in]); both must carry the same denominator-clearing scale so
-    that the two terms are comparable.  Checks all triples with i < j; both
-    sides are antisymmetric in (i, j) and vanish at i = j.
+    that the two terms are comparable.  Both sides are antisymmetric in
+    (i, j), so the triples i < j decide it; joined terms at i = j get sign 0.
 
-    Every product is one exact_int_matmul, so no entry size is too large.
-    The terms are compared as g a_k + assoc . a against a_k g, each side a
-    sum of at most two int64 products below 2**62, so nothing overflows.
+    With t[i, alpha, beta] = a[i][beta][alpha], G = A_i A_j - A_j A_i is
+    summed once; then, one k at a time, G A_k, -A_k G and sum_r
+    assoc(i, k, j, r) A_r are summed under the key (i, j, alpha, beta), with
+    assoc(i, k, j, r) = X(k, i, j, r) - X(k, j, i, r) and X the Jordan
+    kernel's join.  For M the largest entry, the terms of any sum add up to
+    at most (4 m**2 + 2 n**2) M**3 in size: int64 below 2**63, else object.
 
     Returns the smallest violating (i, j, k) with i < j, else None.
     """
-    n = c.shape[0]
-    m = a.shape[1]
-    if n < 2:
-        return None
-    # assoc[i, k, j, :] = (e_i e_k) e_j - e_i (e_k e_j)
-    t1 = exact_int_matmul(c.reshape(n * n, n), c.reshape(n, n * n)).reshape(n, n, n, n)
-    # t1[i, k, j, r] = sum_m c[i,k,m] c[m,j,r]
-    c_i_mr = np.ascontiguousarray(c.transpose(1, 0, 2)).reshape(n, n * n)
-    t2 = exact_int_matmul(c.reshape(n * n, n), c_i_mr).reshape(n, n, n, n)
-    # t2[k, j, i, r] = sum_m c[k,j,m] c[i,m,r]
-    assoc = t1 - t2.transpose(2, 0, 1, 3)
-    del t1, t2
+    n, m = c.shape[0], a.shape[1]
+    big = max(max_abs_int(c), max_abs_int(a))
+    dtype = np.int64 if (4 * m * m + 2 * n * n) * big**3 < 2**63 else object
+    ci, cj, ck, cv, cptr = _csr(c, dtype)
+    # the action's entries CSR by op and by (op, in), and as u CSR by in
+    t = a.transpose(0, 2, 1)
+    ti, ta, tb, tv, optr = _csr(t, dtype)
+    tptr = np.searchsorted(ti * m + ta, np.arange(n * m + 1))
+    _, ui, ub, uv, uptr = _csr(t.transpose(1, 0, 2), dtype)
+    # G keyed (in, i, j, out): A_i A_j sends f_alpha to t[j, alpha, g] t[i, g, beta] f_beta
+    s, u = _row_pairs(uptr, tb)
+    x, y = ui[u], ti[s]
+    pair, sign = np.minimum(x, y) * n + np.maximum(x, y), np.sign(y - x)
+    keys, gv = _sum_by_key((ta[s] * n * n + pair) * m + ub[u], sign * tv[s] * uv[u])
+    g_in, g_pair, g_out = keys // (n * n * m), keys // m % (n * n), keys % m
+    gptr = np.searchsorted(g_in, np.arange(m + 1))
 
-    # g[p] = [A_i, A_j] for the p-th pair i < j, in lexicographic order
-    ii, jj = np.triu_indices(n, 1)
-    g = commutators(a)[ii, jj]
-    npairs = len(ii)
-    g_rows = g.reshape(npairs * m, m)
-    g_cols = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(m, npairs * m)
-    a_flat = a.reshape(n, m * m)
     best: Optional[tuple[int, int, int]] = None
     for k in range(n):
-        lhs = exact_int_matmul(g_rows, a[k]).reshape(npairs, m, m)
-        lhs = lhs + exact_int_matmul(assoc[ii, k, jj], a_flat).reshape(npairs, m, m)
-        rhs = exact_int_matmul(a[k], g_cols).reshape(m, npairs, m).transpose(1, 0, 2)
-        hits = np.flatnonzero((lhs != rhs).any(axis=(1, 2)))
-        if hits.size:
-            t = (int(ii[hits[0]]), int(jj[hits[0]]), k)
-            if best is None or t < best:
-                best = t
+        # G A_k: t[k, alpha, g] against G(in g, out beta)
+        s, u = _row_pairs(gptr, tb[optr[k] : optr[k + 1]], optr[k])
+        k1, v1 = (g_pair[u] * m + ta[s]) * m + g_out[u], tv[s] * gv[u]
+        # -A_k G: G(in alpha, out g) against t[k, g, beta]
+        s, u = _row_pairs(tptr, k * m + g_out)
+        k2, v2 = (g_pair[s] * m + g_in[s]) * m + tb[u], -(gv[s] * tv[u])
+        # assoc(i, k, j, r) from X(k, x, y, r) = c[k, x, w] c[w, y, r], then A_r
+        s, u = _row_pairs(cptr, ck[cptr[k] : cptr[k + 1]], cptr[k])
+        x, y = cj[s], cj[u]
+        pair, sign = np.minimum(x, y) * n + np.maximum(x, y), np.sign(y - x)
+        keys, av = _sum_by_key(pair * n + ck[u], sign * cv[s] * cv[u])
+        s, u = _row_pairs(optr, keys % n)
+        k3, v3 = (keys[s] // n * m + ta[u]) * m + tb[u], av[s] * tv[u]
+        keys, _ = _sum_by_key(np.concatenate((k1, k2, k3)), np.concatenate((v1, v2, v3)))
+        if keys.size and (best is None or keys[0] // (m * m) < best[0] * n + best[1]):
+            p = int(keys[0] // (m * m))
+            best = (p // n, p % n, k)
     return best

@@ -15,10 +15,10 @@ antihermitian matrices over the associative Cayley-Dickson levels acting by
 the symmetrized product, and Clifford modules over the spin factors.  Module
 homomorphisms are computed exactly as intertwiner nullspaces.
 
-Exactness: oracle one is check_jordan, an exact integer sum over the
-extension's nonzero structure constants; oracle two reads c and the action
-off the extension's integer tensor and takes exact_int_matmul products.
-Both decide on any entry size.
+Exactness: both oracles are sums over joins of nonzero integer entries of
+the extension's tensor, lifted from the algebra's and the action's cached
+tensors to one scale.  The extension is built as a presentation only on
+FAIL, for the witness operator.  Both decide on any entry size.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -54,6 +55,7 @@ from .linalg import (
     nullspace_int,
     pair_products,
     parse_fraction,
+    scale_ints,
     scaled_int_mats,
 )
 
@@ -129,22 +131,12 @@ class ModuleAction:
 def split_null_extension(mod: ModuleAction) -> AlgebraPresentation:
     """J + M with product (x, m)(x', m') = (xx', x m' + m x') and M M = 0."""
     a = mod.algebra
-    n, m = a.dim, mod.mdim
-    structure: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-    for (i, j), entries in a._table.items():
-        if i <= j:
-            structure[(i, j)] = list(entries)
-    for i in range(n):
-        op = mod.ops[i]
-        for alpha in range(m):
-            entries = [
-                (n + beta, op.data[beta][alpha]) for beta in range(m) if op.data[beta][alpha]
-            ]
-            if entries:
-                key = (i, n + alpha) if i <= n + alpha else (n + alpha, i)
-                structure[key] = entries
-    unit = a.unit + (Fraction(0),) * m
-    return AlgebraPresentation("snx(%s,%s)" % (a.label, mod.label), n + m, unit, structure)
+    n = a.dim
+    structure = {(i, j): list(entries) for (i, j), entries in a._table.items() if i <= j}
+    for i, alpha, beta, v in mod.action_entries():
+        structure.setdefault((i, n + alpha), []).append((n + beta, v))
+    unit = a.unit + (Fraction(0),) * mod.mdim
+    return AlgebraPresentation("snx(%s,%s)" % (a.label, mod.label), n + mod.mdim, unit, structure)
 
 
 @dataclass(frozen=True)
@@ -165,13 +157,21 @@ def check_module(mod: ModuleAction) -> ModuleVerdict:
     Oracle two: the operator identity [[A_i, A_j], A_k] = -A((e_i e_k) e_j -
     e_i (e_k e_j)) holds on all basis triples.  A genuine module passes both.
     """
-    snx = split_null_extension(mod)
-    ext = check_jordan(snx)
-    # one scale for both oracles: t[i, n + alpha, n + beta] = A_i[beta, alpha]
+    (c, sc), (t, st) = mod.algebra.int_tensor(), mod.int_tensor()
+    s = lcm(sc, st)
+    c, t = scale_ints(c, s // sc), scale_ints(t, s // st)
     n = mod.algebra.dim
-    t, _ = snx.int_tensor()
-    witness = kernels.module_identity_violation(t[:n, :n, :n], t[:n, n:, n:].transpose(0, 2, 1))
-    return ModuleVerdict(ext.passed and witness is None, ext, witness)
+    # ext[i, n + alpha, n + beta] = ext[n + alpha, i, n + beta] = t[i, alpha, beta]
+    ext = np.zeros((n + mod.mdim,) * 3, dtype=np.result_type(c, t))
+    ext[:n, :n, :n] = c
+    ext[:n, n:, n:] = t
+    ext[n:, :n, n:] = t.transpose(1, 0, 2)
+    witness = kernels.module_identity_violation(c, t.transpose(0, 2, 1))
+    if kernels.jordan_violation(ext) is None:
+        verdict = JordanVerdict(True)
+    else:
+        verdict = check_jordan(split_null_extension(mod))
+    return ModuleVerdict(verdict.passed and witness is None, verdict, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +359,13 @@ def module_from_dict(
         if algebra_lookup is None:
             raise ValueError("algebra given by label but no lookup provided")
         a = algebra_lookup(spec)
+        if a is None:
+            raise ValueError("unknown algebra label %r" % spec)
     else:
         a = algebra_from_dict(spec)
     m = int(d["mdim"])
+    if m < 0:
+        raise ValueError("mdim must be nonnegative")
     grids = [[[Fraction(0)] * m for _ in range(m)] for _ in range(a.dim)]
     for i, alpha, beta, v in d["action"]:
         i, alpha, beta = int(i), int(alpha), int(beta)

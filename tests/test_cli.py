@@ -159,8 +159,16 @@ def _free_module_wire(entry_change):
     return d
 
 
+def _module_by_label_wire(**changes):
+    """Wire dict of a module over an algebra given by label, fields replaced."""
+    d = {"label": "m", "algebra": "jspin2", "mdim": 0, "action": []}
+    d.update(changes)
+    return d
+
+
 class TestMalformedInput:
-    """A zero denominator or an out-of-range index is unusable input: exit 2."""
+    """A zero denominator, an out-of-range index, an unknown algebra label or
+    a negative carrier dimension is unusable input: exit 2."""
 
     ZERO_DEN = _spin2_wire(structure=[[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 1, 0, "1/0"]])
     BAD_K = _spin2_wire(structure=[[0, 0, 0, "1"], [0, 1, 5, "1"], [1, 1, 0, "1"]])
@@ -177,6 +185,8 @@ class TestMalformedInput:
             (["module", "check", "--module", "-"], _free_module_wire((0, 2, 7))),
             (["module", "check", "--module", "-"], _free_module_wire((0, 0, 9))),
             (["module", "check", "--module", "-"], _free_module_wire((1, 1, -1))),
+            (["module", "check", "--module", "-"], _module_by_label_wire(algebra="nosuch")),
+            (["module", "check", "--module", "-"], _module_by_label_wire(mdim=-1)),
         ],
     )
     def test_exits_2_without_traceback(self, capsys, monkeypatch, argv, doc):
@@ -185,6 +195,13 @@ class TestMalformedInput:
         assert code == 2
         assert out == ""
         assert err.strip() and "Traceback" not in err
+
+    def test_zero_dimensional_module_is_valid(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(_module_by_label_wire())))
+        code, rep = report(capsys, "module", "check", "--module", "-")
+        assert code == 0
+        assert rep["results"]["mdim"] == 0
+        assert rep["results"]["passed"] is True
 
     def test_potential_with_zero_denominator(self, capsys, tmp_path):
         der = derivation_basis(build_spin(3))

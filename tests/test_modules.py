@@ -1,16 +1,23 @@
 """Jordan modules: dual-oracle check, constructors, intertwiners, wire format."""
 
 from fractions import Fraction
+from typing import Optional
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jordanium import kernels
 from jordanium.algebra import (
+    AlgebraPresentation,
     build_hermitian,
+    build_real,
     build_spin,
     check_jordan,
     direct_sum,
 )
-from jordanium.linalg import Mat, basis_vec
+from jordanium.linalg import Mat, basis_vec, commutators, exact_int_matmul
 from jordanium.modules import (
     ModuleAction,
     ModuleHom,
@@ -73,6 +80,150 @@ class TestDualOracle:
         a = build_spin(3)
         with pytest.raises(ValueError):
             ModuleAction(a, [Mat.identity(2)], "short")
+
+
+def reference_module_identity_violation(c, a) -> Optional[tuple[int, int, int]]:
+    """The dense route: per k, exact_int_matmul products of the stacked
+    commutators g[p] = [A_i, A_j] (pairs i < j) and of the associators
+    assoc[i, k, j] = (e_i e_k) e_j - e_i (e_k e_j), compared as
+    g A_k + assoc . A against A_k g."""
+    n = c.shape[0]
+    m = a.shape[1]
+    if n < 2:
+        return None
+    t1 = exact_int_matmul(c.reshape(n * n, n), c.reshape(n, n * n)).reshape(n, n, n, n)
+    # t1[i, k, j, r] = sum_m c[i,k,m] c[m,j,r]
+    c_i_mr = np.ascontiguousarray(c.transpose(1, 0, 2)).reshape(n, n * n)
+    t2 = exact_int_matmul(c.reshape(n * n, n), c_i_mr).reshape(n, n, n, n)
+    # t2[k, j, i, r] = sum_m c[k,j,m] c[i,m,r]
+    assoc = t1 - t2.transpose(2, 0, 1, 3)
+    ii, jj = np.triu_indices(n, 1)
+    g = commutators(a)[ii, jj]
+    npairs = len(ii)
+    g_rows = g.reshape(npairs * m, m)
+    g_cols = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(m, npairs * m)
+    a_flat = a.reshape(n, m * m)
+    best = None
+    for k in range(n):
+        lhs = exact_int_matmul(g_rows, a[k]).reshape(npairs, m, m)
+        lhs = lhs + exact_int_matmul(assoc[ii, k, jj], a_flat).reshape(npairs, m, m)
+        rhs = exact_int_matmul(a[k], g_cols).reshape(m, npairs, m).transpose(1, 0, 2)
+        hits = np.flatnonzero((lhs != rhs).any(axis=(1, 2)))
+        if hits.size:
+            t = (int(ii[hits[0]]), int(jj[hits[0]]), k)
+            if best is None or t < best:
+                best = t
+    return best
+
+
+def zero_module(a):
+    return ModuleAction(a, [Mat.zeros(0, 0)] * a.dim, "zero(%s)" % a.label)
+
+
+MODULES = [
+    lambda: build_free(build_hermitian(2, 0), 1),
+    lambda: build_free(build_hermitian(3, 0), 1),
+    lambda: build_free(build_hermitian(2, 1), 1),
+    lambda: build_free(build_spin(2), 2),
+    lambda: build_antihermitian(2, 1),
+    lambda: build_antihermitian(3, 0),
+    lambda: build_antihermitian(2, 2),
+    lambda: build_clifford(2),
+    lambda: build_clifford(3),
+    # n = 1 and mdim = 0
+    lambda: build_free(build_real(), 2),
+    lambda: zero_module(build_spin(2)),
+    lambda: zero_module(build_hermitian(2, 0)),
+]
+# denominators up to 5, so the action and the algebra (halves in the
+# hermitian algebras) clear with different scales
+RATIONAL = st.fractions(min_value=-2, max_value=2, max_denominator=5)
+
+
+@st.composite
+def module_candidates(draw):
+    """Free, antihermitian and Clifford modules, most of them perturbed in
+    operators of basis elements off the unit (which keeps the unit acting
+    as the identity), with the structure constants and the action scaled by
+    1, 2**22, 2**31 + 1 or 2**62 + 1 (the unit divided by it), so the
+    kernels sum in int64 and in object dtype."""
+    mod = draw(st.sampled_from(MODULES))()
+    a, m = mod.algebra, mod.mdim
+    grids = [[list(row) for row in op.data] for op in mod.ops]
+    free = [i for i in range(a.dim) if a.unit[i] == 0]
+    if m and free:
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.sampled_from(free))
+            r, col = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+            grids[i][r][col] += draw(RATIONAL)
+    big = draw(st.sampled_from([1, 2**22, 2**31 + 1, 2**62 + 1]))
+    structure = {}
+    for i, j, k, q in a.structure_entries():
+        if i <= j:
+            structure.setdefault((i, j), []).append((k, q * big))
+    scaled = AlgebraPresentation(a.label, a.dim, [x / big for x in a.unit], structure)
+    ops = [Mat.from_rows([[v * big for v in row] for row in g]) for g in grids]
+    return ModuleAction(scaled, ops, mod.label)
+
+
+class TestSparseModuleKernel:
+    """The sparse module-identity kernel against the dense reference, and
+    check_module against the presentation route of both oracles."""
+
+    @given(module_candidates())
+    @settings(max_examples=60, deadline=None)
+    def test_same_verdict_as_dense_and_presentation_routes(self, mod):
+        snx = split_null_extension(mod)
+        n = mod.algebra.dim
+        t, _ = snx.int_tensor()
+        c, a = t[:n, :n, :n], t[:n, n:, n:].transpose(0, 2, 1)
+        expected = reference_module_identity_violation(c, a)
+        assert kernels.module_identity_violation(c, a) == expected
+        ext = check_jordan(snx)
+        verdict = check_module(mod)
+        assert verdict.operator_witness == expected
+        assert verdict.extension_verdict.passed == ext.passed
+        assert verdict.extension_verdict.witness_triple == ext.witness_triple
+        assert verdict.extension_verdict.witness_operator == ext.witness_operator
+        assert verdict.passed == (ext.passed and expected is None)
+        assert verdict.oracles_agree == (ext.passed == (expected is None))
+
+    def test_different_denominators_in_algebra_and_action(self):
+        # halves in the algebra, a third in the action: scales 2 and 6
+        good = build_free(build_hermitian(2, 0), 1)
+        assert good.algebra.int_tensor()[1] == 2
+        ops = list(good.ops)
+        rows = [list(r) for r in ops[2].data]
+        rows[0][1] += fr(1, 3)
+        ops[2] = Mat.from_rows(rows)
+        bad = ModuleAction(good.algebra, ops, "third")
+        assert bad.int_tensor()[1] == 6
+        verdict = check_module(bad)
+        snx = split_null_extension(bad)
+        assert not verdict.passed and verdict.oracles_agree
+        assert verdict.extension_verdict == check_jordan(snx)
+        t, _ = snx.int_tensor()
+        n = bad.algebra.dim
+        c, a = t[:n, :n, :n], t[:n, n:, n:].transpose(0, 2, 1)
+        assert verdict.operator_witness == reference_module_identity_violation(c, a)
+        assert verdict.operator_witness is not None
+
+    def test_extension_tensor_is_the_presentations(self, monkeypatch):
+        # the tensor oracle one reads is the split null extension's own
+        seen = []
+        real = kernels.jordan_violation
+        monkeypatch.setattr(kernels, "jordan_violation", lambda c: seen.append(c) or real(c))
+        ops = list(build_clifford(2).ops)
+        ops[1] = ops[1].scale(fr(1, 3))  # action scale 3, algebra scale 1
+        mod = ModuleAction(build_spin(2), ops, "thirds")
+        check_module(mod)
+        expected, _ = split_null_extension(mod).int_tensor()
+        assert seen[0].shape == expected.shape and (seen[0] == expected).all()
+
+    @pytest.mark.parametrize("mod", [zero_module(build_spin(3)), build_free(build_real(), 3)])
+    def test_degenerate_modules_pass(self, mod):
+        verdict = check_module(mod)
+        assert verdict.passed and verdict.oracles_agree
 
 
 class TestSplitNullExtension:

@@ -51,3 +51,26 @@ def test_octonion_hot_paths_avoid_cd_objects():
             if isinstance(node, ast.ImportFrom) and node.module and node.module.endswith("cayley_dickson"):
                 offenders += ["%s:%d %s" % (path.name, node.lineno, a.name) for a in node.names if a.name in banned]
     assert offenders == []
+
+
+def test_tracer_names_resolve():
+    # perfbench's tracer wraps these names from outside the package and
+    # catches kernels.ExactOverflow, so each must still resolve
+    import importlib
+    import importlib.util
+
+    path = SRC.parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for layer, fns in tracer.WRAPPED.items():
+        home = importlib.import_module("jordanium." + layer)
+        for fn in fns:
+            owner = tracer.METHODS.get((layer, fn))
+            where = getattr(home, owner) if owner else home
+            if not callable(getattr(where, fn, None)):
+                missing.append("%s.%s" % (layer, fn))
+    assert missing == []
+    kernels = importlib.import_module("jordanium.kernels")
+    assert issubclass(kernels.ExactOverflow, Exception)
