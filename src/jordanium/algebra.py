@@ -40,7 +40,6 @@ from .linalg import (
     frac,
     format_fraction,
     mats_from_ints,
-    max_abs_int,
     nullspace_int,
     parse_fraction,
     vec_sub,
@@ -382,7 +381,12 @@ def check_jordan(a: AlgebraPresentation) -> JordanVerdict:
     i <= j <= k over the basis decides it for the whole algebra; the kernel
     is exact on any entry size.
     """
-    witness = kernels.jordan_violation(a.int_tensor()[0])
+    return jordan_verdict(a, kernels.jordan_violation(a.int_tensor()[0]))
+
+
+def jordan_verdict(a: AlgebraPresentation, witness: Optional[tuple[int, int, int]]) -> JordanVerdict:
+    """The verdict for the Jordan kernel's result on a's tensor: a pass when
+    witness is None, else the witness with its nonzero operator."""
     if witness is None:
         return JordanVerdict(True)
     op = jordan_witness_operator(a, *witness)
@@ -396,29 +400,13 @@ def center_basis(a: AlgebraPresentation) -> list[Vec]:
 
     For a commutative algebra this associative center is found as one
     nullspace: stack the operators L(e_i e_j) - L_i L_j over all ordered
-    basis pairs.  Computed once per algebra; each call returns a new list.
+    basis pairs, summed over the Jordan kernel's sparse join
+    (``kernels.center_system``).  Computed once per algebra; each call
+    returns a new list.
     """
     if a._center_cache is None:
-        a._center_cache = _center_basis(a)
+        a._center_cache, _ = nullspace_int(kernels.center_system(a.int_tensor()[0]))
     return list(a._center_cache)
-
-
-def _center_basis(a: AlgebraPresentation) -> list[Vec]:
-    c, _ = a.int_tensor()
-    n = a.dim
-    if n * max_abs_int(c) ** 2 >= 2**62:
-        c = c.astype(object)
-    li = np.ascontiguousarray(c.transpose(0, 2, 1))  # scaled L_i as L[i][r][j]
-    rows = np.zeros((n * n * n, n), dtype=c.dtype)
-    pos = 0
-    for i in range(n):
-        for j in range(n):
-            lij = np.tensordot(c[i, j], li, axes=(0, 0))  # scale^2 * L(e_i e_j)
-            lilj = li[i] @ li[j]  # scale^2 * L_i L_j
-            rows[pos : pos + n] = lij - lilj
-            pos += n
-    basis, _ = nullspace_int(rows[rows.any(axis=1)])
-    return basis
 
 
 def unit_check(a: AlgebraPresentation) -> bool:

@@ -5,7 +5,8 @@ triples and the module operator identity, are cubic or worse in the
 dimension.  Both are summed over joins of the nonzero entries of the
 denominator-cleared tensors only, in int64 under a proven bound on every
 sum and in object dtype past it: exact on any input, with no float64 path.
-Neither raises ExactOverflow; the class stays for callers that catch it.
+The associative center's system is read off the Jordan kernel's join.
+None raises ExactOverflow; the class stays for callers that catch it.
 """
 
 from __future__ import annotations
@@ -64,12 +65,31 @@ def _csr(t: np.ndarray, dtype) -> tuple[np.ndarray, ...]:
     return i, j, k, t[i, j, k].astype(dtype), np.searchsorted(i, np.arange(t.shape[0] + 1))
 
 
+def _join_x(csr: tuple[np.ndarray, ...], i, j, a, v) -> tuple[np.ndarray, np.ndarray]:
+    """X(i, j, b, r) = sum_a c[i, j, a] c[a, b, r] over the entries (i, j, a)
+    of c with values v, joined with the rows a of c (csr = _csr(c)).
+
+    Returns the distinct keys ((b n + i) n + j) n + r in increasing order,
+    so CSR by b, with their nonzero sums.
+    """
+    ci, cj, ck, cv, cptr = csr
+    n = len(cptr) - 1
+    s, t = _row_pairs(cptr, a)
+    return _sum_by_key(((cj[t] * n + i[s]) * n + j[s]) * n + ck[t], v[s] * cv[t])
+
+
+def _require_commutative(c: np.ndarray) -> None:
+    if not np.array_equal(c, c.transpose(1, 0, 2)):
+        raise ValueError("structure tensor is not commutative")
+
+
 def jordan_violation(c: np.ndarray) -> Optional[tuple[int, int, int]]:
     """First basis triple violating the linearized Jordan identity.
 
-    c is the integer structure tensor, c[i, j, k] = coefficient of e_k in
-    e_i e_j (times a global scale).  The identity checked for every triple
-    i <= j <= k (it is fully symmetric) is
+    c is the integer structure tensor of a commutative algebra,
+    c[i, j, k] = coefficient of e_k in e_i e_j (times a global scale);
+    ValueError if c[i, j] != c[j, i] anywhere.  The identity checked for
+    every triple i <= j <= k (it is fully symmetric) is
 
         [L(e_i e_j), L_k] + [L(e_k e_i), L_j] + [L(e_j e_k), L_i] = 0.
 
@@ -77,41 +97,74 @@ def jordan_violation(c: np.ndarray) -> Optional[tuple[int, int, int]]:
     - e_k((e_i e_j) e_l), and summing G over every ordering of (i, j, k)
     gives 2, 1 or 1/3 times the identity's value on e_l (three, two or one
     distinct indices).  Both terms are joins of the nonzero entries of c
-    through X(i, j, b, r) = sum_a c[i, j, a] c[a, b, r]; the sums are
-    taken one l at a time under the key (sorted (i, j, k), r).  Every sum
-    is of at most 12 n**2 products of three entries, so int64 is used when
-    that bound stays below 2**63 and object dtype otherwise: exact on any
-    input.
+    through X(i, j, b, r) = sum_a c[i, j, a] c[a, b, r], taken one l at a
+    time and summed under the key (sorted (i, j, k), r).
+
+    By commutativity X and G are symmetric in (i, j), so X is joined from
+    the entries with i <= j only, those with i < j weighted by 2: every
+    key's sum is that over all orderings, from half the terms, and with
+    i <= j the sorted triple is (min(i, k), ., max(j, k)).  A weighted
+    term stands for two equal ones, so the absolute values of a sum's
+    terms add up to what they did over all orderings: at most 12 n**2
+    products of three entries.  int64 is used when that bound stays below
+    2**63 and object dtype otherwise: exact on any input.
 
     Returns the lexicographically smallest violating (i, j, k), or None.
     """
+    _require_commutative(c)
     n = c.shape[0]
     dtype = np.int64 if 12 * n * n * max_abs_int(c) ** 3 < 2**63 else object
-    ci, cj, ck, cv, cptr = _csr(c, dtype)
-    # X(i, j, b, r), CSR by b
-    s, t = _row_pairs(cptr, ck)
-    keys, xv = _sum_by_key(((cj[t] * n + ci[s]) * n + cj[s]) * n + ck[t], cv[s] * cv[t])
+    csr = ci, cj, ck, cv, cptr = _csr(c, dtype)
+    up = ci <= cj
+    keys, xv = _join_x(csr, ci[up], cj[up], ck[up], np.where(ci[up] < cj[up], 2, 1) * cv[up])
     xb, xi, xj, xr = keys // n**3, keys // n**2 % n, keys // n % n, keys % n
     xptr = np.searchsorted(xb, np.arange(n + 1))
+
+    def key(i, j, k, r):
+        # (sorted (i, j, k), r) for i <= j
+        lo, mid, hi = np.minimum(i, k), np.maximum(i, np.minimum(j, k)), np.maximum(j, k)
+        return ((lo * n + mid) * n + hi) * n + r
 
     best: Optional[int] = None
     for l in range(n):
         # (e_i e_j)(e_k e_l): c[l, k, b] against X(i, j, b, r)
         s, t = _row_pairs(xptr, ck[cptr[l] : cptr[l + 1]], cptr[l])
-        i1, j1, k1, r1, v1 = xi[t], xj[t], cj[s], xr[t], xv[t] * cv[s]
+        k1, v1 = key(xi[t], xj[t], cj[s], xr[t]), xv[t] * cv[s]
         # e_k((e_i e_j) e_l): X(i, j, l, m) against c[m, k, r]
         s, t = _row_pairs(cptr, xr[xptr[l] : xptr[l + 1]], xptr[l])
-        i2, j2, k2, r2, v2 = xi[s], xj[s], cj[t], ck[t], -(xv[s] * cv[t])
-        i, j, k, r = (np.concatenate(p) for p in ((i1, i2), (j1, j2), (k1, k2), (r1, r2)))
-        lo = np.minimum(np.minimum(i, j), k)
-        hi = np.maximum(np.maximum(i, j), k)
-        code = (lo * n + (i + j + k - lo - hi)) * n + hi
-        keys, _ = _sum_by_key(code * n + r, np.concatenate((v1, v2)))
+        k2, v2 = key(xi[s], xj[s], cj[t], ck[t]), -(xv[s] * cv[t])
+        keys, _ = _sum_by_key(np.concatenate((k1, k2)), np.concatenate((v1, v2)))
         if keys.size and (best is None or keys[0] // n < best):
             best = int(keys[0] // n)
     if best is None:
         return None
     return best // (n * n), best // n % n, best % n
+
+
+def center_system(c: np.ndarray) -> np.ndarray:
+    """The nonzero rows, in order, of the integer system whose nullspace is
+    the associative center {z : (x y) z = x (y z)} of a commutative algebra.
+
+    Row (i n + j) n + r, column z holds the e_r coordinate of
+    (e_i e_j) e_z - e_i (e_j e_z), which is X(i, j, z, r) - X(j, z, i, r) by
+    commutativity (ValueError if c is not commutative), with X the Jordan
+    kernel's join over all entries of c.  Each entry is at most
+    2 n max|c|**2 in size: int64 when n max|c|**2 < 2**62, else object.
+    """
+    _require_commutative(c)
+    n = c.shape[0]
+    dtype = np.int64 if n * max_abs_int(c) ** 2 < 2**62 else object
+    csr = ci, cj, ck, cv, _ = _csr(c, dtype)
+    keys, xv = _join_x(csr, ci, cj, ck, cv)
+    b, i, j, r = keys // n**3, keys // n**2 % n, keys // n % n, keys % n
+    keys, vals = _sum_by_key(
+        np.concatenate(((((i * n + j) * n + r) * n + b), ((b * n + i) * n + r) * n + j)),
+        np.concatenate((xv, -xv)),
+    )
+    rows, at = np.unique(keys // n, return_inverse=True)
+    out = np.zeros((rows.size, n), dtype=dtype)
+    out[at, keys % n] = vals
+    return out
 
 
 def module_identity_violation(c: np.ndarray, a: np.ndarray) -> Optional[tuple[int, int, int]]:

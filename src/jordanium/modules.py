@@ -40,8 +40,8 @@ from .algebra import (
     antihermitian_basis,
     build_hermitian,
     center_basis,
-    check_jordan,
     hermitian_basis,
+    jordan_verdict,
 )
 from .cayley_dickson import coords_in_basis, mat_product
 from .linalg import (
@@ -167,10 +167,12 @@ def check_module(mod: ModuleAction) -> ModuleVerdict:
     ext[:n, n:, n:] = t
     ext[n:, :n, n:] = t.transpose(1, 0, 2)
     witness = kernels.module_identity_violation(c, t.transpose(0, 2, 1))
-    if kernels.jordan_violation(ext) is None:
+    triple = kernels.jordan_violation(ext)
+    if triple is None:
         verdict = JordanVerdict(True)
     else:
-        verdict = check_jordan(split_null_extension(mod))
+        # the extension as a presentation only for the witness operator
+        verdict = jordan_verdict(split_null_extension(mod), triple)
     return ModuleVerdict(verdict.passed and witness is None, verdict, witness)
 
 

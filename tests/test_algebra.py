@@ -24,6 +24,12 @@ from jordanium.algebra import (
 )
 from jordanium import kernels
 
+from jordan_reference import (
+    dense_center_system,
+    reference_jordan_violation,
+    reference_witness_operator,
+)
+
 fr = Fraction
 
 
@@ -185,6 +191,29 @@ class TestCenter:
         q = next(v for v in z if v)
         assert tuple(x / q for x in z) == a.unit
 
+    @pytest.mark.parametrize(
+        "builder",
+        [
+            lambda: build_hermitian(3, 0),
+            lambda: build_hermitian(3, 1),
+            lambda: build_hermitian(3, 3),
+            lambda: build_spin(4),
+            lambda: direct_sum(build_hermitian(2, 0), build_hermitian(2, 0)),
+            lambda: direct_sum(direct_sum(build_hermitian(2, 0), build_spin(3)), build_real()),
+            lambda: big_spin(5, [2**45] * 5),
+        ],
+    )
+    def test_sparse_system_equals_dense_stack(self, builder):
+        c, _ = builder().int_tensor()
+        got, expected = kernels.center_system(c), dense_center_system(c)
+        assert got.dtype == expected.dtype
+        assert got.shape == expected.shape and (got == expected).all()
+
+    def test_dimension_46_spin_factor_with_2_45_form(self):
+        a = big_spin(45, [2**45] * 45)
+        assert kernels.center_system(a.int_tensor()[0]).dtype == object
+        assert center_basis(a) == [a.unit]
+
 
 def big_spin(n, forms):
     """The spin factor on R + R^n whose form has the diagonal entries forms."""
@@ -227,27 +256,13 @@ class TestIntTensor:
         assert kernels.jordan_violation(a.int_tensor()[0]) is None
         assert check_jordan(a).passed
 
-
-def reference_witness_operator(a, i, j, k):
-    """[L(e_i e_j), L_k] + [L(e_k e_i), L_j] + [L(e_j e_k), L_i] from
-    Fraction left-multiplication operators."""
-
-    def term(x, y, z):
-        u = a.left_op(a.basis_product(x, y))
-        return u.commutator(a.left_mult_basis(z))
-
-    return term(i, j, k) + term(k, i, j) + term(j, k, i)
-
-
-def reference_jordan_violation(a):
-    """Smallest i <= j <= k whose witness operator is nonzero, in Fractions."""
-    n = a.dim
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                if not reference_witness_operator(a, i, j, k).is_zero():
-                    return (i, j, k)
-    return None
+    def test_kernels_reject_a_noncommutative_tensor(self):
+        c = build_spin(2).int_tensor()[0].copy()
+        c[1, 2, 0] = 1  # e_1 e_2 = e_0, but e_2 e_1 = 0
+        with pytest.raises(ValueError, match="not commutative"):
+            kernels.jordan_violation(c)
+        with pytest.raises(ValueError, match="not commutative"):
+            kernels.center_system(c)
 
 
 RATIONAL = st.fractions(min_value=-2, max_value=2, max_denominator=3)

@@ -434,11 +434,11 @@ class TestOctonionIntegerRoutes:
 _UNDER_O = """
 import json, sys
 from fractions import Fraction
-from jordanium.algebra import AlgebraPresentation, build_hermitian, build_spin, check_jordan, direct_sum
+from jordanium.algebra import AlgebraPresentation, build_hermitian, build_spin, center_basis, check_jordan, direct_sum
 from jordanium.connections import base_connection, curvature, curvature_report, gauge_potential, lie_hom_check, with_potential
 from jordanium.derivations import check_lie_rinehart, derivation_basis, inner_span_report, structure_constants
 from jordanium.linalg import Mat
-from jordanium.modules import build_antihermitian, build_free, check_module
+from jordanium.modules import ModuleAction, build_antihermitian, build_free, check_module
 
 j23 = build_hermitian(3, 1)
 structure = {(0, 0): [(0, Fraction(1))]}
@@ -446,6 +446,16 @@ for i in range(1, 6):
     structure[(0, i)] = [(i, Fraction(1))]
     structure[(i, i)] = [(0, Fraction(2 * 10**7))]
 big = AlgebraPresentation("JSpin5(big)", 6, (1, 0, 0, 0, 0, 0), structure)
+structure45 = dict(structure)
+for i in range(1, 6):
+    structure45[(i, i)] = [(0, Fraction(2**45))]
+big45 = AlgebraPresentation("JSpin5(2**45)", 6, (1, 0, 0, 0, 0, 0), structure45)
+free13 = build_free(build_hermitian(3, 0), 1)
+ops = list(free13.ops)
+rows = [list(r) for r in ops[3].data]
+rows[1][4] += Fraction(2, 3)
+ops[3] = Mat.from_rows(rows)
+bent = check_module(ModuleAction(free13.algebra, ops, "bent"))
 table = {}
 for i, j, k, q in build_hermitian(3, 2).structure_entries():
     if i <= j:
@@ -468,6 +478,13 @@ print(json.dumps({
     "curvature": curvature_report(curvature(conn), full=True),
     "lie_hom": lie_hom_check(pot, js3),
     "modules": [check_module(m).passed for m in modules],
+    "module_bad": [
+        bent.passed,
+        bent.operator_witness,
+        bent.extension_verdict.witness_triple,
+        [[str(q) for q in row] for row in bent.extension_verdict.witness_operator.data],
+    ],
+    "center_big45": [[str(q) for q in z] for z in center_basis(big45)],
 }))
 """
 
@@ -491,3 +508,5 @@ def test_same_results_under_python_O():
     assert all(plain["lie_rinehart"].values())
     assert not plain["curvature"]["flat"] and not plain["lie_hom"]
     assert plain["modules"] == [True, True, True]
+    assert plain["module_bad"][0] is False and None not in plain["module_bad"]
+    assert plain["center_big45"] == [["1", "0", "0", "0", "0", "0"]]

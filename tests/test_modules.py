@@ -36,6 +36,7 @@ from jordanium.modules import (
 )
 
 from cd_reference import antihermitian_reference
+from jordan_reference import full_join_jordan_violation, reference_jordan_violation
 
 fr = Fraction
 
@@ -69,6 +70,21 @@ class TestDualOracle:
         assert verdict.operator_witness is not None
         assert not verdict.extension_verdict.passed
         assert verdict.oracles_agree
+
+    def test_failing_module_runs_the_jordan_kernel_once(self, monkeypatch):
+        good = build_free(build_hermitian(3, 0), 1)
+        ops = list(good.ops)
+        rows = [list(r) for r in ops[3].data]
+        rows[1][4] += fr(2, 3)
+        ops[3] = Mat.from_rows(rows)
+        bad = ModuleAction(good.algebra, ops, "bent")
+        expected = check_jordan(split_null_extension(bad))
+        calls = []
+        real = kernels.jordan_violation
+        monkeypatch.setattr(kernels, "jordan_violation", lambda c: calls.append(c) or real(c))
+        verdict = check_module(bad)
+        assert len(calls) == 1
+        assert not expected.passed and verdict.extension_verdict == expected
 
     def test_unit_must_act_as_identity(self):
         a = build_spin(3)
@@ -224,6 +240,21 @@ class TestSparseModuleKernel:
     def test_degenerate_modules_pass(self, mod):
         verdict = check_module(mod)
         assert verdict.passed and verdict.oracles_agree
+
+
+class TestHalfJoinKernel:
+    """The Jordan kernel, which joins the pairs i <= j only, against the full
+    join it replaced and, on small extensions, the Fraction triple loop."""
+
+    @given(module_candidates())
+    @settings(max_examples=60, deadline=None)
+    def test_same_witness_on_split_null_extensions(self, mod):
+        snx = split_null_extension(mod)
+        t, _ = snx.int_tensor()
+        expected = full_join_jordan_violation(t)
+        assert kernels.jordan_violation(t) == expected
+        if snx.dim <= 7:  # the Fraction loop takes about 1 s at dimension 8
+            assert reference_jordan_violation(snx) == expected
 
 
 class TestSplitNullExtension:
