@@ -35,7 +35,7 @@ from .algebra import (
     direct_sum,
     unit_check,
 )
-from .cayley_dickson import CD, MAX_LEVEL, basis_table
+from .cayley_dickson import MAX_LEVEL, basis_table
 from .connections import (
     Connection,
     Curvature,

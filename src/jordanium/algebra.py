@@ -12,7 +12,9 @@ Constructors cover the standard classification:
 * ``build_hermitian(n, level)``: hermitian n x n matrices over the level-th
   Cayley-Dickson algebra under the symmetrized product x y = (xy + yx) / 2.
   Octonion entries (level 3) are restricted to n <= 3; hermitian octonion
-  matrices of larger size do not satisfy the Jordan identity.
+  matrices of larger size do not satisfy the Jordan identity.  The basis
+  matrices are integer arrays (``hermitian_basis``), and all their products
+  are one sparse join through the integer ``sign_tensor(level)``.
 * ``build_spin(n)``: the spin factor on R + R^n with
   (s + v)(s' + v') = (ss' + <v, v'>) + (sv' + s'v).
 * ``direct_sum``: block sums, giving the non-simple semisimple examples.
@@ -31,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .cayley_dickson import _conj_coords, _mul_coords, conj_array
+from .cayley_dickson import conj_array, sign_tensor
 from .linalg import (
     Mat,
     Vec,
@@ -250,41 +252,15 @@ def _matrix_basis(n: int, level: int, sign: int) -> np.ndarray:
     return basis
 
 
-def _mat_mul_sparse(a, b, n):
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        row = a[i]
-        for t in range(n):
-            x = row[t]
-            if x is None:
-                continue
-            brow = b[t]
-            for j in range(n):
-                y = brow[j]
-                if y is None:
-                    continue
-                p = _mul_coords(x, y)
-                cur = out[i][j]
-                out[i][j] = p if cur is None else tuple(u + v for u, v in zip(cur, p))
-    return out
-
-
-def _entry_sum(x, y, d):
-    if x is None and y is None:
-        return (0,) * d
-    if x is None:
-        return y
-    if y is None:
-        return x
-    return tuple(u + v for u, v in zip(x, y))
-
-
 def build_hermitian(n: int, level: int) -> AlgebraPresentation:
     """Hermitian n x n matrices over the level-th Cayley-Dickson algebra
     under the symmetrized product x y = (xy + yx) / 2.
 
     Dimension n + n(n-1)/2 * 2**level.  Basis order: diagonal units E_1..E_n,
     then for each off-diagonal position all 2**level coordinate entries.
+    The doubled products xy + yx are one integer join of the basis matrices'
+    entries through ``sign_tensor(level)`` (``kernels.symmetrized_products``),
+    which raises if one leaves the hermitian matrices; they are halved here.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -294,35 +270,12 @@ def build_hermitian(n: int, level: int) -> AlgebraPresentation:
         raise ValueError(
             "hermitian octonion matrices are only Jordan for n <= 3; n=%d rejected" % n
         )
-    d = 2**level
-    # n x n grids of integer coordinate tuples, None marking a zero entry
-    # so the multiplication loop can skip it
-    basis = [
-        [[tuple(e) if any(e) else None for e in row] for row in m]
-        for m in hermitian_basis(n, level).tolist()
-    ]
-    dim = len(basis)
-    pairs = hermitian_pairs(n)
+    basis = hermitian_basis(n, level)
+    products = kernels.symmetrized_products(basis, sign_tensor(level))
     structure: dict[tuple[int, int], list[TableEntry]] = {}
-    for a in range(dim):
-        for b in range(a, dim):
-            ab = _mat_mul_sparse(basis[a], basis[b], n)
-            ba = _mat_mul_sparse(basis[b], basis[a], n)
-            # ab + ba is hermitian with integer coordinates; halve at the end
-            doubled: list[int] = []
-            for i in range(n):
-                e = _entry_sum(ab[i][i], ba[i][i], d)
-                if any(e[1:]):
-                    raise AssertionError("symmetrized product has a non-real diagonal entry")
-                doubled.append(e[0])
-            for pi, pj in pairs:
-                e = _entry_sum(ab[pi][pj], ba[pi][pj], d)
-                if _entry_sum(ab[pj][pi], ba[pj][pi], d) != _conj_coords(e):
-                    raise AssertionError("symmetrized product is not hermitian")
-                doubled.extend(e)
-            entries = [(k, Fraction(v, 2)) for k, v in enumerate(doubled) if v]
-            if entries:
-                structure[(a, b)] = entries
+    for a, b, k, v in zip(*(x.tolist() for x in products)):
+        structure.setdefault((a, b), []).append((k, Fraction(v, 2)))
+    dim = len(basis)
     unit = tuple(Fraction(1 if i < n else 0) for i in range(dim))
     return AlgebraPresentation("J%d_%d" % (2**level, n), dim, unit, structure)
 

@@ -1,16 +1,127 @@
 """Cayley-Dickson object formulas, kept as references for the integer routes.
 
-These are the loops the library used before it moved to one integer sign
-tensor: every entry product goes through ``CD`` and the recursive doubling
-formula, so they share nothing with ``cayley_dickson.mat_product`` but the
-basis conventions (``hermitian_pairs``).
+``CD`` is the Cayley-Dickson element type with the recursive doubling
+product (a, b)(c, d) = (ac - conj(d) b, da + b conj(c)) on `Fraction`
+coordinates.  The library computes on the integer ``sign_tensor`` instead;
+the loops below are what it used before, with every entry product going
+through ``CD``, so they share nothing with ``cayley_dickson.mat_product`` or
+``kernels.symmetrized_products`` but the basis conventions
+(``hermitian_pairs``).
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from jordanium.algebra import hermitian_pairs
-from jordanium.cayley_dickson import CD
+from jordanium.algebra import AlgebraPresentation, hermitian_pairs
+from jordanium.cayley_dickson import MAX_LEVEL
 from jordanium.linalg import Mat, frac
+
+
+def _conj_coords(a: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    return (a[0],) + tuple(-x for x in a[1:])
+
+
+def _mul_coords(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    n = len(a)
+    if n == 1:
+        return (a[0] * b[0],)
+    h = n // 2
+    a1, a2 = a[:h], a[h:]
+    c1, c2 = b[:h], b[h:]
+    first = tuple(
+        x - y
+        for x, y in zip(_mul_coords(a1, c1), _mul_coords(_conj_coords(c2), a2))
+    )
+    second = tuple(
+        x + y
+        for x, y in zip(_mul_coords(c2, a1), _mul_coords(a2, _conj_coords(c1)))
+    )
+    return first + second
+
+
+@dataclass(frozen=True)
+class CD:
+    """Element of the level-th Cayley-Dickson algebra."""
+
+    level: int
+    coords: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        if not (0 <= self.level <= MAX_LEVEL):
+            raise ValueError("Cayley-Dickson level must be between 0 and %d" % MAX_LEVEL)
+        if len(self.coords) != 2**self.level:
+            raise ValueError("expected %d coordinates" % 2**self.level)
+        object.__setattr__(self, "coords", tuple(frac(x) for x in self.coords))
+
+    @staticmethod
+    def from_coords(level: int, coords: Sequence) -> "CD":
+        return CD(level, tuple(frac(x) for x in coords))
+
+    @staticmethod
+    def zero(level: int) -> "CD":
+        return CD(level, (Fraction(0),) * 2**level)
+
+    @staticmethod
+    def one(level: int) -> "CD":
+        return CD.basis(level, 0)
+
+    @staticmethod
+    def basis(level: int, j: int) -> "CD":
+        n = 2**level
+        if not (0 <= j < n):
+            raise ValueError("basis index out of range")
+        return CD(level, tuple(Fraction(1 if i == j else 0) for i in range(n)))
+
+    def _check(self, other: "CD"):
+        if self.level != other.level:
+            raise ValueError("mixed Cayley-Dickson levels")
+
+    def __add__(self, other: "CD") -> "CD":
+        self._check(other)
+        return CD(self.level, tuple(x + y for x, y in zip(self.coords, other.coords)))
+
+    def __sub__(self, other: "CD") -> "CD":
+        self._check(other)
+        return CD(self.level, tuple(x - y for x, y in zip(self.coords, other.coords)))
+
+    def __neg__(self) -> "CD":
+        return CD(self.level, tuple(-x for x in self.coords))
+
+    def __mul__(self, other):
+        if isinstance(other, CD):
+            self._check(other)
+            return CD(self.level, _mul_coords(self.coords, other.coords))
+        return self.scale(other)
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def scale(self, c) -> "CD":
+        c = frac(c)
+        return CD(self.level, tuple(c * x for x in self.coords))
+
+    def conj(self) -> "CD":
+        return CD(self.level, _conj_coords(self.coords))
+
+    def real_part(self) -> Fraction:
+        return self.coords[0]
+
+    def norm_sq(self) -> Fraction:
+        # equals real_part(a * conj(a)) for levels 0..3
+        return sum((x * x for x in self.coords), Fraction(0))
+
+    def inverse(self) -> "CD":
+        n = self.norm_sq()
+        if n == 0:
+            raise ZeroDivisionError("zero has no inverse")
+        return self.conj().scale(Fraction(1) / n)
+
+    def is_zero(self) -> bool:
+        return all(x == 0 for x in self.coords)
+
+    def is_real(self) -> bool:
+        return all(x == 0 for x in self.coords[1:])
 
 
 def _blank(n, level):
@@ -153,3 +264,66 @@ def antihermitian_reference(n, level):
             cols.append(_antihermitian_coords([[e.scale(half) for e in row] for row in w]))
         ops.append(_operator(cols))
     return ops
+
+
+def _mat_mul_sparse(a, b, n):
+    """n x n product of grids of coordinate tuples, None marking a zero entry."""
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        row = a[i]
+        for t in range(n):
+            x = row[t]
+            if x is None:
+                continue
+            brow = b[t]
+            for j in range(n):
+                y = brow[j]
+                if y is None:
+                    continue
+                p = _mul_coords(x, y)
+                cur = out[i][j]
+                out[i][j] = p if cur is None else tuple(u + v for u, v in zip(cur, p))
+    return out
+
+
+def _entry_sum(x, y, d):
+    if x is None and y is None:
+        return (Fraction(0),) * d
+    if x is None:
+        return y
+    if y is None:
+        return x
+    return tuple(u + v for u, v in zip(x, y))
+
+
+def hermitian_reference(n, level):
+    """``build_hermitian(n, level)`` by the coordinate-tuple loop: the
+    cd_hermitian_basis grids multiplied entry by entry with the recursive
+    doubling formula, each x_a x_b + x_b x_a read off the hermitian pairs."""
+    d = 2**level
+    basis = [
+        [[None if m.is_zero() else m.coords for m in row] for row in grid]
+        for grid in cd_hermitian_basis(n, level)
+    ]
+    dim = len(basis)
+    structure = {}
+    for a in range(dim):
+        for b in range(a, dim):
+            ab = _mat_mul_sparse(basis[a], basis[b], n)
+            ba = _mat_mul_sparse(basis[b], basis[a], n)
+            doubled = []
+            for i in range(n):
+                e = _entry_sum(ab[i][i], ba[i][i], d)
+                if any(e[1:]):
+                    raise AssertionError("symmetrized product has a non-real diagonal entry")
+                doubled.append(e[0])
+            for pi, pj in hermitian_pairs(n):
+                e = _entry_sum(ab[pi][pj], ba[pi][pj], d)
+                if _entry_sum(ab[pj][pi], ba[pj][pi], d) != _conj_coords(e):
+                    raise AssertionError("symmetrized product is not hermitian")
+                doubled.extend(e)
+            entries = [(k, v / 2) for k, v in enumerate(doubled) if v]
+            if entries:
+                structure[(a, b)] = entries
+    unit = tuple(Fraction(1 if i < n else 0) for i in range(dim))
+    return AlgebraPresentation("J%d_%d" % (d, n), dim, unit, structure)

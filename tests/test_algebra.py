@@ -1,8 +1,13 @@
 """Algebra presentations, classification constructors and the Jordan check."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,10 +24,14 @@ from jordanium.algebra import (
     center_basis,
     check_jordan,
     direct_sum,
+    hermitian_basis,
     jordan_witness_operator,
     unit_check,
 )
 from jordanium import kernels
+from jordanium.cayley_dickson import sign_tensor
+
+from cd_reference import hermitian_reference
 
 from jordan_reference import (
     dense_center_system,
@@ -31,6 +40,9 @@ from jordan_reference import (
 )
 
 fr = Fraction
+
+# hermitian (n, level) of the classification list in the acceptance tests
+CLASSIFICATION = [(n, level) for level in range(3) for n in range(1, 5)] + [(3, 3)]
 
 
 def herm_dim(n, level):
@@ -95,6 +107,69 @@ class TestConstructors:
         y = a.basis_element(5)
         assert a.mul(x, y) == a.zero()
         assert unit_check(a)
+
+
+class TestHermitianJoin:
+    """build_hermitian's sign-tensor join against the CD-object loop, and
+    its closure check."""
+
+    @pytest.mark.parametrize("n,level", CLASSIFICATION + [(5, 0), (5, 1), (5, 2), (6, 1)])
+    def test_matches_cd_reference(self, n, level):
+        a, ref = build_hermitian(n, level), hermitian_reference(n, level)
+        assert a.structure_entries() == ref.structure_entries()
+        assert algebra_dumps(a) == algebra_dumps(ref)
+
+    def test_every_flipped_product_sign_is_caught(self):
+        # a flipped square eps_a eps_a = +1 still gives hermitian products;
+        # any other flipped sign breaks hermiticity of some product
+        o, basis = sign_tensor(3), hermitian_basis(3, 3)
+        flips = [(a, b) for a in range(8) for b in range(8) if a != b]
+        for a, b in flips:
+            bent = o.copy()
+            bent[a, b, a ^ b] *= -1
+            with pytest.raises(AssertionError, match="leaves the span"):
+                kernels.symmetrized_products(basis, bent)
+        assert len(flips) == 56
+
+    def test_basis_not_closed_is_caught(self):
+        # without eps_1 at (1, 2) (basis matrix 4), the products of the
+        # (1, 0) and (0, 2) entries still land there
+        basis = np.delete(hermitian_basis(3, 2), 4, axis=0)
+        with pytest.raises(AssertionError, match="leaves the span"):
+            kernels.symmetrized_products(basis, sign_tensor(2))
+
+    def test_overlapping_supports_are_caught(self):
+        # an antisymmetric matrix on the support of the symmetric one: every
+        # product lands on covered positions, but a coordinate read off the
+        # shared first atom gives the wrong combination
+        anti = np.zeros((1, 2, 2, 1), dtype=np.int64)
+        anti[0, 0, 1, 0], anti[0, 1, 0, 0] = 1, -1
+        basis = np.concatenate((hermitian_basis(2, 0), anti))
+        with pytest.raises(AssertionError, match="leaves the span"):
+            kernels.symmetrized_products(basis, sign_tensor(0))
+
+    def test_closure_check_raises_under_python_O(self):
+        script = (
+            "import numpy as np\n"
+            "from jordanium import kernels\n"
+            "from jordanium.algebra import hermitian_basis\n"
+            "from jordanium.cayley_dickson import sign_tensor\n"
+            "o = sign_tensor(3).copy()\n"
+            "o[1, 2, 3] *= -1\n"
+            "cases = [(hermitian_basis(3, 3), o), (np.delete(hermitian_basis(3, 2), 4, axis=0), sign_tensor(2))]\n"
+            "for basis, signs in cases:\n"
+            "    try:\n"
+            "        kernels.symmetrized_products(basis, signs)\n"
+            "    except AssertionError:\n"
+            "        print('raised')\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=False
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["raised", "raised"]
 
 
 class TestJordanCheck:

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jordanium.cayley_dickson import CD, MAX_LEVEL, basis_table, conj_array, mat_product, sign_tensor
+from jordanium.cayley_dickson import MAX_LEVEL, basis_table, conj_array, mat_product, sign_tensor
+
+from cd_reference import CD
 
 rationals = st.fractions(
     min_value=-5, max_value=5, max_denominator=4
@@ -48,14 +50,17 @@ class TestBasisTable:
                     assert s in (1, -1)
 
     def test_table_matches_multiplication(self):
-        for level in (2, 3):
+        # the doubled integer signs against the recursive CD product
+        for level in range(MAX_LEVEL + 1):
             t = basis_table(level)
+            o = sign_tensor(level)
             n = 2**level
             for i in range(n):
                 for j in range(n):
                     k, s = t[i][j]
                     prod = CD.basis(level, i) * CD.basis(level, j)
                     assert prod == CD.basis(level, k).scale(s)
+                    assert o[i, j].tolist() == list(prod.coords)
 
 
 class TestAlgebraLaws:
@@ -115,8 +120,11 @@ class TestElementOps:
         assert CD.one(2).scale(7).is_real()
 
     def test_level_cap(self):
-        with pytest.raises(ValueError):
-            basis_table(MAX_LEVEL + 1)
+        for level in (-1, MAX_LEVEL + 1):
+            with pytest.raises(ValueError):
+                basis_table(level)
+            with pytest.raises(ValueError):
+                sign_tensor(level)
 
 
 class TestIntegerMatrices:

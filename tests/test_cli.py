@@ -91,6 +91,13 @@ class TestBuildCommands:
         assert d["dim"] == 9
         assert "structure" in d
 
+    def test_algebra_build_at_n_12_over_quaternions(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "algebra", "build", "--type", "herm", "--n", "12", "--level", "2"
+        )
+        assert code == 0
+        assert json.loads(out)["dim"] == 276
+
     def test_build_then_check_pipeline(self, capsys, tmp_path):
         _, out, _ = run_cli(
             capsys, "algebra", "build", "--type", "herm", "--n", "2", "--level", "2"

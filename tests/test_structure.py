@@ -41,15 +41,25 @@ def test_no_assert_statements_in_exactness_guards():
 
 
 def test_octonion_hot_paths_avoid_cd_objects():
-    # derivations and modules compute on the integer sign tensor; CD and its
-    # recursive coordinate formulas are the tests' reference route
+    # the package computes on the integer sign tensor; CD and its recursive
+    # coordinate formulas are the tests' reference route (cd_reference.py)
     banned = {"CD", "_mul_coords", "_conj_coords"}
     offenders = []
-    for name in ("derivations", "modules"):
-        path = SRC / (name + ".py")
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) > 5
+    for path in files:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and node.module and node.module.endswith("cayley_dickson"):
-                offenders += ["%s:%d %s" % (path.name, node.lineno, a.name) for a in node.names if a.name in banned]
+            if isinstance(node, ast.ImportFrom):
+                names = [x for a in node.names for x in (a.name, a.asname)]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            offenders += ["%s:%d %s" % (path.name, node.lineno, x) for x in sorted(banned.intersection(names))]
     assert offenders == []
 
 
