@@ -41,7 +41,6 @@ from .linalg import (
     exact_int_matmul,
     frac,
     format_fraction,
-    mats_from_ints,
     nullspace_int,
     parse_fraction,
     vec_sub,
@@ -81,11 +80,10 @@ class AlgebraPresentation:
             table[(i, j)] = cleaned
             table[(j, i)] = cleaned
         self._table = table
-        self._lmats: dict[int, Mat] = {}
         self._int_cache = None
         self._center_cache: Optional[list[Vec]] = None
-        for j in range(self.dim):
-            if self.mul(self.unit, basis_vec(self.dim, j)) != basis_vec(self.dim, j):
+        for j, e in enumerate(map(self.basis_element, range(self.dim))):
+            if self.mul(self.unit, e) != e:
                 raise ValueError("unit law fails on basis vector %d" % j)
 
     # -- products ----------------------------------------------------------
@@ -98,12 +96,11 @@ class AlgebraPresentation:
 
     def mul(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
         out = [Fraction(0)] * self.dim
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
             if xi == 0:
                 continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
+            for j, yj in ys:
                 f = xi * yj
                 for k, q in self._table.get((i, j), ()):
                     out[k] += f * q
@@ -111,25 +108,15 @@ class AlgebraPresentation:
 
     def left_mult_basis(self, i: int) -> Mat:
         """Matrix of left multiplication by e_i."""
-        if i not in self._lmats:
-            rows = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-            for j in range(self.dim):
-                for k, q in self._table.get((i, j), ()):
-                    rows[k][j] += q
-            self._lmats[i] = Mat.from_rows(rows)
-        return self._lmats[i]
+        c, s = self.int_tensor()
+        return Mat(c[i].T, s)
 
     def left_op(self, x: Sequence[Fraction]) -> Mat:
-        rows = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            li = self.left_mult_basis(i)
-            for r in range(self.dim):
-                for c, v in enumerate(li.data[r]):
-                    if v:
-                        rows[r][c] += xi * v
-        return Mat.from_rows(rows)
+        """Matrix of left multiplication by x: sum_i x_i L_i, one exact product."""
+        c, s = self.int_tensor()
+        xs = Mat.from_rows([x])
+        n = self.dim
+        return Mat(exact_int_matmul(xs.ints, c.reshape(n, n * n)).reshape(n, n).T, s * xs.den)
 
     def associator(self, x, y, z) -> Vec:
         return vec_sub(self.mul(self.mul(x, y), z), self.mul(x, self.mul(y, z)))
@@ -323,7 +310,7 @@ def jordan_witness_operator(a: AlgebraPresentation, i: int, j: int, k: int) -> M
         np.concatenate((u, z)).transpose(1, 0, 2).reshape(n, 6 * n),
         np.concatenate((z, -u)).reshape(6 * n, n),
     )
-    return mats_from_ints(total[None], s**3)[0]
+    return Mat(total, s**3)
 
 
 def check_jordan(a: AlgebraPresentation) -> JordanVerdict:
@@ -363,8 +350,7 @@ def center_basis(a: AlgebraPresentation) -> list[Vec]:
 
 
 def unit_check(a: AlgebraPresentation) -> bool:
-    u = a.unit
-    return all(a.mul(u, basis_vec(a.dim, j)) == basis_vec(a.dim, j) for j in range(a.dim))
+    return all(a.mul(a.unit, e) == e for e in map(a.basis_element, range(a.dim)))
 
 
 # ---------------------------------------------------------------------------

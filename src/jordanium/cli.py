@@ -114,9 +114,12 @@ def _read_source(value: str) -> str:
 
 def _parse_json(text: str) -> dict:
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise UsageError("malformed JSON input: %s" % e)
+    if not isinstance(doc, dict):
+        raise UsageError("JSON input must be an object, not %s" % type(doc).__name__)
+    return doc
 
 
 def resolve_algebra(value: Optional[str]) -> tuple[AlgebraPresentation, dict]:
@@ -383,7 +386,10 @@ def _connection_from_potential_file(args) -> tuple[Connection, dict]:
         if a is None:
             raise UsageError("unknown algebra alias %r" % spec)
     else:
-        a = algebra_from_dict(spec)
+        try:
+            a = algebra_from_dict(spec)
+        except (KeyError, ValueError, TypeError) as e:
+            raise UsageError("bad algebra input: %s" % e)
     try:
         pot = potential_from_dict(d)
     except (KeyError, ValueError, TypeError) as e:

@@ -22,9 +22,11 @@ grad(w f) = (dw) f + (-1)^n w grad(f) holds exactly under the normalized
 product.
 
 Exactness is decided by batched ``linalg.exact_int_matmul`` products of
-integer stacks on one common scale (``linalg.scaled_int_mats``); ``Mat``
-appears only in what is returned.  The gauge-formula path stays in
-``Fraction`` arithmetic as the independent second route.
+integer stacks on one common scale (``linalg.scaled_int_mats``).  The gauge
+formula stays the independent second route: its independence is in the
+formula (center products, derivative images of the center, potential
+blocks), and it too runs on integer stacks, compared with the commutator
+route's as one array.
 """
 
 from __future__ import annotations
@@ -48,14 +50,11 @@ from .linalg import (
     format_fraction,
     frac,
     kron,
-    mat_from_flat,
-    mats_from_ints,
-    max_abs_int,
     pair_products,
     parse_fraction,
     scale_ints,
     scaled_int_mats,
-    solve,
+    solve_int,
 )
 from .modules import ModuleAction
 
@@ -75,12 +74,14 @@ def _first_commutator_failure(ops: np.ndarray, lam: np.ndarray, rhs) -> Optional
 
 def _bracket_terms(ops: Sequence[Mat], der: DerivationBasis):
     """([O_mu, O_nu], sum_tau c^tau_mu_nu O_tau) over pairs mu < nu, flattened
-    and both times s**2 for the common scale s of the operators and constants; s."""
-    brackets = [Mat(tuple(row)) for row in bracket_table(der)]
-    (o, b), s = scaled_int_mats(ops, brackets)
+    and both times s = s_c s_o**2, for the scales s_o of the operators and
+    s_c of the bracket constants; s."""
+    (o,), so = scaled_int_mats(ops)
+    br = bracket_table(der)
     (d, r, c), (ii, jj) = o.shape, np.triu_indices(len(o), 1)
     comm = commutators(o)[ii, jj].reshape(len(ii), r * c)
-    return comm, exact_int_matmul(b[ii, jj], o.reshape(d, r * c)), s
+    contr = exact_int_matmul(br.ints.reshape(d, d, d)[ii, jj], o.reshape(d, r * c))
+    return scale_ints(comm, br.den), scale_ints(contr, so), br.den * so * so
 
 
 def leibniz_defect(
@@ -216,13 +217,11 @@ class Connection:
 
     def apply(self, x_coeffs: Sequence, m: Sequence) -> Vec:
         """Covariant derivative along a frame-coefficient vector."""
-        acc = [Fraction(0)] * self.module.mdim
-        for mu, c in enumerate(x_coeffs):
-            c = frac(c)
-            if c:
-                for t, v in enumerate(self.ops[mu].apply(m)):
-                    acc[t] += c * v
-        return tuple(acc)
+        (g,), s = scaled_int_mats(self.ops)
+        xs = Mat.from_rows([x_coeffs])
+        k = self.module.mdim
+        op = exact_int_matmul(xs.ints, g.reshape(len(g), k * k)).reshape(k, k)
+        return Mat(op, s * xs.den).apply(m)
 
 
 def free_rank(module: ModuleAction) -> Optional[int]:
@@ -231,11 +230,8 @@ def free_rank(module: ModuleAction) -> Optional[int]:
     if n == 0 or module.mdim % n:
         return None
     p = module.mdim // n
-    eye = Mat.identity(p)
-    for i, op in enumerate(module.ops):
-        if op != kron(eye, module.algebra.left_mult_basis(i)):
-            return None
-    return p
+    eye, left = Mat.identity(p), module.algebra.left_mult_basis
+    return p if all(op == kron(eye, left(i)) for i, op in enumerate(module.ops)) else None
 
 
 def base_connection(der: DerivationBasis, module: ModuleAction) -> Connection:
@@ -250,16 +246,24 @@ def base_connection(der: DerivationBasis, module: ModuleAction) -> Connection:
     return conn
 
 
+def _center_kron(alg, blocks: np.ndarray) -> tuple[np.ndarray, int]:
+    """sum_t kron(blocks[b, t], L_{z_t}) over the center basis z, for each b.
+
+    blocks is an integer stack (B, dim Z, p, p); returns the (B, p n, p n)
+    integer stack and the scale of the L_z it carries on top of the blocks'.
+    """
+    (lz,), sl = scaled_int_mats([alg.left_op(z) for z in center_basis(alg)])
+    b, k, p, _ = blocks.shape
+    n = alg.dim
+    out = exact_int_matmul(blocks.transpose(0, 2, 3, 1).reshape(b * p * p, k), lz.reshape(k, n * n))
+    return out.reshape(b, p, p, n, n).transpose(0, 1, 3, 2, 4).reshape(b, p * n, p * n), sl
+
+
 def potential_operator(der: DerivationBasis, a: GaugePotential, mu: int) -> Mat:
     """The module operator sum_t kron(A_t, L_{z_t}) for frame element mu."""
-    zs = center_basis(der.algebra)
-    alg = der.algebra
-    n = alg.dim
-    acc = Mat.zeros(a.rank * n, a.rank * n)
-    for t, block in enumerate(a.mats[mu]):
-        if not block.is_zero():
-            acc = acc + kron(block, alg.left_op(zs[t]))
-    return acc
+    (blocks,), s = scaled_int_mats(a.mats[mu])
+    ops, sl = _center_kron(der.algebra, blocks[None])
+    return Mat(ops[0], s * sl)
 
 
 def with_potential(c0: Connection, a: GaugePotential) -> Connection:
@@ -267,6 +271,9 @@ def with_potential(c0: Connection, a: GaugePotential) -> Connection:
         raise ValueError("potential frame size does not match the connection")
     if a.rank * c0.der.algebra.dim != c0.module.mdim:
         raise ValueError("potential rank does not match the module")
+    zdim = len(center_basis(c0.der.algebra))
+    if any(len(per) != zdim for per in a.mats):
+        raise ValueError("potential center layers do not match dim Z(J)")
     ops = [
         c0.ops[mu] + potential_operator(c0.der, a, mu) for mu in range(c0.der.dim)
     ]
@@ -282,15 +289,18 @@ def potential_from_connection(c: Connection, c0: Connection) -> Optional[GaugePo
     p = c.module.mdim // n if n and c.module.mdim % n == 0 else None
     if p is None:
         return None
-    zs = center_basis(alg)
-    units = [mat_from_flat(e, p, p) for e in Mat.identity(p * p).data]  # E_(br, bc), row-major
-    sys = Mat(tuple(zip(*(kron(e, lz).flatten() for lz in map(alg.left_op, zs) for e in units))))
+    k = len(center_basis(alg))
+    # column (t, br, bc) is kron(E, L_{z_t}) flattened, for the unit matrix E at (br, bc)
+    cols, sl = _center_kron(alg, np.eye(k * p * p, dtype=np.int64).reshape(-1, k, p, p))
+    system = cols.reshape(k * p * p, -1).T
     per_mu = []
     for mu in range(c.der.dim):
-        sol = solve(sys, (c.ops[mu] - c0.ops[mu]).flatten())
+        diff = c.ops[mu] - c0.ops[mu]
+        sol = solve_int(scale_ints(system, diff.den), scale_ints(diff.ints.ravel(), sl))
         if sol is None:
             return None
-        per_mu.append(tuple(mat_from_flat(sol[t * p * p : (t + 1) * p * p], p, p) for t in range(len(zs))))
+        blocks = Mat.from_rows([sol])
+        per_mu.append(tuple(Mat(b, blocks.den) for b in blocks.ints.reshape(k, p, p)))
     return GaugePotential(p, tuple(per_mu))
 
 
@@ -322,63 +332,65 @@ class Curvature:
         return None if hit is None else (keys[hit[0]], hit[1])
 
 
-def _gauge_curvature_table(c: Connection) -> dict:
-    """Curvature blocks from the potential formula, as module operators."""
+def _gauge_curvature_table(c: Connection) -> tuple[np.ndarray, int]:
+    """Curvature of every pair mu < nu from the potential formula, as one
+    integer stack of module operators and its scale.
+
+    With A[mu, t] the potential blocks, dz[mu, t, s] and zz[t, u, s] the
+    center coordinates of X_mu(z_t) and z_t z_u, and c the frame's bracket
+    constants, layer s of R_mu_nu is
+
+        sum_t dz[mu, t, s] A[nu, t] - dz[nu, t, s] A[mu, t]
+        + sum_(t, u) zz[t, u, s] (A[mu, t] A[nu, u] - A[nu, t] A[mu, u])
+        - sum_tau c^tau_mu_nu A[tau, s],
+
+    and R_mu_nu = sum_s kron(layer s, L_{z_s}).
+    """
     der = c.der
     alg = der.algebra
-    a = c.potential
     zs = center_basis(alg)
-    zdim = len(zs)
-    br = bracket_table(der)
+    d, k, p = der.dim, len(zs), c.potential.rank
     # products and derivative images of center elements, re-expanded
-    zz = [[expand_in_basis(zs, alg.mul(zs[t], zs[u])) for u in range(zdim)] for t in range(zdim)]
-    dz = [[expand_in_basis(zs, der.mats[mu].apply(zs[t])) for t in range(zdim)] for mu in range(der.dim)]
-    if any(w is None for row in zz for w in row) or any(w is None for row in dz for w in row):
+    zz = [expand_in_basis(zs, alg.mul(zt, zu)) for zt in zs for zu in zs]
+    dz = [expand_in_basis(zs, x.apply(z)) for x in der.mats for z in zs]
+    if None in zz or None in dz:
         raise AssertionError("center failed to close under product or derivations")
-    p = a.rank
-    out = {}
-    for mu, nu in combinations(range(der.dim), 2):
-        layers = [Mat.zeros(p, p) for _ in range(zdim)]
-        for t in range(zdim):
-            for s, w in enumerate(dz[mu][t]):
-                if w:
-                    layers[s] = layers[s] + a.mats[nu][t].scale(w)
-            for s, w in enumerate(dz[nu][t]):
-                if w:
-                    layers[s] = layers[s] - a.mats[mu][t].scale(w)
-            for u in range(zdim):
-                comm = a.mats[mu][t] @ a.mats[nu][u] - a.mats[nu][t] @ a.mats[mu][u]
-                if not comm.is_zero():
-                    for s, w in enumerate(zz[t][u]):
-                        if w:
-                            layers[s] = layers[s] + comm.scale(w)
-        for tau, q in enumerate(br[mu][nu]):
-            if q:
-                for s in range(zdim):
-                    layers[s] = layers[s] - a.mats[tau][s].scale(q)
-        acc = Mat.zeros(c.module.mdim, c.module.mdim)
-        for s, block in enumerate(layers):
-            if not block.is_zero():
-                acc = acc + kron(block, alg.left_op(zs[s]))
-        out[(mu, nu)] = acc
-    return out
+    zz, dz, br = Mat.from_rows(zz), Mat.from_rows(dz), bracket_table(der)
+    (a,), sa = scaled_int_mats([block for per in c.potential.mats for block in per])
+    a = a.reshape(d, k, p, p)
+    # each term as a Mat with rows (mu, nu, s) and columns the p x p block
+    dza = exact_int_matmul(
+        dz.ints.reshape(d, k, k).transpose(0, 2, 1).reshape(d * k, k),
+        a.transpose(1, 0, 2, 3).reshape(k, d * p * p),
+    ).reshape(d, k, d, p, p)  # [mu, s, nu]
+    dza = dza - dza.transpose(2, 1, 0, 3, 4)
+    q = pair_products(a.reshape(d * k, p, p), a.reshape(d * k, p, p)).reshape(d, k, d, k, p, p)
+    q = q - q.transpose(2, 1, 0, 3, 4, 5)
+    zq = exact_int_matmul(zz.ints.T, q.transpose(1, 3, 0, 2, 4, 5).reshape(k * k, d * d * p * p))
+    layers = (
+        Mat(dza.transpose(0, 2, 1, 3, 4).reshape(-1, p * p), dz.den * sa)
+        + Mat(zq.reshape(k, d, d, p * p).transpose(1, 2, 0, 3).reshape(-1, p * p), zz.den * sa * sa)
+        - Mat(exact_int_matmul(br.ints, a.reshape(d, k * p * p)).reshape(-1, p * p), br.den * sa)
+    )
+    ii, jj = np.triu_indices(d, 1)
+    out, sl = _center_kron(alg, layers.ints.reshape(d, d, k, p, p)[ii, jj])
+    return out, layers.den * sl
 
 
 def curvature(c: Connection) -> Curvature:
     """R from the commutator definition; potential-built connections also run
     the gauge formula and the two paths must agree exactly."""
     comm, contr, s = _bracket_terms(c.ops, c.der)
-    if max_abs_int(comm) + max_abs_int(contr) >= 2**63:
-        comm = comm.astype(object)
     keys = list(combinations(range(c.der.dim), 2))
     m = c.module.mdim
-    table = dict(zip(keys, mats_from_ints((comm - contr).reshape(len(keys), m, m), s * s)))
+    r = Mat(comm.reshape(len(keys) * m, m), s) - Mat(contr.reshape(len(keys) * m, m), s)
+    stack = r.ints.reshape(len(keys), m, m)
     if c.potential is not None and c.base_ops is not None:
-        alt = _gauge_curvature_table(c)
-        for key, r in table.items():
-            if alt[key] != r:
-                raise AssertionError("curvature paths disagree at pair %s" % (key,))
-    return Curvature(c.der, c.module, table)
+        alt, s_alt = _gauge_curvature_table(c)
+        hits = np.flatnonzero((scale_ints(stack, s_alt) != scale_ints(alt, r.den)).any(axis=(1, 2)))
+        if hits.size:
+            raise AssertionError("curvature paths disagree at pair %s" % (keys[hits[0]],))
+    return Curvature(c.der, c.module, {key: Mat(x, r.den) for key, x in zip(keys, stack)})
 
 
 def flatness_check(c: Connection) -> bool:
@@ -414,7 +426,7 @@ def _inner_operators(module: ModuleAction, expansions: Sequence[InnerExpansion])
         grids.append(Mat.from_rows(q))
     (q, lam), s = scaled_int_mats(grids, module.ops)
     sums = exact_int_matmul(q.reshape(len(grids), n * n), commutators(lam).reshape(n * n, m * m))
-    return mats_from_ints(sums.reshape(len(grids), m, m), s**3)
+    return [Mat(x, s**3) for x in sums.reshape(len(grids), m, m)]
 
 
 def inner_connection(der: DerivationBasis, module: ModuleAction) -> Connection:
@@ -435,7 +447,7 @@ def inner_connection(der: DerivationBasis, module: ModuleAction) -> Connection:
 
 
 def _mat_to_lists(m: Mat):
-    return [[format_fraction(v) for v in row] for row in m.data]
+    return [[format_fraction(Fraction(v, m.den)) for v in row] for row in m.ints.tolist()]
 
 
 def _mat_from_lists(rows) -> Mat:

@@ -26,7 +26,7 @@ entries, and a commutator action is one exact product with a cached tensor.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -41,16 +41,12 @@ from .linalg import (
     commutators,
     exact_int_matmul,
     expand_in_basis,
-    frac,
-    mat_from_flat,
-    mats_from_ints,
     max_abs_int,
     nullspace_int,
     pair_products,
     rank_lower_bound,
     scale_ints,
     scaled_int_mats,
-    scaled_ints,
     solve_int,
 )
 
@@ -118,8 +114,7 @@ def leibniz_violation(a: AlgebraPresentation, x: Mat) -> Optional[tuple[int, int
     n = a.dim
     if x.rows != n or x.cols != n:
         raise ValueError("operator shape does not match the algebra")
-    (xs,), _ = scaled_int_mats([x])
-    return _leibniz_witnesses(a.int_tensor()[0], xs)[0]
+    return _leibniz_witnesses(a.int_tensor()[0], x.ints[None])[0]
 
 
 @dataclass(frozen=True)
@@ -135,36 +130,29 @@ class DerivationBasis:
     algebra: AlgebraPresentation
     mats: tuple[Mat, ...]
     free_coords: tuple[int, ...]
+    # the bracket constants as a (dim**2, dim) Mat, stored by structure_constants
+    brackets: Optional[Mat] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return len(self.mats)
 
+    def _combination(self, q: Mat) -> Mat:
+        """sum_a q[0, a] mats[a] for a (1, dim) Mat q, as one exact product."""
+        n = self.algebra.dim
+        (stack,), s = scaled_int_mats(self.mats)
+        prod = exact_int_matmul(q.ints, stack.reshape(len(stack), n * n))
+        return Mat(prod.reshape(n, n), s * q.den)
+
     def coefficients_of(self, x: Mat) -> Vec:
         """Exact expansion of x in this basis; raises if x is not in the span."""
-        flat = x.flatten()
-        coeffs = tuple(flat[f] for f in self.free_coords)
-        n = self.algebra.dim
-        acc = [Fraction(0)] * (n * n)
-        for q, m in zip(coeffs, self.mats):
-            if q:
-                for k, v in enumerate(m.flatten()):
-                    acc[k] += q * v
-        if tuple(acc) != flat:
+        q = Mat(x.ints.reshape(1, -1)[:, list(self.free_coords)], x.den)
+        if self._combination(q) != x:
             raise ValueError("operator is not in the derivation span")
-        return coeffs
+        return q.flatten()
 
     def element(self, coeffs: Sequence) -> Mat:
-        n = self.algebra.dim
-        acc = [[Fraction(0)] * n for _ in range(n)]
-        for q, m in zip(coeffs, self.mats):
-            q = frac(q)
-            if q:
-                for r in range(n):
-                    for c, v in enumerate(m.data[r]):
-                        if v:
-                            acc[r][c] += q * v
-        return Mat.from_rows(acc)
+        return self._combination(Mat.from_rows([coeffs]))
 
 
 def derivation_basis(a: AlgebraPresentation) -> DerivationBasis:
@@ -174,8 +162,8 @@ def derivation_basis(a: AlgebraPresentation) -> DerivationBasis:
     n = a.dim
     pivset = set(pivots)
     free = tuple(k for k in range(n * n) if k not in pivset)
-    mats = tuple(mat_from_flat(v, n, n) for v in basis)
-    return DerivationBasis(a, mats, free)
+    frame = Mat.from_rows(basis)
+    return DerivationBasis(a, tuple(Mat(v.reshape(n, n), frame.den) for v in frame.ints), free)
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +175,14 @@ def structure_constants(der: DerivationBasis) -> list[list[Vec]]:
 
     The commutator of two derivations is a derivation, so it must expand in
     the computed basis; the expansion from the canonical free coordinates is
-    re-checked by one exact matrix product over all pairs.
+    re-checked by one exact matrix product over all pairs.  The constants
+    are stored on der as ``der.brackets``, a (d**2, d) Mat whose row
+    p d + q holds b[p][q].
     """
     d = der.dim
     n = der.algebra.dim
     if d == 0:
+        object.__setattr__(der, "brackets", Mat.zeros(0, 0))
         return []
     (ints,), s = scaled_int_mats(der.mats)
     flat = ints.reshape(d, n * n)
@@ -202,13 +193,14 @@ def structure_constants(der: DerivationBasis) -> list[list[Vec]]:
     chat = commflat[:, free]
     if not (exact_int_matmul(chat, flat) == scale_ints(commflat, s)).all():
         raise AssertionError("derivation bracket left the computed span")
-    s2 = s * s
-    out = [[tuple(Fraction(0) for _ in range(d))] * d for _ in range(d)]
-    for p, q, row in zip(ps.tolist(), qs.tolist(), chat.tolist()):
-        vec = tuple(Fraction(x, s2) for x in row)
-        out[p][q] = vec
-        out[q][p] = tuple(-x for x in vec)
-    return out
+    full = np.zeros((d, d, d), dtype=chat.dtype)
+    full[ps, qs] = chat
+    full[qs, ps] = -chat
+    brackets = Mat(full.reshape(d * d, d), s * s)
+    # DerivationBasis is frozen; the cache is its one mutable field
+    object.__setattr__(der, "brackets", brackets)
+    coeffs = brackets.flatten()
+    return [[coeffs[(p * d + q) * d : (p * d + q + 1) * d] for q in range(d)] for p in range(d)]
 
 
 def check_jacobi(b: list[list[Vec]]) -> bool:
@@ -216,7 +208,7 @@ def check_jacobi(b: list[list[Vec]]) -> bool:
     d = len(b)
     if d == 0:
         return True
-    bi, _ = scaled_ints([x for row in b for v in row for x in v], (d, d, d))
+    bi = Mat.from_rows([v for row in b for v in row]).ints.reshape(d, d, d)
     t1 = exact_int_matmul(bi.reshape(d * d, d), bi.reshape(d, d * d)).reshape(d, d, d, d)
     # int64 entries of t1 are below 2**62, so a sum of two cannot overflow
     return bool((t1 + t1.transpose(1, 2, 0, 3) == -t1.transpose(2, 0, 1, 3)).all())
@@ -259,7 +251,7 @@ def check_lie_rinehart(der: DerivationBasis) -> dict:
     c, _ = a.int_tensor()
     (dints,), _ = scaled_int_mats(der.mats)
     k = len(center)
-    zints, _ = scaled_ints([x for z in center for x in z], (k, n))
+    zints = Mat.from_rows(center).ints
     # lz[z] = L_z and ldz[z, p] = L(D_p z), with L_x[r, m] = sum_i x_i c[i, m, r]
     lz = exact_int_matmul(zints, c.reshape(n, n * n)).reshape(k, n, n).transpose(0, 2, 1)
     dz = exact_int_matmul(zints, dints.reshape(d * n, n).T)  # dz[z, (p, r)] = D_p(z)_r
@@ -290,9 +282,7 @@ def check_lie_rinehart(der: DerivationBasis) -> dict:
 
 def inner_operator(a: AlgebraPresentation, x: Sequence, y: Sequence) -> Mat:
     """[L_x, L_y]; always a derivation when the algebra is Jordan."""
-    return a.left_op(tuple(frac(v) for v in x)).commutator(
-        a.left_op(tuple(frac(v) for v in y))
-    )
+    return a.left_op(x).commutator(a.left_op(y))
 
 
 def _inner_table(a: AlgebraPresentation) -> tuple[list[tuple[int, int]], np.ndarray, int]:
@@ -306,7 +296,7 @@ def _inner_table(a: AlgebraPresentation) -> tuple[list[tuple[int, int]], np.ndar
 def inner_basis_operators(a: AlgebraPresentation) -> list[tuple[tuple[int, int], Mat]]:
     """[L_i, L_j] for basis pairs i < j."""
     pairs, table, s2 = _inner_table(a)
-    return list(zip(pairs, mats_from_ints(table, s2)))
+    return [(pair, Mat(op, s2)) for pair, op in zip(pairs, table)]
 
 
 def inner_span_report(a: AlgebraPresentation, der: Optional[DerivationBasis] = None) -> dict:
@@ -353,8 +343,8 @@ def inner_expansions(a: AlgebraPresentation, xs: Sequence[Mat]) -> list[Optional
     """:func:`express_in_inner` for each operator of xs, on one integer table.
 
     The columns are the integer table s**2 [L_i, L_j] and the right-hand
-    side is d x, cleared by its common denominator d; the solution of that
-    system is (d / s**2) times the coefficients.
+    side is the integer array d x of the Mat x = ints / d; the solution of
+    that system is (d / s**2) times the coefficients.
     """
     pairs, table, s2 = _inner_table(a)
     if not pairs:
@@ -362,9 +352,8 @@ def inner_expansions(a: AlgebraPresentation, xs: Sequence[Mat]) -> list[Optional
     system = table.reshape(len(pairs), -1).T
     out: list[Optional[InnerExpansion]] = []
     for x in xs:
-        rhs, d = scaled_ints(x.flatten(), (a.dim * a.dim,))
-        sol = solve_int(system, rhs)
-        out.append(None if sol is None else [(pairs[t], q * s2 / d) for t, q in enumerate(sol) if q])
+        sol = solve_int(system, x.ints.ravel())
+        out.append(None if sol is None else [(pairs[t], q * s2 / x.den) for t, q in enumerate(sol) if q])
     return out
 
 
@@ -398,19 +387,14 @@ def annihilator_subalgebra(
 def octonion_slot_block(x: Mat, slot: int, n_diag: int = 3, d: int = 8) -> Mat:
     """8x8 block of an operator on the slot-th off-diagonal coordinate range."""
     lo = n_diag + slot * d
-    return Mat(tuple(row[lo : lo + d] for row in x.data[lo : lo + d]))
+    return Mat(x.ints[lo : lo + d, lo : lo + d], x.den)
 
 
 def is_block_diagonal_for_slots(x: Mat, n_diag: int = 3, d: int = 8) -> bool:
     """True when x preserves the diagonal span and each octonion slot."""
-    edges = [0, n_diag] + [n_diag + d * (s + 1) for s in range((x.rows - n_diag) // d)]
-    blocks = list(zip(edges, edges[1:]))
-    for r in range(x.rows):
-        rb = next(b for b in blocks if b[0] <= r < b[1])
-        for c in range(x.cols):
-            if not (rb[0] <= c < rb[1]) and x.data[r][c] != 0:
-                return False
-    return True
+    # block 0 is the diagonal span, block 1 + s the s-th slot
+    block = np.maximum(np.arange(x.rows) - n_diag, -1) // d + 1
+    return not x.ints[block[:, None] != block[None, :]].any()
 
 
 # ---------------------------------------------------------------------------
@@ -490,18 +474,17 @@ def complete_triality(d1: Mat) -> tuple[Mat, Mat]:
     if not unique:
         raise AssertionError("the triality completion system is not uniquely solvable")
     index, sign = _triality_terms()
-    (d1_ints,), s = scaled_int_mats([d1])
-    x = solve_int(rows, -sign[0] * d1_ints.reshape(64)[index[0]])
+    x = solve_int(rows, -sign[0] * d1.ints.reshape(64)[index[0]])
     if x is None:
         raise ValueError("no compatible completion exists")
-    u = [v / s for v in x]
+    u = Mat.from_rows([x])  # d1.den times the upper triangles of d2 and d3
+    i, j = np.array(pairs).T
 
     def unpack(offset: int) -> Mat:
-        m = [[Fraction(0)] * 8 for _ in range(8)]
-        for t, (i, j) in enumerate(pairs):
-            m[i][j] = u[offset + t]
-            m[j][i] = -u[offset + t]
-        return Mat.from_rows(m)
+        m = np.zeros((8, 8), dtype=u.ints.dtype)
+        m[i, j] = u.ints[0, offset : offset + len(pairs)]
+        m[j, i] = -m[i, j]
+        return Mat(m, u.den * d1.den)
 
     return unpack(0), unpack(len(pairs))
 
@@ -514,13 +497,11 @@ def derivation_from_triality(d1: Mat) -> Mat:
     subalgebra.
     """
     d2, d3 = complete_triality(d1)
-    rows = [[Fraction(0)] * 27 for _ in range(27)]
-    for s, blk in enumerate((d1, d2, d3)):
-        lo = 3 + 8 * s
-        for r in range(8):
-            for c in range(8):
-                rows[lo + r][lo + c] = blk.data[r][c]
-    return Mat.from_rows(rows)
+    (blocks,), s = scaled_int_mats([d1, d2, d3])
+    out = np.zeros((27, 27), dtype=blocks.dtype)
+    for t, blk in enumerate(blocks):
+        out[3 + 8 * t : 11 + 8 * t, 3 + 8 * t : 11 + 8 * t] = blk
+    return Mat(out, s)
 
 
 def triality_defect(d1: Mat, d2: Mat, d3: Mat) -> Optional[tuple[int, int]]:
@@ -573,5 +554,5 @@ def commutator_action_matrix(x1: Sequence, x2: Sequence, x3: Sequence) -> Mat:
     """
     if any(len(x) != 8 for x in (x1, x2, x3)):
         raise ValueError("octonion parameters need 8 coordinates")
-    ints, s = scaled_ints([frac(v) for x in (x1, x2, x3) for v in x], (1, 24))
-    return mats_from_ints(exact_int_matmul(ints, _commutator_tensor()).reshape(1, 27, 27), s)[0]
+    params = Mat.from_rows([[v for x in (x1, x2, x3) for v in x]])
+    return Mat(exact_int_matmul(params.ints, _commutator_tensor()).reshape(27, 27), params.den)

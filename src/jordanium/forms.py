@@ -19,7 +19,7 @@ connection extends to module-valued forms (:func:`extend_to_forms`) by the
 same sum with its covariant operators in place of the frame matrices.
 
 Both are computed on integers.  A form is cleared to one (C(D, n), V)
-integer array over its sorted keys with one scale (``linalg.scaled_ints``).
+integer array over its sorted keys with one scale (a ``Mat`` of its values).
 The differential of degree n is a :class:`KoszulOperator`, assembled once
 per frame (``d_der``) or connection (``extend_to_forms``) and cached on it:
 one exact product with the operators stacked side by side, n + 1 signed
@@ -38,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb
+from math import comb, lcm
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -54,8 +54,8 @@ from .linalg import (
     frac,
     max_abs_int,
     parse_fraction,
+    scale_ints,
     scaled_int_mats,
-    scaled_ints,
     vec_add,
     vec_scale,
     zero_vec,
@@ -70,14 +70,13 @@ DEGREE_CAP = 3
 Key = tuple[int, ...]
 
 
-def bracket_table(der: DerivationBasis) -> list[list[Vec]]:
-    """Structure constants of the frame, computed once per basis object."""
-    cached = getattr(der, "_bracket_cache", None)
-    if cached is None:
-        cached = structure_constants(der)
-        # DerivationBasis is frozen; stash through the back door
-        object.__setattr__(der, "_bracket_cache", cached)
-    return cached
+def bracket_table(der: DerivationBasis) -> Mat:
+    """Structure constants of the frame as the (d**2, d) Mat ``der.brackets``
+    (row p d + q: the coefficients of [X_p, X_q]); computed by
+    :func:`structure_constants` only when no earlier call stored them."""
+    if der.brackets is None:
+        structure_constants(der)
+    return der.brackets
 
 
 def _sort_sign(indices: Sequence[int]) -> tuple[Key, int]:
@@ -290,11 +289,10 @@ def _keys(dim: int, degree: int) -> tuple[tuple[Key, ...], dict[Key, int]]:
 def _form_ints(w: DerForm) -> tuple[np.ndarray, int]:
     """(x, s): row t of x is s times the value on the t-th sorted key."""
     _, rows = _keys(w.der.dim, w.degree)
-    flat = [v for vec in w.coeffs.values() for v in vec]
-    vals, s = scaled_ints(flat, (len(w.coeffs), w.value_dim))
-    x = np.zeros((len(rows), w.value_dim), dtype=vals.dtype)
-    x[[rows[key] for key in w.coeffs]] = vals
-    return x, s
+    vals = Mat.from_rows(w.coeffs.values())
+    x = np.zeros((len(rows), w.value_dim), dtype=vals.ints.dtype)
+    x[[rows[key] for key in w.coeffs]] = vals.ints
+    return x, vals.den
 
 
 def _form_from_ints(
@@ -360,8 +358,11 @@ def _build_koszul(der: DerivationBasis, ops: Sequence[Mat], n: int) -> KoszulOpe
     """Assemble the degree-n differential with ops along the frame."""
     targets, _ = _keys(der.dim, n + 1)
     _, rows = _keys(der.dim, n)
-    brackets = [Mat(tuple(row)) for row in bracket_table(der)]
-    (o, b), s = scaled_int_mats(ops, brackets)
+    (o,), so = scaled_int_mats(ops)
+    br = bracket_table(der)
+    s = lcm(so, br.den)
+    o = scale_ints(o, s // so)
+    b = scale_ints(br.ints, s // br.den).reshape(der.dim, der.dim, der.dim)
     v = o.shape[1]
     src = np.array(
         [[rows[key[:p] + key[p + 1 :]] for key in targets] for p in range(n + 1)], dtype=np.intp

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import max_abs_int, scaled_ints
+from .linalg import Mat, max_abs_int
 
 
 class ExactOverflow(Exception):
@@ -32,11 +32,11 @@ def to_int_tensor(entries: Sequence[tuple[tuple[int, ...], Fraction]], shape: tu
     Returns (array, scale) with array = scale * tensor, exactly: int64 when
     every entry fits, object dtype otherwise.
     """
-    vals, scale = scaled_ints([q for _, q in entries], (len(entries),))
-    out = np.zeros(shape, dtype=vals.dtype)
-    for (idx, _), v in zip(entries, vals):
+    vals = Mat.from_rows([[q for _, q in entries]])
+    out = np.zeros(shape, dtype=vals.ints.dtype)
+    for (idx, _), v in zip(entries, vals.ints[0]):
         out[idx] = v
-    return out, scale
+    return out, vals.den
 
 
 def _row_pairs(ptr: np.ndarray, rows: np.ndarray, first: int = 0) -> tuple[np.ndarray, np.ndarray]:

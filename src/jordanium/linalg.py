@@ -1,22 +1,23 @@
 """Exact rational linear algebra.
 
-All scalars are arbitrary-precision rationals (``fractions.Fraction``), kept in
-lowest terms with positive denominator by the Fraction type itself.  Matrices
-are small dense arrays of rationals; the routines here favour determinism over
-speed: pivoting always picks the first nonzero entry in row-major order, and
-nullspace bases are returned in reduced echelon form, so identical inputs give
-identical outputs on every run.
+Scalars and vectors are ``fractions.Fraction`` values and tuples of them.  A
+matrix (:class:`Mat`) is one integer array and one positive denominator in
+lowest terms: int64 while every entry is below 2**62 in size, Python ints
+(object dtype) otherwise.  Sums, products, Kronecker products and equality
+are array operations on it, every product one :func:`exact_int_matmul`.  The
+routines favour determinism: pivoting always picks the first nonzero entry
+in row-major order, and nullspace bases are returned in reduced echelon
+form, so identical inputs give identical outputs on every run.
 
-Every exact solve goes through one nullspace engine on integer matrices
-(rational input is cleared of denominators row by row; int64 where it fits,
-Python ints otherwise).  A matrix with more than twice as many rows as
-columns is first replaced by its Gram matrix, which has the same nullspace.
-At every size the engine eliminates modulo several word-size primes and
-lifts the result back to rationals by CRT and rational reconstruction;
-Bareiss (fraction-free) elimination runs only when the primes run out
-without a verified answer.  Each returned kernel vector is checked once,
-exactly, by one integer product with the full matrix before any Gram
-compression.  :func:`rref` stays as the plain rational reference.
+Every exact solve goes through one nullspace engine on integer matrices (a
+Mat's own array).  A matrix with more than twice as many rows as columns is
+first replaced by its Gram matrix, which has the same nullspace.  At every size the engine
+eliminates modulo several word-size primes and lifts the result back to
+rationals by CRT and rational reconstruction; Bareiss (fraction-free)
+elimination runs only when the primes run out without a verified answer.
+Each returned kernel vector is checked once, exactly, by one integer
+product with the full matrix before any Gram compression.  :func:`rref`
+stays as the plain rational reference.
 
 :func:`solve` is the kernel vector of the normal equations A^T [A | b] whose
 free coordinate is the right-hand side, negated; only that one vector is
@@ -28,9 +29,7 @@ each :func:`pair_products` or :func:`commutators` one :func:`exact_int_matmul`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -79,10 +78,6 @@ def vec_scale(c: Fraction, v: Sequence[Fraction]) -> Vec:
     return tuple(c * a for a in v)
 
 
-def vec_dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
-
-
 def zero_vec(n: int) -> Vec:
     return (Fraction(0),) * n
 
@@ -91,83 +86,147 @@ def basis_vec(n: int, i: int) -> Vec:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
 
-@dataclass(frozen=True)
 class Mat:
-    """Dense rational matrix; data is a tuple of row tuples."""
+    """Exact rational matrix ints / den: one integer array and one positive
+    denominator, kept in lowest terms (the layout of FLINT's ``fmpq_mat``).
 
-    data: tuple[tuple[Fraction, ...], ...]
+    ints is int64 when every entry is below 2**62 in size, so the sum or
+    difference of two such arrays cannot overflow, and object dtype (Python
+    ints) otherwise.  It is a read-only view.  Equal matrices have equal
+    shape, den and ints, so equality is one array comparison.  ``data`` is
+    the same matrix as row tuples of ``Fraction``, built on first use.
+    """
+
+    __slots__ = ("ints", "den", "_data")
+
+    def __init__(self, ints: np.ndarray, den: int = 1):
+        if ints.ndim != 2 or (ints.dtype != object and ints.dtype.kind not in "biu"):
+            raise ValueError("a Mat is a 2-D integer array and a denominator")
+        den = int(den)
+        if den <= 0:
+            raise ValueError("the denominator must be positive")
+        if ints.dtype != object:
+            ints = ints.astype(np.int64, copy=False)
+        if den > 1:
+            g = gcd(den, int(np.gcd.reduce(ints, axis=None)))  # den when ints is 0
+            if g > 1:
+                ints = (ints if g < 2**63 else ints.astype(object)) // g
+                den //= g
+        fits = max_abs_int(ints) < 2**62
+        if fits != (ints.dtype != object):
+            ints = ints.astype(np.int64 if fits else object)
+        self.ints = ints.view()
+        self.ints.flags.writeable = False
+        self.den = den
+        self._data: Optional[tuple[Vec, ...]] = None
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence]) -> "Mat":
-        return Mat(tuple(tuple(frac(x) for x in r) for r in rows))
+        """The matrix of rows of rationals: ints, Fractions or strings like
+        '-3/4'; ValueError when the rows differ in length."""
+        rows = [[x if type(x) is Fraction else frac(x) for x in r] for r in rows]
+        cols = len(rows[0]) if rows else 0
+        if any(len(r) != cols for r in rows):
+            raise ValueError("matrix rows differ in length")
+        dens = [x.denominator for r in rows for x in r]
+        den = lcm(*dens)
+        flat = [x.numerator * (den // d) for x, d in zip((x for r in rows for x in r), dens)]
+        try:
+            ints = np.array(flat, dtype=np.int64)
+        except OverflowError:
+            ints = np.array(flat, dtype=object)
+        return Mat(ints.reshape(len(rows), cols), den)
 
     @staticmethod
     def zeros(r: int, c: int) -> "Mat":
-        row = (Fraction(0),) * c
-        return Mat(tuple(row for _ in range(r)))
+        return Mat(np.zeros((r, c), dtype=np.int64))
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat(tuple(basis_vec(n, i) for i in range(n)))
+        return Mat(np.eye(n, dtype=np.int64))
 
     @property
     def rows(self) -> int:
-        return len(self.data)
+        return self.ints.shape[0]
 
     @property
     def cols(self) -> int:
-        return len(self.data[0]) if self.data else 0
+        return self.ints.shape[1]
+
+    def _fractions(self, ints: list[int]) -> Vec:
+        zero, d = Fraction(0), self.den
+        return tuple(Fraction(v, d) if v else zero for v in ints)
+
+    @property
+    def data(self) -> tuple[Vec, ...]:
+        if self._data is None:
+            self._data = tuple(map(self._fractions, self.ints.tolist()))
+        return self._data
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        return self.data[ij[0]][ij[1]]
+        return Fraction(int(self.ints[ij]), self.den)
 
     def col(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.data)
+        return self._fractions(self.ints[:, j].tolist())
+
+    def _aligned(self, other: "Mat") -> tuple[np.ndarray, np.ndarray, int]:
+        """Both integer arrays over the common denominator, and that denominator."""
+        if self.ints.shape != other.ints.shape:
+            raise ValueError("shape mismatch in matrix sum")
+        d = lcm(self.den, other.den)
+        return scale_ints(self.ints, d // self.den), scale_ints(other.ints, d // other.den), d
 
     def __add__(self, other: "Mat") -> "Mat":
-        return Mat(tuple(vec_add(a, b) for a, b in zip(self.data, other.data, strict=True)))
+        a, b, d = self._aligned(other)
+        return Mat(a + b, d)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return Mat(tuple(vec_sub(a, b) for a, b in zip(self.data, other.data, strict=True)))
+        a, b, d = self._aligned(other)
+        return Mat(a - b, d)
 
     def __neg__(self) -> "Mat":
-        return Mat(tuple(tuple(-x for x in r) for r in self.data))
+        return Mat(-self.ints, self.den)
 
     def scale(self, c) -> "Mat":
         c = frac(c)
-        return Mat(tuple(tuple(c * x for x in r) for r in self.data))
+        return Mat(scale_ints(self.ints, c.numerator), self.den * c.denominator)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        bt = other.transpose().data
-        return Mat(tuple(tuple(vec_dot(r, c) for c in bt) for r in self.data))
+        return Mat(exact_int_matmul(self.ints, other.ints), self.den * other.den)
 
     def apply(self, v: Sequence[Fraction]) -> Vec:
         if len(v) != self.cols:
             raise ValueError("shape mismatch in matrix-vector product")
-        return tuple(vec_dot(r, v) for r in self.data)
+        return (self @ Mat.from_rows([v]).transpose()).flatten()
 
     def transpose(self) -> "Mat":
-        return Mat(tuple(zip(*self.data, strict=True))) if self.data else self
+        return Mat(self.ints.T, self.den)
 
     def commutator(self, other: "Mat") -> "Mat":
         return self @ other - other @ self
 
     def flatten(self) -> Vec:
-        return tuple(x for r in self.data for x in r)
+        return self._fractions(self.ints.ravel().tolist())
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.data for x in r)
+        return not self.ints.any()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Mat):
+            return NotImplemented
+        return (
+            self.den == other.den
+            and self.ints.shape == other.ints.shape
+            and np.array_equal(self.ints, other.ints)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ints.shape, self.den, tuple(self.ints.ravel().tolist())))
 
     def __repr__(self) -> str:  # keep debug output short
         return "Mat(%dx%d)" % (self.rows, self.cols)
-
-
-def mat_from_flat(flat: Sequence[Fraction], rows: int, cols: int) -> Mat:
-    if len(flat) != rows * cols:
-        raise ValueError("%d entries do not fill a %dx%d matrix" % (len(flat), rows, cols))
-    return Mat(tuple(tuple(flat[i * cols + j] for j in range(cols)) for i in range(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -199,19 +258,19 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
-    return Mat(tuple(tuple(row) for row in a)), tuple(pivots)
+    return Mat.from_rows(a), tuple(pivots)
 
 
 def rref_bareiss(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Same RREF via fraction-free (Bareiss) elimination on a scaled copy.
 
-    Works on integer rows (each input row is cleared of denominators), keeps
-    all intermediate entries integral via the two-step exact division, and
-    normalizes at the end.  Used as the fallback for the modular solver; the
-    RREF of a matrix is unique, so this must agree with :func:`rref`.
+    Works on the integer array of m, keeps all intermediate entries integral
+    via the two-step exact division, and normalizes at the end.  Used as the
+    fallback for the modular solver; the RREF of a matrix is unique, so this
+    must agree with :func:`rref`.
     """
     nr, nc = m.rows, m.cols
-    a: list[list[int]] = _int_array(m).tolist()
+    a: list[list[int]] = m.ints.tolist()
     pivots: list[int] = []
     r = 0
     prev = 1
@@ -237,12 +296,12 @@ def rref_bareiss(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     for i, row in enumerate(a):
         if i < len(pivots):
             piv = row[pivots[i]]
-            out.append(tuple(Fraction(x, piv) for x in row))
+            out.append([Fraction(x, piv) for x in row])
         else:
             if any(row):
                 raise AssertionError("Bareiss left a nonzero non-pivot row")
-            out.append(tuple(Fraction(0) for _ in row))
-    return Mat(tuple(out)), tuple(pivots)
+            out.append(row)
+    return Mat.from_rows(out), tuple(pivots)
 
 
 def _kernel_vectors(
@@ -267,39 +326,6 @@ def _free_columns(nc: int, pivots: Sequence[int], lift: Optional[int]) -> list[i
     pivset = set(pivots)
     cols = range(nc) if lift is None else (lift,)
     return [c for c in cols if c not in pivset]
-
-
-# ---------------------------------------------------------------------------
-# integer forms of rational data
-
-
-def _pack_ints(flat: list[int], shape: tuple[int, ...]) -> np.ndarray:
-    """int64 when every entry is below 2**62 in size, object dtype otherwise."""
-    if all(-(2**62) < v < 2**62 for v in flat):
-        return np.array(flat, dtype=np.int64).reshape(shape)
-    out = np.empty(len(flat), dtype=object)
-    out[:] = flat
-    return out.reshape(shape)
-
-
-def _int_array(m: Mat) -> np.ndarray:
-    """Row-wise denominator clearing; int64 when it fits, object otherwise."""
-    flat: list[int] = []
-    for row in m.data:
-        d = lcm(*(x.denominator for x in row)) if row else 1
-        flat.extend(x.numerator * (d // x.denominator) for x in row)
-    return _pack_ints(flat, (m.rows, m.cols))
-
-
-def scaled_ints(values: Sequence[Fraction], shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    """(ints, s) with ints = s * values reshaped, for one common scale s.
-
-    s is the lcm of the denominators, so ratios between all entries are
-    kept; the array is int64 when every entry fits and object dtype
-    otherwise, so no input overflows.
-    """
-    s = lcm(*(x.denominator for x in values)) if values else 1
-    return _pack_ints([x.numerator * (s // x.denominator) for x in values], shape), s
 
 
 def _rref_mod_p(m: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -359,7 +385,11 @@ def _crt_pair(r1: np.ndarray, m1: int, r2: np.ndarray, m2: int) -> np.ndarray:
 
 
 def max_abs_int(arr: np.ndarray) -> int:
-    return int(np.abs(arr).max()) if arr.size else 0
+    if not arr.size:
+        return 0
+    a = np.abs(arr)
+    # np.abs leaves int64's -2**63 negative; read unsigned, it is 2**63
+    return int((a.view(np.uint64) if a.dtype == np.int64 else a).max())
 
 
 def exact_int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -385,31 +415,27 @@ def exact_int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # stacks of integer operators
 
 
-def scaled_int_mats(*stacks: Sequence[Mat]) -> tuple[tuple[np.ndarray, ...], int]:
-    """Stacks of equal-shape rational matrices as (len, rows, cols) integer
-    arrays s * stack with one common scale s, so identities between stacks
-    carry equal powers of s on both sides."""
-    shapes = [(len(st), st[0].rows, st[0].cols) if st else (0, 0, 0) for st in stacks]
-    flat = [x for st in stacks for m in st for row in m.data for x in row]
-    ints, s = scaled_ints(flat, (len(flat),))
-    parts = np.split(ints, np.cumsum([np.prod(sh) for sh in shapes])[:-1])
-    return tuple(p.reshape(sh) for p, sh in zip(parts, shapes)), s
-
-
-def mats_from_ints(ints: np.ndarray, s: int) -> list[Mat]:
-    """The rational matrices ints[t] / s of an integer stack."""
-    zero = Fraction(0)
-    return [
-        Mat(tuple(tuple(Fraction(v, s) if v else zero for v in row) for row in m))
-        for m in ints.tolist()
-    ]
-
-
 def scale_ints(arr: np.ndarray, s: int) -> np.ndarray:
-    """s * arr for an integer array, in object dtype where int64 would overflow."""
-    if arr.dtype != object and max(max_abs_int(arr), 1) * abs(s) >= 2**63:
+    """s * arr for an integer array, exactly: int64 only while every entry
+    stays below 2**62 in size, object dtype otherwise."""
+    if s == 1:
+        return arr
+    if arr.dtype != object and max(max_abs_int(arr), 1) * abs(s) >= 2**62:
         arr = arr.astype(object)
     return arr * s
+
+
+def scaled_int_mats(*stacks: Sequence[Mat]) -> tuple[tuple[np.ndarray, ...], int]:
+    """Stacks of equal-shape matrices as (len, rows, cols) integer arrays
+    s * stack, for s the lcm of their denominators, so identities between
+    stacks carry equal powers of s on both sides."""
+    s = lcm(*(m.den for st in stacks for m in st))
+    return tuple(
+        np.stack([scale_ints(m.ints, s // m.den) for m in st])
+        if st
+        else np.zeros((0, 0, 0), dtype=np.int64)
+        for st in stacks
+    ), s
 
 
 def pair_products(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -431,22 +457,17 @@ def commutators(xs: np.ndarray) -> np.ndarray:
 
 def kron(b: Mat, m: Mat) -> Mat:
     """Kronecker product: out[i * m.rows + r, j * m.cols + c] = b[i, j] * m[r, c]."""
-    blank = (Fraction(0),) * m.cols
-    return Mat(tuple(
-        tuple(chain.from_iterable(
-            row if q == 1 else tuple(q * v for v in row) if q else blank for q in brow
-        ))
-        for brow in b.data
-        for row in m.data
-    ))
+    x, y = b.ints, m.ints
+    if max_abs_int(x) * max_abs_int(y) >= 2**62:
+        x, y = x.astype(object), y.astype(object)
+    return Mat(np.kron(x, y), b.den * m.den)
 
 
 def _annihilates(arr: np.ndarray, vectors: Sequence[Vec]) -> bool:
     """arr @ v == 0 for every v, as one exact integer product."""
     if not vectors:
         return True
-    cleared = _int_array(Mat(tuple(vectors)))
-    return not (exact_int_matmul(arr, cleared.T) != 0).any()
+    return not (exact_int_matmul(arr, Mat.from_rows(vectors).ints.T) != 0).any()
 
 
 # ---------------------------------------------------------------------------
@@ -519,9 +540,9 @@ def _nullspace_of_int(
     found = _nullspace_modular(arr, work, lift)
     if found is not None:
         return found
-    red, pivots = rref_bareiss(Mat.from_rows([[int(x) for x in r] for r in work]))
+    red, pivots = rref_bareiss(Mat(work))
     cols = _free_columns(nc, pivots, lift)
-    coeffs = [[-red.data[i][f] for f in cols] for i in range(len(pivots))]
+    coeffs = [[-red[i, f] for f in cols] for i in range(len(pivots))]
     basis = _kernel_vectors(nc, pivots, cols, coeffs)
     if not _annihilates(arr, basis):
         raise AssertionError("nullspace verification failed")
@@ -540,7 +561,7 @@ def nullspace(m: Mat) -> list[Vec]:
     """
     if m.cols == 0:
         return []
-    return _nullspace_of_int(_int_array(m))[0]
+    return _nullspace_of_int(m.ints)[0]
 
 
 def nullspace_int(arr: np.ndarray) -> tuple[list[Vec], tuple[int, ...]]:
@@ -583,20 +604,19 @@ def rank_lower_bound(arr: np.ndarray, target: int) -> int:
 def solve(m: Mat, b: Sequence[Fraction]) -> Optional[Vec]:
     """One exact solution of m x = b (free variables set to 0), or None.
 
-    With [A | b] cleared row by row, the normal equations A^T [A | b] are
-    always consistent, and while A x = b is consistent they have the same
-    row space, hence the same RREF solution.  That solution is the negated
+    With A and b lifted to integers over one denominator, the normal
+    equations A^T [A | b] are always consistent, and while A x = b is
+    consistent they have the same row space, hence the same RREF solution.  That solution is the negated
     kernel vector whose free coordinate is the right-hand side; it is
     checked exactly against A x = b, so a nonzero residual means "no
     solution".
     """
     if len(b) != m.rows:
         raise ValueError("right hand side has wrong length")
-    nc = m.cols
     if m.rows == 0:
-        return zero_vec(nc)
-    aug = _int_array(Mat(tuple(r + (frac(x),) for r, x in zip(m.data, b))))
-    return solve_int(aug[:, :nc], aug[:, nc])
+        return zero_vec(m.cols)
+    rhs = Mat.from_rows([b])
+    return solve_int(scale_ints(m.ints, rhs.den), scale_ints(rhs.ints[0], m.den))
 
 
 def solve_int(arr: np.ndarray, rhs: np.ndarray) -> Optional[Vec]:

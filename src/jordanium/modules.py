@@ -47,11 +47,10 @@ from .cayley_dickson import coords_in_basis, mat_product
 from .linalg import (
     Mat,
     Vec,
+    exact_int_matmul,
     expand_in_basis,
     format_fraction,
-    frac,
     kron,
-    mats_from_ints,
     nullspace_int,
     pair_products,
     parse_fraction,
@@ -73,36 +72,29 @@ class ModuleAction:
         for op in self.ops:
             if op.rows != self.mdim or op.cols != self.mdim:
                 raise ValueError("action operators must be square and same size")
+        self._int_cache = None
         if self.mdim and self.op_of(algebra.unit) != Mat.identity(self.mdim):
             raise ValueError("unit does not act as the identity")
-        self._int_cache = None
 
     def op_of(self, x: Sequence) -> Mat:
-        acc = [[Fraction(0)] * self.mdim for _ in range(self.mdim)]
-        for xi, op in zip(x, self.ops):
-            xi = frac(xi)
-            if xi:
-                for r in range(self.mdim):
-                    row = op.data[r]
-                    for c in range(self.mdim):
-                        if row[c]:
-                            acc[r][c] += xi * row[c]
-        return Mat.from_rows(acc)
+        """The operator sum_i x_i A_i, one exact product with the action tensor."""
+        t, s = self.int_tensor()
+        xs = Mat.from_rows([x])
+        m = self.mdim
+        prod = exact_int_matmul(xs.ints, t.reshape(len(t), m * m))
+        return Mat(prod.reshape(m, m).T, s * xs.den)
 
     def act(self, x: Sequence, m: Sequence[Fraction]) -> Vec:
-        return self.op_of(x).apply(tuple(frac(v) for v in m))
+        return self.op_of(x).apply(m)
 
     def action_entries(self) -> list[tuple[int, int, int, Fraction]]:
         """Nonzero (i, alpha, beta, coeff): e_i f_alpha = sum_beta coeff f_beta."""
-        out = []
-        for i, op in enumerate(self.ops):
-            for beta in range(self.mdim):
-                for alpha in range(self.mdim):
-                    v = op.data[beta][alpha]
-                    if v:
-                        out.append((i, alpha, beta, v))
-        out.sort(key=lambda e: e[:3])
-        return out
+        t, s = self.int_tensor()
+        idx = np.nonzero(t)  # row-major, so sorted by (i, alpha, beta)
+        return [
+            (i, alpha, beta, Fraction(v, s))
+            for i, alpha, beta, v in zip(*(a.tolist() for a in idx), t[idx].tolist())
+        ]
 
     def int_tensor(self):
         """(tensor, scale) with tensor[i, alpha, beta] = scale * the f_beta
@@ -208,7 +200,7 @@ def build_antihermitian(n: int, level: int) -> ModuleAction:
     coords = coords_in_basis(mat_product(herm, anti) + mat_product(anti, herm), anti)
     if coords is None:
         raise AssertionError("antihermitian product left the module")
-    ops = mats_from_ints(coords.transpose(0, 2, 1), 2)
+    ops = [Mat(op, 2) for op in coords.transpose(0, 2, 1)]
     return ModuleAction(build_hermitian(n, level), ops, "A%d_%d" % (2**level, n))
 
 
@@ -237,15 +229,13 @@ def build_clifford(n: int) -> ModuleAction:
     a = build_spin(n)
     m = 1 << n
     ops = [Mat.identity(m)]
-    half = Fraction(1, 2)
     for i in range(n):
-        rows = [[Fraction(0)] * m for _ in range(m)]
+        doubled = np.zeros((m, m), dtype=np.int64)
         for mask in range(m):
-            target = mask ^ (1 << i)
-            left = _blade_mult_sign(i, mask, True)
-            right = _blade_mult_sign(i, mask, False)
-            rows[target][mask] += half * (left + right)
-        ops.append(Mat.from_rows(rows))
+            doubled[mask ^ (1 << i), mask] = (
+                _blade_mult_sign(i, mask, True) + _blade_mult_sign(i, mask, False)
+            )
+        ops.append(Mat(doubled, 2))
     return ModuleAction(a, ops, "Cl%d" % n)
 
 
@@ -296,13 +286,13 @@ def hom_basis(m1: ModuleAction, m2: ModuleAction) -> list[ModuleHom]:
     for i in range(n):
         rows[i * q * p : (i + 1) * q * p] = np.kron(a2s[i], eye_p) - np.kron(eye_q, a1s[i].T)
     basis, _ = nullspace_int(rows)
-    mats = [Mat.from_rows([[v[r * p + c] for c in range(p)] for r in range(q)]) for v in basis]
-    if mats:
-        # T_i H == H S_i for every basis element i and hom H, both sides scaled alike
-        (hs,), _ = scaled_int_mats(mats)
-        if (pair_products(a2s, hs) != pair_products(hs, a1s).transpose(1, 0, 2, 3)).any():
-            raise AssertionError("hom basis element fails to intertwine")
-    return [ModuleHom(m1, m2, mat) for mat in mats]
+    # the basis over one denominator; row v is the (q x p) hom, row-major
+    homs = Mat.from_rows(basis)
+    hs = homs.ints.reshape(len(basis), q, p)
+    # T_i H == H S_i for every basis element i and hom H, both sides scaled alike
+    if (pair_products(a2s, hs) != pair_products(hs, a1s).transpose(1, 0, 2, 3)).any():
+        raise AssertionError("hom basis element fails to intertwine")
+    return [ModuleHom(m1, m2, Mat(h, homs.den)) for h in hs]
 
 
 def hom_center_restriction(hom: ModuleHom) -> Optional[list[list[Vec]]]:
@@ -319,14 +309,11 @@ def hom_center_restriction(hom: ModuleHom) -> Optional[list[list[Vec]]]:
         raise ValueError("hom_center_restriction expects free modules")
     center = center_basis(a)
     out = []
+    ints, den = hom.matrix.ints, hom.matrix.den
     for u in range(q):
         row = []
         for t in range(p):
-            block = Mat(
-                tuple(
-                    hom.matrix.data[u * n + r][t * n : (t + 1) * n] for r in range(n)
-                )
-            )
+            block = Mat(ints[u * n : (u + 1) * n, t * n : (t + 1) * n], den)
             z = block.apply(a.unit)
             if expand_in_basis(center, z) is None:
                 return None
@@ -368,14 +355,16 @@ def module_from_dict(
     m = int(d["mdim"])
     if m < 0:
         raise ValueError("mdim must be nonnegative")
-    grids = [[[Fraction(0)] * m for _ in range(m)] for _ in range(a.dim)]
+    entries = {}  # a later entry replaces an earlier one at the same place
     for i, alpha, beta, v in d["action"]:
         i, alpha, beta = int(i), int(alpha), int(beta)
         if not (0 <= i < a.dim and 0 <= alpha < m and 0 <= beta < m):
             raise ValueError("action index out of range")
-        grids[i][beta][alpha] = parse_fraction(v)
-    ops = [Mat.from_rows(g) for g in grids]
-    return ModuleAction(a, ops, d["label"])
+        entries[(i, beta, alpha)] = parse_fraction(v)
+    vals = Mat.from_rows([list(entries.values())])
+    ops = np.zeros((a.dim, m, m), dtype=vals.ints.dtype)
+    ops[tuple(np.array(list(entries), dtype=np.intp).reshape(-1, 3).T)] = vals.ints[0]
+    return ModuleAction(a, [Mat(op, vals.den) for op in ops], d["label"])
 
 
 def module_dumps(mod: ModuleAction, pretty: bool = False) -> str:

@@ -1,0 +1,139 @@
+"""The rational matrix as row tuples of Fractions, kept as a reference.
+
+``RefMat`` is the library's matrix as it was before it became one integer
+array and one denominator: every operation is a Python loop over
+``Fraction`` entries.  ``ref_nullspace``, ``ref_rank`` and ``ref_solve``
+read plain Gauss-Jordan elimination over the rationals, so they share
+nothing with the library's modular nullspace engine.
+"""
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain
+from typing import Iterable, Optional, Sequence
+
+Vec = tuple[Fraction, ...]
+
+
+def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+    return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
+
+
+@dataclass(frozen=True)
+class RefMat:
+    """Dense rational matrix; data is a tuple of row tuples."""
+
+    data: tuple[Vec, ...]
+
+    @staticmethod
+    def from_rows(rows: Iterable[Sequence]) -> "RefMat":
+        return RefMat(tuple(tuple(Fraction(x) for x in r) for r in rows))
+
+    @property
+    def rows(self) -> int:
+        return len(self.data)
+
+    @property
+    def cols(self) -> int:
+        return len(self.data[0]) if self.data else 0
+
+    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
+        return self.data[ij[0]][ij[1]]
+
+    def col(self, j: int) -> Vec:
+        return tuple(r[j] for r in self.data)
+
+    def __add__(self, other: "RefMat") -> "RefMat":
+        return RefMat(tuple(
+            tuple(a + b for a, b in zip(r, s, strict=True))
+            for r, s in zip(self.data, other.data, strict=True)
+        ))
+
+    def __sub__(self, other: "RefMat") -> "RefMat":
+        return self + -other
+
+    def __neg__(self) -> "RefMat":
+        return self.scale(-1)
+
+    def scale(self, c) -> "RefMat":
+        c = Fraction(c)
+        return RefMat(tuple(tuple(c * x for x in r) for r in self.data))
+
+    def __matmul__(self, other: "RefMat") -> "RefMat":
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch in matrix product")
+        bt = other.transpose().data
+        return RefMat(tuple(tuple(_dot(r, c) for c in bt) for r in self.data))
+
+    def apply(self, v: Sequence[Fraction]) -> Vec:
+        if len(v) != self.cols:
+            raise ValueError("shape mismatch in matrix-vector product")
+        return tuple(_dot(r, v) for r in self.data)
+
+    def transpose(self) -> "RefMat":
+        return RefMat(tuple(zip(*self.data, strict=True))) if self.data else self
+
+    def commutator(self, other: "RefMat") -> "RefMat":
+        return self @ other - other @ self
+
+    def flatten(self) -> Vec:
+        return tuple(x for r in self.data for x in r)
+
+    def is_zero(self) -> bool:
+        return all(x == 0 for r in self.data for x in r)
+
+
+def ref_kron(b: RefMat, m: RefMat) -> RefMat:
+    """out[i * m.rows + r, j * m.cols + c] = b[i, j] * m[r, c]."""
+    return RefMat(tuple(
+        tuple(chain.from_iterable(tuple(q * v for v in row) for q in brow))
+        for brow in b.data
+        for row in m.data
+    ))
+
+
+def ref_rref(m: RefMat) -> tuple[list[list[Fraction]], tuple[int, ...]]:
+    """Gauss-Jordan over the rationals, first nonzero pivot in each column."""
+    a = [list(r) for r in m.data]
+    pivots: list[int] = []
+    for c in range(m.cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(m.rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, tuple(pivots)
+
+
+def ref_nullspace(m: RefMat) -> list[Vec]:
+    """One kernel vector per free column, in reduced echelon form."""
+    red, pivots = ref_rref(m)
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def ref_rank(m: RefMat) -> int:
+    return len(ref_rref(m)[1])
+
+
+def ref_solve(m: RefMat, b: Sequence[Fraction]) -> Optional[Vec]:
+    """The solution of m x = b with free variables 0, or None."""
+    red, pivots = ref_rref(RefMat(tuple(r + (Fraction(x),) for r, x in zip(m.data, b))))
+    if m.cols in pivots:
+        return None
+    x = [Fraction(0)] * m.cols
+    for i, p in enumerate(pivots):
+        x[p] = red[i][m.cols]
+    return tuple(x)

@@ -173,9 +173,18 @@ def _module_by_label_wire(**changes):
     return d
 
 
+def _potential_wire(**changes):
+    """Wire dict of a scalar potential over JSpin3, fields replaced."""
+    d = {"algebra": "jspin3", "rank": 1, "center_dim": 1, "potential": [[["1"]], [["2"]], [["3"]]]}
+    d.update(changes)
+    return d
+
+
 class TestMalformedInput:
-    """A zero denominator, an out-of-range index, an unknown algebra label or
-    a negative carrier dimension is unusable input: exit 2."""
+    """A zero denominator, an out-of-range index, an unknown algebra label, a
+    negative carrier dimension, an algebra with missing keys, a document that
+    is not a JSON object, potential layers that do not match the center or
+    ragged potential rows is unusable input: exit 2."""
 
     ZERO_DEN = _spin2_wire(structure=[[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 1, 0, "1/0"]])
     BAD_K = _spin2_wire(structure=[[0, 0, 0, "1"], [0, 1, 5, "1"], [1, 1, 0, "1"]])
@@ -194,6 +203,11 @@ class TestMalformedInput:
             (["module", "check", "--module", "-"], _free_module_wire((1, 1, -1))),
             (["module", "check", "--module", "-"], _module_by_label_wire(algebra="nosuch")),
             (["module", "check", "--module", "-"], _module_by_label_wire(mdim=-1)),
+            (["conn", "curvature", "--potential", "-"], _potential_wire(algebra={"label": "x"})),
+            (["conn", "curvature", "--potential", "-"], 5),
+            (["conn", "curvature", "--potential", "-"], ["algebra"]),
+            (["conn", "curvature", "--potential", "-"], _potential_wire(center_dim=0, potential=[[], [], []])),
+            (["conn", "curvature", "--potential", "-"], _potential_wire(rank=2, potential=[[["1", "0"], ["0"]]] * 3)),
         ],
     )
     def test_exits_2_without_traceback(self, capsys, monkeypatch, argv, doc):

@@ -15,7 +15,7 @@ from jordanium.linalg import (
     _nullspace_modular,
     _rat_reconstruct,
     format_fraction,
-    mat_from_flat,
+    kron,
     nullspace,
     nullspace_int,
     parse_fraction,
@@ -26,6 +26,7 @@ from jordanium.linalg import (
     expand_in_basis,
     exact_int_matmul,
 )
+from mat_reference import RefMat, ref_kron, ref_nullspace, ref_rank, ref_solve
 
 
 def fr(p, q=1):
@@ -34,7 +35,7 @@ def fr(p, q=1):
 
 def rref_solve(m: Mat, b) -> Optional[tuple]:
     """Reference solver: RREF of [m | b], free variables set to 0."""
-    aug = Mat(tuple(r + (Fraction(x),) for r, x in zip(m.data, b)))
+    aug = Mat.from_rows([r + (Fraction(x),) for r, x in zip(m.data, b)])
     red, pivots = rref(aug)
     if m.cols in pivots:
         return None
@@ -290,7 +291,7 @@ class TestSolveInverse:
         rows[k] = tuple(p + q for p, q in zip(rows[i], rows[j]))
         bad = list(b)
         bad[k] = b[i] + b[j] + 1
-        m_bad = Mat(tuple(rows))
+        m_bad = Mat.from_rows(rows)
         assert rref_solve(m_bad, bad) is None
         assert solve(m_bad, bad) is None
 
@@ -323,6 +324,63 @@ class TestHelpers:
         assert coeffs == (fr(2), fr(3))
         assert expand_in_basis(vecs, (fr(0), fr(0), fr(1))) is None
 
-    def test_mat_from_flat_round_trip(self):
-        m = Mat.from_rows([[1, 2, 3], [4, 5, 6]])
-        assert mat_from_flat(m.flatten(), 2, 3) == m
+
+# numerators on both sides of 2**62 and mixed denominators: int64 and object
+# arrays, and denominators that do not divide each other
+_wide = st.one_of(
+    _entries,
+    st.builds(
+        Fraction,
+        st.one_of(
+            st.integers(2**62 - 2, 2**62 + 2),
+            st.sampled_from([-(2**63), 2**63 - 1, -(2**62)]),
+            st.integers(-(2**66), 2**66),
+        ),
+        st.sampled_from([1, 2, 3, 5, 2**61 - 1]),
+    ),
+)
+
+
+def _rows(draw, r, c):
+    return draw(st.lists(st.lists(_wide, min_size=c, max_size=c), min_size=r, max_size=r))
+
+
+class TestMatAgainstReference:
+    """The integer-array Mat against the Fraction-row reference."""
+
+    def test_dtype_follows_the_2_62_rule(self):
+        assert Mat.from_rows([[2**62 - 1, -(2**62) + 1]]).ints.dtype == np.int64
+        assert Mat.from_rows([[2**62, 1]]).ints.dtype == object
+        # lowest terms bring an object array back to int64
+        assert Mat.from_rows([[Fraction(2**70, 3), Fraction(2**69, 3)]]).scale(Fraction(3, 2**68)).ints.dtype == np.int64
+        with pytest.raises(ValueError):
+            Mat.from_rows([[1, 2], [3]])
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_operations_agree(self, data):
+        r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+        a_rows, b_rows = _rows(data.draw, r, k), _rows(data.draw, r, k)
+        c_rows, sq_rows = _rows(data.draw, k, c), _rows(data.draw, r, r)
+        v, q = data.draw(st.lists(_wide, min_size=k, max_size=k)), data.draw(_wide)
+        a, b, cm, sq = (Mat.from_rows(x) for x in (a_rows, b_rows, c_rows, sq_rows))
+        ra, rb, rc, rsq = (RefMat.from_rows(x) for x in (a_rows, b_rows, c_rows, sq_rows))
+        pairs = [
+            (a, ra), (a + b, ra + rb), (a - b, ra - rb), (-a, -ra), (a.scale(q), ra.scale(q)),
+            (a @ cm, ra @ rc), (a.transpose(), ra.transpose()), (kron(a, cm), ref_kron(ra, rc)),
+            (sq.commutator(a @ a.transpose()), rsq.commutator(ra @ ra.transpose())), (a - a, ra - ra),
+        ]
+        for new, ref in pairs:
+            assert new.data == ref.data
+            assert new.flatten() == ref.flatten()
+            assert new.is_zero() == ref.is_zero()
+            assert new == Mat.from_rows(ref.data)
+            assert all(new[i, j] == ref[i, j] for i in range(ref.rows) for j in range(ref.cols))
+            assert new.col(0) == ref.col(0)
+        assert a.apply(v) == ra.apply(v)
+        assert (a == b) == (ra == rb)
+        assert (a == a.scale(Fraction(1, 2))) == ra.is_zero()
+        assert nullspace(a) == ref_nullspace(ra)
+        assert rank(a) == ref_rank(ra)
+        rhs = data.draw(st.one_of(st.just(ra.apply(v)), st.lists(_wide, min_size=r, max_size=r)))
+        assert solve(a, rhs) == ref_solve(ra, rhs)

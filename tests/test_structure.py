@@ -84,3 +84,21 @@ def test_tracer_names_resolve():
     assert missing == []
     kernels = importlib.import_module("jordanium.kernels")
     assert issubclass(kernels.ExactOverflow, Exception)
+
+
+def test_fraction_view_of_mat_stays_outside_the_package():
+    # Mat.data is a Fraction copy of the integer array, for perfbench and the
+    # tests; the package itself computes on Mat.ints and Mat.den
+    offenders = []
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) > 5
+    for path in files:
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [
+            "%s:%d" % (path.name, n.lineno)
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr == "data"
+        ]
+    assert offenders == []
