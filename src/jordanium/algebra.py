@@ -43,21 +43,32 @@ from .linalg import (
     format_fraction,
     nullspace_int,
     parse_fraction,
-    vec_sub,
+    parse_int,
     zero_vec,
 )
 
 TableEntry = tuple[int, Fraction]
+
+# Largest dense integer array one input may ask for: 2 * 10**7 entries, 160 MB
+# in int64.  It bounds a wire algebra's n**3 structure tensor, a wire module's
+# n m**2 action tensor and the hom system of `module homdim`.
+DENSE_ENTRY_CAP = 2 * 10**7
+
+
+def refuse_above_cap(what: str, entries: int) -> None:
+    """ValueError when a dense array of that many entries is above the cap."""
+    if entries > DENSE_ENTRY_CAP:
+        raise ValueError("%s has %d entries, above the cap of %d" % (what, entries, DENSE_ENTRY_CAP))
 
 
 class AlgebraPresentation:
     """Commutative unital algebra with explicit rational structure constants."""
 
     def __init__(self, label: str, dim: int, unit: Sequence, structure):
-        """structure maps (i, j) with i <= j to a sparse list of (k, coeff).
+        """structure maps (i, j) to a sparse list of (k, coeff).
 
-        The (j, i) products are filled in by commutativity.  Raises if an
-        explicit asymmetric pair is supplied or the unit law fails.
+        The (j, i) products are filled in by commutativity.  Raises if a pair
+        given in both orders differs or the unit law fails.
         """
         self.label = str(label)
         self.dim = int(dim)
@@ -68,23 +79,19 @@ class AlgebraPresentation:
         for (i, j), entries in structure.items():
             if not (0 <= i < self.dim and 0 <= j < self.dim):
                 raise ValueError("structure index out of range")
-            cleaned = tuple(
-                (int(k), frac(q)) for k, q in sorted(entries, key=lambda e: e[0]) if frac(q) != 0
-            )
+            cleaned = tuple(sorted(e for e in ((int(k), frac(q)) for k, q in entries) if e[1]))
             if any(not 0 <= k < self.dim for k, _ in cleaned):
                 raise ValueError("structure index out of range")
-            if not cleaned:
-                continue
             if (j, i) in table and table[(j, i)] != cleaned:
                 raise ValueError("structure constants are not commutative")
             table[(i, j)] = cleaned
             table[(j, i)] = cleaned
-        self._table = table
+        self._table = {ij: entries for ij, entries in table.items() if entries}
         self._int_cache = None
         self._center_cache: Optional[list[Vec]] = None
-        for j, e in enumerate(map(self.basis_element, range(self.dim))):
-            if self.mul(self.unit, e) != e:
-                raise ValueError("unit law fails on basis vector %d" % j)
+        j = self.unit_defect()
+        if j is not None:
+            raise ValueError("unit law fails on basis vector %d" % j)
 
     # -- products ----------------------------------------------------------
 
@@ -118,11 +125,15 @@ class AlgebraPresentation:
         n = self.dim
         return Mat(exact_int_matmul(xs.ints, c.reshape(n, n * n)).reshape(n, n).T, s * xs.den)
 
-    def associator(self, x, y, z) -> Vec:
-        return vec_sub(self.mul(self.mul(x, y), z), self.mul(x, self.mul(y, z)))
-
-    def square(self, x) -> Vec:
-        return self.mul(x, x)
+    def unit_defect(self) -> Optional[int]:
+        """First j with unit e_j != e_j, or None: L(unit) = I, summed from the
+        table entries (i, j) with unit_i != 0."""
+        cols: list[dict[int, Fraction]] = [{} for _ in range(self.dim)]
+        for (i, j), entries in self._table.items():
+            for k, q in entries if self.unit[i] else ():
+                cols[j][k] = cols[j].get(k, 0) + self.unit[i] * q
+        bad = (j for j, col in enumerate(cols) if {k: v for k, v in col.items() if v} != {j: 1})
+        return next(bad, None)
 
     # -- integer form ------------------------------------------------------
 
@@ -350,7 +361,7 @@ def center_basis(a: AlgebraPresentation) -> list[Vec]:
 
 
 def unit_check(a: AlgebraPresentation) -> bool:
-    return all(a.mul(a.unit, e) == e for e in map(a.basis_element, range(a.dim)))
+    return a.unit_defect() is None
 
 
 # ---------------------------------------------------------------------------
@@ -369,21 +380,12 @@ def algebra_to_dict(a: AlgebraPresentation) -> dict:
 
 
 def algebra_from_dict(d: dict) -> AlgebraPresentation:
-    dim = int(d["dim"])
+    dim = parse_int(d["dim"])
+    refuse_above_cap("the structure tensor", dim**3)
     structure: dict[tuple[int, int], list[TableEntry]] = {}
-    seen = {}
     for i, j, k, q in d["structure"]:
-        seen.setdefault((int(i), int(j)), []).append((int(k), parse_fraction(q)))
-    for (i, j), entries in seen.items():
-        if i <= j:
-            structure[(i, j)] = entries
-        elif (j, i) not in seen:
-            structure[(j, i)] = entries
-    # asymmetric data is caught by the constructor through commutativity
-    for (i, j), entries in seen.items():
-        if i > j and (j, i) in seen:
-            if sorted(entries) != sorted(seen[(j, i)]):
-                raise ValueError("structure constants are not commutative")
+        structure.setdefault((parse_int(i), parse_int(j)), []).append((parse_int(k), parse_fraction(q)))
+    # the constructor fills in and checks the mirrored pairs
     return AlgebraPresentation(d["label"], dim, [parse_fraction(x) for x in d["unit"]], structure)
 
 

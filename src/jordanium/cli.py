@@ -29,6 +29,7 @@ from .algebra import (
     center_basis,
     check_jordan,
     direct_sum,
+    refuse_above_cap,
 )
 from .connections import (
     Connection,
@@ -61,11 +62,6 @@ from .modules import (
     module_from_dict,
     module_to_dict,
 )
-
-
-# Largest hom_basis system `module homdim` builds: 2 * 10**7 entries, 160 MB
-# in int64.  Free 1 -> 1 over the Albert algebra has 1.4 * 10**7.
-HOM_SYSTEM_CAP = 2 * 10**7
 
 
 class UsageError(Exception):
@@ -327,12 +323,12 @@ def cmd_module_homdim(args) -> int:
     p, q = args.free
     if p < 1 or q < 1:
         raise UsageError("ranks must be positive")
-    # hom_basis builds an (n Q P) x (Q P) integer system, for module dimensions P = p n, Q = q n
-    entries = a.dim * (p * a.dim * q * a.dim) ** 2
-    if entries > HOM_SYSTEM_CAP:
-        raise UsageError(
-            "the hom system has %d entries, above the cap of %d" % (entries, HOM_SYSTEM_CAP)
-        )
+    # hom_basis builds an (n Q P) x (Q P) integer system, for module dimensions
+    # P = p n, Q = q n; free 1 -> 1 over the Albert algebra has 1.4 * 10**7 entries
+    try:
+        refuse_above_cap("the hom system", a.dim * (p * a.dim * q * a.dim) ** 2)
+    except ValueError as e:
+        raise UsageError(str(e))
     homs = hom_basis(build_free(a, p), build_free(a, q))
     results = {"label": a.label, "p": p, "q": q, "dim": len(homs)}
     return _emit_report(

@@ -52,6 +52,7 @@ from .linalg import (
     kron,
     pair_products,
     parse_fraction,
+    parse_int,
     scale_ints,
     scaled_int_mats,
     solve_int,
@@ -451,7 +452,7 @@ def _mat_to_lists(m: Mat):
 
 
 def _mat_from_lists(rows) -> Mat:
-    return Mat.from_rows([[parse_fraction(str(v)) for v in row] for row in rows])
+    return Mat.from_rows([[parse_fraction(v) for v in row] for row in rows])
 
 
 def potential_to_dict(a: GaugePotential) -> dict:
@@ -463,8 +464,8 @@ def potential_to_dict(a: GaugePotential) -> dict:
 
 
 def potential_from_dict(d: dict) -> GaugePotential:
-    rank = int(d["rank"])
-    zdim = int(d.get("center_dim", 1))
+    rank = parse_int(d["rank"])
+    zdim = parse_int(d.get("center_dim", 1))
     mats = []
     for per in d["potential"]:
         if zdim == 1:

@@ -18,19 +18,19 @@ graded commutativity w^f = (-1)^{nl} f^w, all as exact identities.  A
 connection extends to module-valued forms (:func:`extend_to_forms`) by the
 same sum with its covariant operators in place of the frame matrices.
 
-Both are computed on integers.  A form is cleared to one (C(D, n), V)
-integer array over its sorted keys with one scale (a ``Mat`` of its values).
-The differential of degree n is a :class:`KoszulOperator`, assembled once
-per frame (``d_der``) or connection (``extend_to_forms``) and cached on it:
-one exact product with the operators stacked side by side, n + 1 signed
-gathers of its rows, and one sparse signed map for the bracket term, over
-a common scale that also holds the 1/(n+1).  ``wedge`` is one exact
-contraction of the two coefficient arrays with the algebra's structure
-tensor (or the module's action tensor), gathered over the disjoint key pairs
-and summed into the merged keys with their shuffle signs; n! l! / (n+l)!
-joins the one denominator.  Sums run in int64 only below a bound checked
-before they start, in object dtype otherwise, and each result is divided
-once when its ``Fraction`` coefficients are built.
+Both are computed on integers.  A form is one ``Mat`` of shape (C(D, n), V)
+over the sorted keys of its degree (one integer array and one denominator),
+so equal forms hold equal arrays.  The differential of degree n is a
+:class:`KoszulOperator`, assembled once per frame (``d_der``) or connection
+(``extend_to_forms``) and cached on it: one exact product with the operators
+stacked side by side, n + 1 signed gathers of its rows, and one sparse signed
+map for the bracket term, over a common scale that also holds the 1/(n+1).
+``wedge`` is one exact contraction of the two coefficient arrays with the
+algebra's structure tensor (or the module's action tensor), gathered over the
+disjoint key pairs and summed into the merged keys with their shuffle signs;
+n! l! / (n+l)! joins the one denominator.  Sums run in int64 only below a
+bound checked before they start, in object dtype otherwise, and each result
+is one ``Mat`` of the summed array over its scale.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, lcm
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -54,10 +55,9 @@ from .linalg import (
     frac,
     max_abs_int,
     parse_fraction,
+    parse_int,
     scale_ints,
     scaled_int_mats,
-    vec_add,
-    vec_scale,
     zero_vec,
 )
 from .modules import ModuleAction
@@ -126,7 +126,9 @@ class DerForm:
     """One homogeneous form over a fixed derivation basis.
 
     module=None means the values live in the base algebra; otherwise they are
-    carrier coordinates of the given module action.
+    carrier coordinates of the given module action.  The form is the Mat
+    ``mat`` of shape (C(D, n), V), for D the frame dimension, n the degree and
+    V the value dimension: row t is the value on the t-th sorted key.
     """
 
     def __init__(
@@ -138,30 +140,47 @@ class DerForm:
     ):
         if not 0 <= degree <= DEGREE_CAP:
             raise ValueError("form degree must lie in 0..%d" % DEGREE_CAP)
-        self.der = der
-        self.degree = int(degree)
-        self.module = module
-        self.value_dim = module.mdim if module is not None else der.algebra.dim
-        store: dict[Key, Vec] = {}
+        degree = int(degree)
+        value_dim = module.mdim if module is not None else der.algebra.dim
+        keys, rows = _keys(der.dim, degree)
+        targets, vecs = [], []
         for key, vec in (coeffs or {}).items():
             key = tuple(int(k) for k in key)
-            if len(key) != self.degree:
+            if len(key) != degree:
                 raise ValueError("coefficient key arity differs from degree")
             if any(not 0 <= k < der.dim for k in key):
                 raise ValueError("derivation index out of range")
-            if any(key[t] >= key[t + 1] for t in range(len(key) - 1)):
+            t = rows.get(key)
+            if t is None:
                 raise ValueError("coefficient keys must be strictly increasing")
-            vec = tuple(frac(v) for v in vec)
-            if len(vec) != self.value_dim:
+            if len(vec) != value_dim:
                 raise ValueError("coefficient value has the wrong dimension")
-            if any(vec):
-                store[key] = vec
-        self.coeffs = store
+            targets.append(t)
+            vecs.append(vec)
+        vals = Mat.from_rows(vecs)
+        ints = np.zeros((len(keys), value_dim), dtype=vals.ints.dtype)
+        ints[targets] = vals.ints.reshape(len(vecs), value_dim)
+        self._set(der, degree, Mat(ints, vals.den), module)
+
+    def _set(self, der: DerivationBasis, degree: int, mat: Mat, module: Optional[ModuleAction]):
+        self.der, self.degree, self.mat, self.module = der, degree, mat, module
+        self.value_dim = mat.cols
+        self._coeffs: Optional[Mapping[Key, Vec]] = None
+
+    @property
+    def coeffs(self) -> Mapping[Key, Vec]:
+        """Read-only {key: Fraction tuple} of the nonzero values, built on first
+        read; the package itself computes on ``mat``."""
+        if self._coeffs is None:
+            keys, _ = _keys(self.der.dim, self.degree)
+            nz = self.mat.nonzero_rows()
+            self._coeffs = MappingProxyType({keys[t]: self.mat.row(t) for t in nz})
+        return self._coeffs
 
     # -- container plumbing ------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.mat.is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, DerForm):
@@ -170,42 +189,33 @@ class DerForm:
             self.der.mats == other.der.mats
             and self.degree == other.degree
             and self.module == other.module
-            and self.coeffs == other.coeffs
+            and self.mat == other.mat
         )
 
-    def _combine(self, other: "DerForm", flip: bool) -> "DerForm":
+    def _operand(self, other: "DerForm") -> Mat:
+        """other's Mat, once other is a form of this one's degree and carrier."""
         if not isinstance(other, DerForm):
             raise TypeError("can only combine forms with forms")
         if self.degree != other.degree or self.module != other.module:
             raise ValueError("can only combine forms of equal degree and carrier")
-        out = dict(self.coeffs)
-        for key, vec in other.coeffs.items():
-            add = tuple(-v for v in vec) if flip else vec
-            cur = out.get(key)
-            out[key] = add if cur is None else vec_add(cur, add)
-        return DerForm(self.der, self.degree, out, self.module)
+        return other.mat
 
     def __add__(self, other):
-        return self._combine(other, False)
+        return _form(self.der, self.degree, self.mat + self._operand(other), self.module)
 
     def __sub__(self, other):
-        return self._combine(other, True)
+        return _form(self.der, self.degree, self.mat - self._operand(other), self.module)
 
     def __neg__(self):
-        return self.scale(-1)
+        return _form(self.der, self.degree, -self.mat, self.module)
 
     def scale(self, c) -> "DerForm":
-        c = frac(c)
-        out = {k: vec_scale(c, v) for k, v in self.coeffs.items()}
-        return DerForm(self.der, self.degree, out, self.module)
+        return _form(self.der, self.degree, self.mat.scale(c), self.module)
 
     def __repr__(self):
         kind = "module" if self.module is not None else "algebra"
-        return "DerForm(deg=%d, %s-valued, %d keys)" % (
-            self.degree,
-            kind,
-            len(self.coeffs),
-        )
+        keys = len(self.mat.nonzero_rows())
+        return "DerForm(deg=%d, %s-valued, %d keys)" % (self.degree, kind, keys)
 
     # -- evaluation --------------------------------------------------------
 
@@ -213,12 +223,11 @@ class DerForm:
         """Value on basis derivations, extended antisymmetrically."""
         if len(indices) != self.degree:
             raise ValueError("expected %d arguments" % self.degree)
-        if len(set(indices)) != len(indices):
-            return zero_vec(self.value_dim)
         key, sign = _sort_sign(indices)
-        vec = self.coeffs.get(key)
-        if vec is None:
+        t = _keys(self.der.dim, self.degree)[1].get(key)
+        if t is None:  # a repeated or out-of-range index
             return zero_vec(self.value_dim)
+        vec = self.mat.row(t)
         return vec if sign == 1 else tuple(-v for v in vec)
 
     def eval(self, *args: Union[int, Sequence]) -> Vec:
@@ -227,23 +236,27 @@ class DerForm:
             raise ValueError("expected %d arguments" % self.degree)
         if all(isinstance(a, int) for a in args):
             return self.at(*args)
-        rows = []
-        for a in args:
-            if isinstance(a, int):
-                rows.append(basis_vec(self.der.dim, a))
-            else:
-                row = tuple(frac(v) for v in a)
-                if len(row) != self.der.dim:
-                    raise ValueError("argument has the wrong frame dimension")
-                rows.append(row)
-        acc = list(zero_vec(self.value_dim))
-        for key, vec in self.coeffs.items():
-            minor = [tuple(row[k] for k in key) for row in rows]
-            c = _det(minor)
-            if c:
-                for t, v in enumerate(vec):
-                    acc[t] += c * v
-        return tuple(acc)
+        dim = self.der.dim
+        rows = [basis_vec(dim, a) if isinstance(a, int) else tuple(map(frac, a)) for a in args]
+        if any(len(row) != dim for row in rows):
+            raise ValueError("argument has the wrong frame dimension")
+        keys, _ = _keys(dim, self.degree)
+        nz = self.mat.nonzero_rows()
+        # the sum over keys of the arguments' minor on the key times its value
+        minors = [[_det([tuple(row[k] for k in keys[t]) for row in rows]) for t in nz]]
+        return (Mat.from_rows(minors) @ Mat(self.mat.ints[nz], self.mat.den)).row(0)
+
+
+def _form(der: DerivationBasis, degree: int, mat: Mat, module) -> DerForm:
+    """The form whose row t is row t of mat, for a computed mat of the right shape."""
+    w = DerForm.__new__(DerForm)
+    w._set(der, degree, mat, module)
+    return w
+
+
+def _zero(der: DerivationBasis, degree: int, module: Optional[ModuleAction]) -> DerForm:
+    value_dim = module.mdim if module is not None else der.algebra.dim
+    return _form(der, degree, Mat.zeros(comb(der.dim, degree), value_dim), module)
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +269,12 @@ def zero_form(der: DerivationBasis, degree: int, module: Optional[ModuleAction] 
 
 def element_form(der: DerivationBasis, x: Sequence) -> DerForm:
     """Degree-0 form wrapping an algebra element."""
-    return DerForm(der, 0, {(): tuple(frac(v) for v in x)})
+    return DerForm(der, 0, {(): x})
 
 
 def module_element_form(der: DerivationBasis, module: ModuleAction, m: Sequence) -> DerForm:
     """Degree-0 form wrapping a module carrier element."""
-    return DerForm(der, 0, {(): tuple(frac(v) for v in m)}, module)
+    return DerForm(der, 0, {(): m}, module)
 
 
 def unit_form(der: DerivationBasis) -> DerForm:
@@ -276,7 +289,7 @@ def coordinate_form(der: DerivationBasis, k: int) -> DerForm:
 
 
 # ---------------------------------------------------------------------------
-# forms as integer arrays
+# integer operators on the sorted keys
 
 
 @lru_cache(maxsize=None)
@@ -284,27 +297,6 @@ def _keys(dim: int, degree: int) -> tuple[tuple[Key, ...], dict[Key, int]]:
     """The sorted keys of one degree, and the row of each."""
     keys = tuple(combinations(range(dim), degree))
     return keys, {key: t for t, key in enumerate(keys)}
-
-
-def _form_ints(w: DerForm) -> tuple[np.ndarray, int]:
-    """(x, s): row t of x is s times the value on the t-th sorted key."""
-    _, rows = _keys(w.der.dim, w.degree)
-    vals = Mat.from_rows(w.coeffs.values())
-    x = np.zeros((len(rows), w.value_dim), dtype=vals.ints.dtype)
-    x[[rows[key] for key in w.coeffs]] = vals.ints
-    return x, vals.den
-
-
-def _form_from_ints(
-    der: DerivationBasis, degree: int, x: np.ndarray, s: int, module: Optional[ModuleAction]
-) -> DerForm:
-    """The form whose value on the t-th sorted key is x[t] / s."""
-    keys, _ = _keys(der.dim, degree)
-    coeffs = {
-        keys[t]: tuple(Fraction(v, s) for v in x[t].tolist())
-        for t in np.flatnonzero((x != 0).any(axis=1)).tolist()
-    }
-    return DerForm(der, degree, coeffs, module)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -452,11 +444,10 @@ def wedge(w: DerForm, f: DerForm) -> DerForm:
         raise ValueError("wedge degree exceeds the cap of %d" % DEGREE_CAP)
     mod = f.module
     if w.is_zero() or f.is_zero():
-        return zero_form(w.der, n + l, mod)
+        return _zero(w.der, n + l, mod)
     # c[i, j, k] = s_c times coordinate k of e_i times value basis vector j
     c, s_c = w.der.algebra.int_tensor() if mod is None else mod.int_tensor()
-    xw, s_w = _form_ints(w)
-    xf, s_f = _form_ints(f)
+    xw, xf = w.mat.ints, f.mat.ints
     mult = comb(n + l, n)
     c_l1 = int(np.abs(c).sum(axis=(0, 1)).max())
     # |each sum| <= max|xw| max|xf| c_l1 mult, the bound on int64 sums
@@ -469,7 +460,7 @@ def wedge(w: DerForm, f: DerForm) -> DerForm:
     left, right, merged, sign = _shuffles(w.der.dim, n, l)
     out = np.zeros((len(_keys(w.der.dim, n + l)[0]), kdim), dtype=prod.dtype)
     np.add.at(out, merged, prod[left, :, right] * sign[:, None])
-    return _form_from_ints(w.der, n + l, out, s_c * s_w * s_f * mult, mod)
+    return _form(w.der, n + l, Mat(out, s_c * w.mat.den * f.mat.den * mult), mod)
 
 
 def _koszul(w: DerForm, owner: Union[DerivationBasis, "Connection"]) -> DerForm:
@@ -477,10 +468,9 @@ def _koszul(w: DerForm, owner: Union[DerivationBasis, "Connection"]) -> DerForm:
     owner's operators acting on the values along the frame."""
     n = w.degree
     if w.is_zero() or n + 1 > w.der.dim:
-        return zero_form(w.der, n + 1, w.module)
+        return _zero(w.der, n + 1, w.module)
     op = koszul_operator(owner, n)
-    x, s = _form_ints(w)
-    return _form_from_ints(w.der, n + 1, op.apply(x), op.scale * s, w.module)
+    return _form(w.der, n + 1, Mat(op.apply(w.mat.ints), op.scale * w.mat.den), w.module)
 
 
 def d_der(w: DerForm) -> DerForm:
@@ -583,9 +573,10 @@ def z_linearity_defect(w: DerForm) -> Optional[tuple[int, Key]]:
 
 
 def form_to_dict(w: DerForm) -> dict:
+    keys, _ = _keys(w.der.dim, w.degree)
     entries = [
-        [list(key), [format_fraction(v) for v in vec]]
-        for key, vec in sorted(w.coeffs.items())
+        [list(keys[t]), [format_fraction(v) for v in w.mat.row(t)]]
+        for t in w.mat.nonzero_rows()
     ]
     return {"degree": w.degree, "entries": entries}
 
@@ -594,7 +585,7 @@ def form_from_dict(
     der: DerivationBasis, d: dict, module: Optional[ModuleAction] = None
 ) -> DerForm:
     coeffs = {
-        tuple(int(k) for k in key): tuple(parse_fraction(s) for s in vec)
+        tuple(parse_int(k) for k in key): tuple(parse_fraction(s) for s in vec)
         for key, vec in d["entries"]
     }
-    return DerForm(der, int(d["degree"]), coeffs, module)
+    return DerForm(der, parse_int(d["degree"]), coeffs, module)

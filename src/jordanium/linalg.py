@@ -58,24 +58,21 @@ def format_fraction(q: Fraction) -> str:
     return str(frac(q))
 
 
-def parse_fraction(s: str) -> Fraction:
-    """A rational from its wire form; ValueError for malformed text or a zero denominator."""
+def parse_fraction(s) -> Fraction:
+    """A rational from an int or a string like '-3/4'; ValueError for anything else."""
+    if isinstance(s, (float, bool)):
+        raise ValueError("wire numbers are ints or strings, not %r" % (s,))
     try:
         return Fraction(s)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % (s,)) from None
 
 
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c: Fraction, v: Sequence[Fraction]) -> Vec:
-    return tuple(c * a for a in v)
+def parse_int(x) -> int:
+    """An index or dimension from an int or a string of one; ValueError for anything else."""
+    if isinstance(x, (float, bool)):
+        raise ValueError("expected an integer, not %r" % (x,))
+    return int(x)
 
 
 def zero_vec(n: int) -> Vec:
@@ -166,8 +163,14 @@ class Mat:
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         return Fraction(int(self.ints[ij]), self.den)
 
+    def row(self, i: int) -> Vec:
+        return self._fractions(self.ints[i].tolist())
+
     def col(self, j: int) -> Vec:
         return self._fractions(self.ints[:, j].tolist())
+
+    def nonzero_rows(self) -> list[int]:
+        return np.flatnonzero((self.ints != 0).any(axis=1)).tolist()
 
     def _aligned(self, other: "Mat") -> tuple[np.ndarray, np.ndarray, int]:
         """Both integer arrays over the common denominator, and that denominator."""

@@ -42,6 +42,7 @@ from .algebra import (
     center_basis,
     hermitian_basis,
     jordan_verdict,
+    refuse_above_cap,
 )
 from .cayley_dickson import coords_in_basis, mat_product
 from .linalg import (
@@ -54,6 +55,7 @@ from .linalg import (
     nullspace_int,
     pair_products,
     parse_fraction,
+    parse_int,
     scale_ints,
     scaled_int_mats,
 )
@@ -352,12 +354,13 @@ def module_from_dict(
             raise ValueError("unknown algebra label %r" % spec)
     else:
         a = algebra_from_dict(spec)
-    m = int(d["mdim"])
+    m = parse_int(d["mdim"])
     if m < 0:
         raise ValueError("mdim must be nonnegative")
+    refuse_above_cap("the action tensor", a.dim * m * m)
     entries = {}  # a later entry replaces an earlier one at the same place
     for i, alpha, beta, v in d["action"]:
-        i, alpha, beta = int(i), int(alpha), int(beta)
+        i, alpha, beta = parse_int(i), parse_int(alpha), parse_int(beta)
         if not (0 <= i < a.dim and 0 <= alpha < m and 0 <= beta < m):
             raise ValueError("action index out of range")
         entries[(i, beta, alpha)] = parse_fraction(v)

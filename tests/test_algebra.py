@@ -233,6 +233,40 @@ class TestJordanCheck:
             )
 
 
+def _unit_failures(dim, unit, structure):
+    """The j with unit e_j != e_j, entry by entry from a structure dict."""
+    bad = []
+    for j in range(dim):
+        col = [Fraction(0)] * dim
+        for i in range(dim):
+            for k, q in structure.get((min(i, j), max(i, j)), []):
+                col[k] += unit[i] * q
+        if col != [Fraction(int(k == j)) for k in range(dim)]:
+            bad.append(j)
+    return bad
+
+
+class TestUnitLaw:
+    @given(st.sampled_from([build_spin(3), build_hermitian(2, 1), direct_sum(build_real(), build_spin(2))]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_first_failing_basis_vector_is_named(self, a, data):
+        # a valid table with up to two upper-triangle entries dropped or rescaled
+        structure = {}
+        for i, j, k, q in a.structure_entries():
+            if i <= j:
+                structure.setdefault((i, j), []).append((k, q))
+        for _ in range(data.draw(st.integers(0, 2))):
+            ij = data.draw(st.sampled_from(sorted(structure)))
+            factor = data.draw(st.sampled_from([0, 2, Fraction(1, 3)]))
+            structure[ij] = [(k, factor * q) for k, q in structure[ij]]
+        bad = _unit_failures(a.dim, a.unit, structure)
+        if not bad:
+            assert unit_check(AlgebraPresentation("t", a.dim, a.unit, structure))
+        else:
+            with pytest.raises(ValueError, match="unit law fails on basis vector %d$" % bad[0]):
+                AlgebraPresentation("t", a.dim, a.unit, structure)
+
+
 class TestCenter:
     @pytest.mark.parametrize(
         "builder,zdim",
@@ -439,6 +473,15 @@ class TestSerialization:
         d2 = dict(d, structure=d["structure"] + [[j, i, k, "7/1"]])
         with pytest.raises(ValueError):
             algebra_from_dict(d2)
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_mirror_entry_of_zero_rejected(self, first):
+        d = algebra_to_dict(build_hermitian(2, 0))
+        i, j, k, _ = next(r for r in d["structure"] if r[0] < r[1])
+        rows = [r for r in d["structure"] if r[:2] != [j, i]]
+        zero = [[j, i, k, "0"]]
+        with pytest.raises(ValueError, match="not commutative"):
+            algebra_from_dict(dict(d, structure=zero + rows if first else rows + zero))
 
     @given(st.integers(2, 6))
     @settings(max_examples=8, deadline=None)

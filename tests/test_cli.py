@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from jordanium.algebra import algebra_dumps, algebra_loads, build_spin
-from jordanium.cli import HOM_SYSTEM_CAP, main
+from jordanium.algebra import DENSE_ENTRY_CAP, algebra_dumps, algebra_loads, build_spin
+from jordanium.cli import main
 from jordanium.connections import gauge_potential, potential_to_dict
 from jordanium.derivations import derivation_basis, structure_constants
 from jordanium.linalg import Mat
@@ -159,6 +159,21 @@ def _spin2_wire(**changes):
     return d
 
 
+def _spin2_constant(value):
+    """Wire dict of JSpin2 with its last structure constant, e2 e2 = 1 e0, replaced."""
+    d = _spin2_wire()
+    d["structure"][-1][3] = value
+    return d
+
+
+def _spin_wire(n):
+    """Wire dict of the spin factor on R + R^n, written out directly."""
+    structure = [[0, 0, 0, "1"]]
+    for i in range(1, n + 1):
+        structure += [[0, i, i, "1"], [i, i, 0, "1"]]
+    return {"label": "JSpin%d" % n, "dim": n + 1, "unit": ["1"] + ["0"] * n, "structure": structure}
+
+
 def _free_module_wire(entry_change):
     d = json.loads(module_dumps(build_free(build_spin(2), 1)))
     t, field, value = entry_change
@@ -183,8 +198,10 @@ def _potential_wire(**changes):
 class TestMalformedInput:
     """A zero denominator, an out-of-range index, an unknown algebra label, a
     negative carrier dimension, an algebra with missing keys, a document that
-    is not a JSON object, potential layers that do not match the center or
-    ragged potential rows is unusable input: exit 2."""
+    is not a JSON object, potential layers that do not match the center,
+    ragged potential rows, a float or bool where an exact number belongs, and
+    an algebra or module whose dense tensor is above the entry cap is
+    unusable input: exit 2."""
 
     ZERO_DEN = _spin2_wire(structure=[[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 1, 0, "1/0"]])
     BAD_K = _spin2_wire(structure=[[0, 0, 0, "1"], [0, 1, 5, "1"], [1, 1, 0, "1"]])
@@ -208,6 +225,13 @@ class TestMalformedInput:
             (["conn", "curvature", "--potential", "-"], ["algebra"]),
             (["conn", "curvature", "--potential", "-"], _potential_wire(center_dim=0, potential=[[], [], []])),
             (["conn", "curvature", "--potential", "-"], _potential_wire(rank=2, potential=[[["1", "0"], ["0"]]] * 3)),
+            (["algebra", "check", "--algebra", "-"], _spin2_constant(0.1)),
+            (["algebra", "check", "--algebra", "-"], _spin2_constant(True)),
+            (["algebra", "check", "--algebra", "-"], _spin2_wire(dim=3.7)),
+            (["module", "check", "--module", "-"], _free_module_wire((0, 0, 0.5))),
+            (["conn", "curvature", "--potential", "-"], _potential_wire(potential=[[[0.5]], [["2"]], [["3"]]])),
+            (["module", "check", "--module", "-"], _module_by_label_wire(mdim=10**6)),
+            (["algebra", "check", "--algebra", "-"], _spin_wire(2999)),
         ],
     )
     def test_exits_2_without_traceback(self, capsys, monkeypatch, argv, doc):
@@ -250,7 +274,7 @@ class TestHomSystemCap:
         assert str(27 * 2916**2) in err
 
     def test_albert_one_to_one_is_under_the_cap(self):
-        assert 27 * 729**2 <= HOM_SYSTEM_CAP
+        assert 27 * 729**2 <= DENSE_ENTRY_CAP
 
 
 class TestDerivationCommands:

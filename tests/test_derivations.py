@@ -49,12 +49,15 @@ from jordanium.linalg import (
     rank,
     scaled_int_mats,
     solve,
-    vec_add,
 )
 
 from cd_reference import commutator_action_reference, triality_defect_reference
 
 fr = Fraction
+
+
+def vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
 def random_so8(rng):

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, factorial
 
 import numpy as np
@@ -40,10 +40,18 @@ from jordanium.forms import (
     z_linearity_defect,
     zero_form,
 )
-from jordanium.linalg import Mat, expand_in_basis, vec_add, vec_scale
+from jordanium.linalg import Mat, expand_in_basis, format_fraction
 from jordanium.modules import build_free
 
 fr = Fraction
+
+
+def vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def vec_scale(c, v):
+    return tuple(c * a for a in v)
 
 
 def _vec(rng, n):
@@ -577,3 +585,58 @@ class TestIntegerCalculus:
     def test_operator_degree_capped(self):
         with pytest.raises(ValueError):
             koszul_operator(_der("JSpin3"), DEGREE_CAP)
+
+
+def _routes(label, n, l, seed):
+    """Forms reached by every route the package offers, from one seed."""
+    der = _der(label)
+    v = der.algebra.dim
+    rng = random.Random(seed)
+    big = (2**45 if seed % 2 else 2**62) if "2**45" in label else 1
+    w = _random_form(der, n, rng, v, big=big)
+    l = min(l, DEGREE_CAP - n)
+    f = _random_form(der, l, rng, v, big=big)
+    # the same values by the dict constructor, keys reversed, one zero row added
+    zero_key = next((k for k in combinations(range(der.dim), n) if k not in w.coeffs), None)
+    items = list(w.coeffs.items())[::-1] + ([(zero_key, (0,) * v)] if zero_key else [])
+    found = [
+        w,
+        DerForm(der, n, dict(items)),
+        w + w - w,
+        w.scale(2).scale(fr(1, 2)),
+        -(-w),
+        w - w,
+        zero_form(der, n),
+        wedge(w, f),
+        _wedge_reference(w, f),
+        wedge(unit_form(der), w),
+    ]
+    c = _connection(label, 1, seed % 3)
+    phi = _random_form(der, n, rng, c.module.mdim, module=c.module, big=big)
+    found += [phi, phi - phi, zero_form(der, n, c.module), wedge(f, phi), _wedge_reference(f, phi)]
+    # n < DEGREE_CAP, so each form has a differential
+    found += [d_der(w), _koszul_reference(w, der.mats)]
+    found += [extend_to_forms(c, phi), _koszul_reference(phi, c.ops)]
+    if n + 2 <= DEGREE_CAP:
+        found += [d_der(d_der(w)), zero_form(der, n + 2)]
+    return found
+
+
+class TestCanonicalForm:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(sorted(_ALGEBRAS) + ["JSpin3(2**45)"]),
+        st.integers(0, DEGREE_CAP - 1),
+        st.integers(0, DEGREE_CAP - 1),
+        st.integers(0, 2**32),
+    )
+    def test_forms_are_equal_exactly_when_their_coefficients_are(self, label, n, l, seed):
+        found = _routes(label, n, l, seed)
+        for a, b in product(found, repeat=2):
+            same = a.degree == b.degree and a.module == b.module and a.coeffs == b.coeffs
+            assert (a == b) == same
+            assert (form_to_dict(a) == form_to_dict(b)) == (a.degree == b.degree and a.coeffs == b.coeffs)
+        for a in found:
+            entries = [[list(k), [format_fraction(x) for x in vec]] for k, vec in sorted(a.coeffs.items())]
+            assert form_to_dict(a) == {"degree": a.degree, "entries": entries}
+            assert all(any(vec) for vec in a.coeffs.values())

@@ -102,3 +102,20 @@ def test_fraction_view_of_mat_stays_outside_the_package():
             if isinstance(n, ast.Attribute) and n.attr == "data"
         ]
     assert offenders == []
+
+
+def test_fraction_view_of_forms_stays_outside_the_package():
+    # DerForm.coeffs is a Fraction copy of the form's Mat, built by a property
+    # that reads neither itself nor another form's; the package computes on
+    # DerForm.mat
+    offenders = []
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) > 5
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [
+            "%s:%d" % (path.name, n.lineno)
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and n.attr == "coeffs"
+        ]
+    assert offenders == []
