@@ -60,6 +60,7 @@ from .connections import (
 from .derivations import (
     DerivationBasis,
     annihilator_subalgebra,
+    bracket_constants,
     check_center_stability,
     check_jacobi,
     check_lie_rinehart,

@@ -356,7 +356,8 @@ def center_basis(a: AlgebraPresentation) -> list[Vec]:
     returns a new list.
     """
     if a._center_cache is None:
-        a._center_cache, _ = nullspace_int(kernels.center_system(a.int_tensor()[0]))
+        kernel, _ = nullspace_int(kernels.center_system(a.int_tensor()[0]))
+        a._center_cache = [kernel.row(i) for i in range(kernel.rows)]
     return list(a._center_cache)
 
 

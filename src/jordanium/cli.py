@@ -388,6 +388,8 @@ def _connection_from_potential_file(args) -> tuple[Connection, dict]:
             raise UsageError("bad algebra input: %s" % e)
     try:
         pot = potential_from_dict(d)
+        # the free module of that rank has n (p n)**2 action entries
+        refuse_above_cap("the free module of rank %d" % pot.rank, a.dim * (pot.rank * a.dim) ** 2)
     except (KeyError, ValueError, TypeError) as e:
         raise UsageError("bad potential input: %s" % e)
     der = derivation_basis(a)

@@ -297,11 +297,10 @@ def potential_from_connection(c: Connection, c0: Connection) -> Optional[GaugePo
     per_mu = []
     for mu in range(c.der.dim):
         diff = c.ops[mu] - c0.ops[mu]
-        sol = solve_int(scale_ints(system, diff.den), scale_ints(diff.ints.ravel(), sl))
+        (sol,) = solve_int(scale_ints(system, diff.den), scale_ints(diff.ints.ravel(), sl))
         if sol is None:
             return None
-        blocks = Mat.from_rows([sol])
-        per_mu.append(tuple(Mat(b, blocks.den) for b in blocks.ints.reshape(k, p, p)))
+        per_mu.append(tuple(Mat(b, sol.den) for b in sol.ints.reshape(k, p, p)))
     return GaugePotential(p, tuple(per_mu))
 
 
@@ -465,6 +464,8 @@ def potential_to_dict(a: GaugePotential) -> dict:
 
 def potential_from_dict(d: dict) -> GaugePotential:
     rank = parse_int(d["rank"])
+    if rank < 0:
+        raise ValueError("rank must be nonnegative")
     zdim = parse_int(d.get("center_dim", 1))
     mats = []
     for per in d["potential"]:

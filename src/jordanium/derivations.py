@@ -130,7 +130,7 @@ class DerivationBasis:
     algebra: AlgebraPresentation
     mats: tuple[Mat, ...]
     free_coords: tuple[int, ...]
-    # the bracket constants as a (dim**2, dim) Mat, stored by structure_constants
+    # the bracket constants as a (dim**2, dim) Mat, stored by bracket_constants
     brackets: Optional[Mat] = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -157,33 +157,30 @@ class DerivationBasis:
 
 def derivation_basis(a: AlgebraPresentation) -> DerivationBasis:
     """All derivations, as the exact nullspace of the Leibniz system."""
-    rows = _leibniz_system(a)
-    basis, pivots = nullspace_int(rows)
+    kernel, pivots = nullspace_int(_leibniz_system(a))
     n = a.dim
     pivset = set(pivots)
     free = tuple(k for k in range(n * n) if k not in pivset)
-    frame = Mat.from_rows(basis)
-    return DerivationBasis(a, tuple(Mat(v.reshape(n, n), frame.den) for v in frame.ints), free)
+    return DerivationBasis(a, tuple(Mat(v.reshape(n, n), kernel.den) for v in kernel.ints), free)
 
 
 # ---------------------------------------------------------------------------
 # structure constants of the derivation algebra
 
 
-def structure_constants(der: DerivationBasis) -> list[list[Vec]]:
-    """b[p][q] = coefficients of [D_p, D_q] in the basis, exactly verified.
+def bracket_constants(der: DerivationBasis) -> Mat:
+    """The (d**2, d) Mat whose row p d + q holds the coefficients of
+    [D_p, D_q] in the basis, exactly verified; computed once per basis and
+    stored on it as ``der.brackets``.
 
     The commutator of two derivations is a derivation, so it must expand in
     the computed basis; the expansion from the canonical free coordinates is
-    re-checked by one exact matrix product over all pairs.  The constants
-    are stored on der as ``der.brackets``, a (d**2, d) Mat whose row
-    p d + q holds b[p][q].
+    re-checked by one exact matrix product over all pairs.
     """
+    if der.brackets is not None:
+        return der.brackets
     d = der.dim
     n = der.algebra.dim
-    if d == 0:
-        object.__setattr__(der, "brackets", Mat.zeros(0, 0))
-        return []
     (ints,), s = scaled_int_mats(der.mats)
     flat = ints.reshape(d, n * n)
     free = np.array(der.free_coords, dtype=np.int64)
@@ -199,7 +196,13 @@ def structure_constants(der: DerivationBasis) -> list[list[Vec]]:
     brackets = Mat(full.reshape(d * d, d), s * s)
     # DerivationBasis is frozen; the cache is its one mutable field
     object.__setattr__(der, "brackets", brackets)
-    coeffs = brackets.flatten()
+    return brackets
+
+
+def structure_constants(der: DerivationBasis) -> list[list[Vec]]:
+    """b[p][q] = coefficients of [D_p, D_q]: :func:`bracket_constants` as lists."""
+    d = der.dim
+    coeffs = bracket_constants(der).flatten()
     return [[coeffs[(p * d + q) * d : (p * d + q + 1) * d] for q in range(d)] for p in range(d)]
 
 
@@ -319,7 +322,7 @@ def inner_span_report(a: AlgebraPresentation, der: Optional[DerivationBasis] = N
     spans = all_der and rank_lower == der.dim
     if all_der and rank_lower < der.dim and pairs:
         # certificate failed; settle it exactly (small algebras only)
-        rank_exact = stacked.shape[0] - len(nullspace_int(stacked.T)[0])
+        rank_exact = stacked.shape[0] - nullspace_int(stacked.T)[0].rows
         spans = rank_exact == der.dim
         rank_lower = rank_exact
     return {
@@ -343,18 +346,20 @@ def inner_expansions(a: AlgebraPresentation, xs: Sequence[Mat]) -> list[Optional
     """:func:`express_in_inner` for each operator of xs, on one integer table.
 
     The columns are the integer table s**2 [L_i, L_j] and the right-hand
-    side is the integer array d x of the Mat x = ints / d; the solution of
-    that system is (d / s**2) times the coefficients.
+    sides, one per x, the integer arrays d x of the Mats x = ints / d, all
+    solved in one kernel; the solution for x is (d / s**2) times its
+    coefficients.
     """
     pairs, table, s2 = _inner_table(a)
-    if not pairs:
+    if not pairs or not xs:
         return [None] * len(xs)
-    system = table.reshape(len(pairs), -1).T
-    out: list[Optional[InnerExpansion]] = []
-    for x in xs:
-        sol = solve_int(system, x.ints.ravel())
-        out.append(None if sol is None else [(pairs[t], q * s2 / x.den) for t, q in enumerate(sol) if q])
-    return out
+    sols = solve_int(table.reshape(len(pairs), -1).T, np.stack([x.ints.ravel() for x in xs], axis=1))
+    return [
+        None
+        if sol is None
+        else [(pairs[t], Fraction(int(sol.ints[0, t]) * s2, sol.den * x.den)) for t in np.flatnonzero(sol.ints[0])]
+        for x, sol in zip(xs, sols)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +381,13 @@ def annihilator_subalgebra(
     if der.dim == 0:
         return []
     n = a.dim
-    (ints,), _ = scaled_int_mats(der.mats)
+    (ints,), s = scaled_int_mats(der.mats)
     rows = np.zeros((len(idempotent_indices) * n, der.dim), dtype=ints.dtype)
     for t, i in enumerate(idempotent_indices):
         rows[t * n : (t + 1) * n] = ints[:, :, i].T
-    basis, _ = nullspace_int(rows)
-    return [der.element(v) for v in basis]
+    kernel, _ = nullspace_int(rows)
+    stack = exact_int_matmul(kernel.ints, ints.reshape(der.dim, n * n))
+    return [Mat(x.reshape(n, n), kernel.den * s) for x in stack]
 
 
 def octonion_slot_block(x: Mat, slot: int, n_diag: int = 3, d: int = 8) -> Mat:
@@ -455,7 +461,7 @@ def _triality_solver():
         entry = index[t] - 64 * t
         np.add.at(rows, (np.arange(512), col[entry] + len(pairs) * (t - 1)), sign[t] * fold[entry])
     null, _ = nullspace_int(rows)
-    return rows, len(null) == 0, pairs
+    return rows, null.rows == 0, pairs
 
 
 def complete_triality(d1: Mat) -> tuple[Mat, Mat]:
@@ -474,10 +480,10 @@ def complete_triality(d1: Mat) -> tuple[Mat, Mat]:
     if not unique:
         raise AssertionError("the triality completion system is not uniquely solvable")
     index, sign = _triality_terms()
-    x = solve_int(rows, -sign[0] * d1.ints.reshape(64)[index[0]])
-    if x is None:
+    (u,) = solve_int(rows, -sign[0] * d1.ints.reshape(64)[index[0]])
+    if u is None:
         raise ValueError("no compatible completion exists")
-    u = Mat.from_rows([x])  # d1.den times the upper triangles of d2 and d3
+    # u is d1.den times the upper triangles of d2 and d3
     i, j = np.array(pairs).T
 
     def unpack(offset: int) -> Mat:

@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .algebra import center_basis
-from .derivations import DerivationBasis, structure_constants
+from .derivations import DerivationBasis, bracket_constants
 from .linalg import (
     Mat,
     Vec,
@@ -71,12 +71,10 @@ Key = tuple[int, ...]
 
 
 def bracket_table(der: DerivationBasis) -> Mat:
-    """Structure constants of the frame as the (d**2, d) Mat ``der.brackets``
-    (row p d + q: the coefficients of [X_p, X_q]); computed by
-    :func:`structure_constants` only when no earlier call stored them."""
-    if der.brackets is None:
-        structure_constants(der)
-    return der.brackets
+    """Structure constants of the frame as the (d**2, d) Mat of
+    :func:`derivations.bracket_constants` (row p d + q: the coefficients of
+    [X_p, X_q]), computed once per basis."""
+    return bracket_constants(der)
 
 
 def _sort_sign(indices: Sequence[int]) -> tuple[Key, int]:

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import Mat, max_abs_int
+from .linalg import Mat, max_abs_int, row_pairs, sum_by_key
 
 
 class ExactOverflow(Exception):
@@ -39,27 +39,6 @@ def to_int_tensor(entries: Sequence[tuple[tuple[int, ...], Fraction]], shape: tu
     return out, vals.den
 
 
-def _row_pairs(ptr: np.ndarray, rows: np.ndarray, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Join positions into rows with the entries of CSR rows (row offsets
-    ptr): pair t is position first + left[t] with entry right[t] of its row."""
-    cnt = ptr[rows + 1] - ptr[rows]
-    left = np.repeat(np.arange(first, first + len(rows)), cnt)
-    right = np.arange(left.size) + np.repeat(ptr[rows] - np.cumsum(cnt) + cnt, cnt)
-    return left, right
-
-
-def _sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct keys in increasing order with the nonzero sums of their values."""
-    if keys.size == 0:
-        return keys, vals
-    order = np.argsort(keys)
-    keys, vals = keys[order], vals[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    sums = np.add.reduceat(vals, starts)
-    nz = sums != 0
-    return keys[starts][nz], sums[nz]
-
-
 def _csr(t: np.ndarray, dtype) -> tuple[np.ndarray, ...]:
     """Nonzero entries (i, j, k, value) of a 3-tensor in row-major order,
     with the offsets of its rows i."""
@@ -76,8 +55,8 @@ def _join_x(csr: tuple[np.ndarray, ...], i, j, a, v) -> tuple[np.ndarray, np.nda
     """
     ci, cj, ck, cv, cptr = csr
     n = len(cptr) - 1
-    s, t = _row_pairs(cptr, a)
-    return _sum_by_key(((cj[t] * n + i[s]) * n + j[s]) * n + ck[t], v[s] * cv[t])
+    s, t = row_pairs(cptr, a)
+    return sum_by_key(((cj[t] * n + i[s]) * n + j[s]) * n + ck[t], v[s] * cv[t])
 
 
 def _require_commutative(c: np.ndarray) -> None:
@@ -130,12 +109,12 @@ def jordan_violation(c: np.ndarray) -> Optional[tuple[int, int, int]]:
     best: Optional[int] = None
     for l in range(n):
         # (e_i e_j)(e_k e_l): c[l, k, b] against X(i, j, b, r)
-        s, t = _row_pairs(xptr, ck[cptr[l] : cptr[l + 1]], cptr[l])
+        s, t = row_pairs(xptr, ck[cptr[l] : cptr[l + 1]], cptr[l])
         k1, v1 = key(xi[t], xj[t], cj[s], xr[t]), xv[t] * cv[s]
         # e_k((e_i e_j) e_l): X(i, j, l, m) against c[m, k, r]
-        s, t = _row_pairs(cptr, xr[xptr[l] : xptr[l + 1]], xptr[l])
+        s, t = row_pairs(cptr, xr[xptr[l] : xptr[l + 1]], xptr[l])
         k2, v2 = key(xi[s], xj[s], cj[t], ck[t]), -(xv[s] * cv[t])
-        keys, _ = _sum_by_key(np.concatenate((k1, k2)), np.concatenate((v1, v2)))
+        keys, _ = sum_by_key(np.concatenate((k1, k2)), np.concatenate((v1, v2)))
         if keys.size and (best is None or keys[0] // n < best):
             best = int(keys[0] // n)
     if best is None:
@@ -159,7 +138,7 @@ def center_system(c: np.ndarray) -> np.ndarray:
     csr = ci, cj, ck, cv, _ = _csr(c, dtype)
     keys, xv = _join_x(csr, ci, cj, ck, cv)
     b, i, j, r = keys // n**3, keys // n**2 % n, keys // n % n, keys % n
-    keys, vals = _sum_by_key(
+    keys, vals = sum_by_key(
         np.concatenate(((((i * n + j) * n + r) * n + b), ((b * n + i) * n + r) * n + j)),
         np.concatenate((xv, -xv)),
     )
@@ -196,29 +175,29 @@ def module_identity_violation(c: np.ndarray, a: np.ndarray) -> Optional[tuple[in
     tptr = np.searchsorted(ti * m + ta, np.arange(n * m + 1))
     _, ui, ub, uv, uptr = _csr(t.transpose(1, 0, 2), dtype)
     # G keyed (in, i, j, out): A_i A_j sends f_alpha to t[j, alpha, g] t[i, g, beta] f_beta
-    s, u = _row_pairs(uptr, tb)
+    s, u = row_pairs(uptr, tb)
     x, y = ui[u], ti[s]
     pair, sign = np.minimum(x, y) * n + np.maximum(x, y), np.sign(y - x)
-    keys, gv = _sum_by_key((ta[s] * n * n + pair) * m + ub[u], sign * tv[s] * uv[u])
+    keys, gv = sum_by_key((ta[s] * n * n + pair) * m + ub[u], sign * tv[s] * uv[u])
     g_in, g_pair, g_out = keys // (n * n * m), keys // m % (n * n), keys % m
     gptr = np.searchsorted(g_in, np.arange(m + 1))
 
     best: Optional[tuple[int, int, int]] = None
     for k in range(n):
         # G A_k: t[k, alpha, g] against G(in g, out beta)
-        s, u = _row_pairs(gptr, tb[optr[k] : optr[k + 1]], optr[k])
+        s, u = row_pairs(gptr, tb[optr[k] : optr[k + 1]], optr[k])
         k1, v1 = (g_pair[u] * m + ta[s]) * m + g_out[u], tv[s] * gv[u]
         # -A_k G: G(in alpha, out g) against t[k, g, beta]
-        s, u = _row_pairs(tptr, k * m + g_out)
+        s, u = row_pairs(tptr, k * m + g_out)
         k2, v2 = (g_pair[s] * m + g_in[s]) * m + tb[u], -(gv[s] * tv[u])
         # assoc(i, k, j, r) from X(k, x, y, r) = c[k, x, w] c[w, y, r], then A_r
-        s, u = _row_pairs(cptr, ck[cptr[k] : cptr[k + 1]], cptr[k])
+        s, u = row_pairs(cptr, ck[cptr[k] : cptr[k + 1]], cptr[k])
         x, y = cj[s], cj[u]
         pair, sign = np.minimum(x, y) * n + np.maximum(x, y), np.sign(y - x)
-        keys, av = _sum_by_key(pair * n + ck[u], sign * cv[s] * cv[u])
-        s, u = _row_pairs(optr, keys % n)
+        keys, av = sum_by_key(pair * n + ck[u], sign * cv[s] * cv[u])
+        s, u = row_pairs(optr, keys % n)
         k3, v3 = (keys[s] // n * m + ta[u]) * m + tb[u], av[s] * tv[u]
-        keys, _ = _sum_by_key(np.concatenate((k1, k2, k3)), np.concatenate((v1, v2, v3)))
+        keys, _ = sum_by_key(np.concatenate((k1, k2, k3)), np.concatenate((v1, v2, v3)))
         if keys.size and (best is None or keys[0] // (m * m) < best[0] * n + best[1]):
             p = int(keys[0] // (m * m))
             best = (p // n, p % n, k)
@@ -253,12 +232,12 @@ def symmetrized_products(basis: np.ndarray, o: np.ndarray) -> tuple[np.ndarray, 
     s = basis[m, r, c, k].astype(np.int64)
     # atoms of x_a against the atoms of x_b whose row is x_a's column
     by_row = np.argsort(r, kind="stable")
-    left, right = _row_pairs(np.searchsorted(r[by_row], np.arange(n + 1)), c)
+    left, right = row_pairs(np.searchsorted(r[by_row], np.arange(n + 1)), c)
     right = by_row[right]
     a, b, k1, k2 = m[left], m[right], k[left], k[right]
     pair = np.minimum(a, b) * count + np.maximum(a, b)
     val = np.where(a == b, 2, 1) * s[left] * s[right] * o[k1, k2, k1 ^ k2]
-    keys, vals = _sum_by_key(pair * size + (r[left] * n + c[right]) * d + (k1 ^ k2), val)
+    keys, vals = sum_by_key(pair * size + (r[left] * n + c[right]) * d + (k1 ^ k2), val)
     # coordinates from the first atom of each basis matrix
     pos = (r * n + c) * d + k
     first = np.flatnonzero(np.r_[True, m[1:] != m[:-1]])
@@ -270,8 +249,8 @@ def symmetrized_products(basis: np.ndarray, o: np.ndarray) -> tuple[np.ndarray, 
     read = owner[at] >= 0
     cpair, cm, cv = keys[read] // size, owner[at[read]], vals[read] * sign[at[read]]
     # the products as those coordinates times the basis atoms
-    t, u = _row_pairs(np.searchsorted(m, np.arange(count + 1)), cm)
-    rebuilt, rvals = _sum_by_key(cpair[t] * size + pos[u], cv[t] * s[u])
+    t, u = row_pairs(np.searchsorted(m, np.arange(count + 1)), cm)
+    rebuilt, rvals = sum_by_key(cpair[t] * size + pos[u], cv[t] * s[u])
     if not (np.array_equal(rebuilt, keys) and np.array_equal(rvals, vals)):
         raise AssertionError("a symmetrized product leaves the span of the basis")
     return cpair // count, cpair % count, cm, cv

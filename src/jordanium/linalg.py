@@ -11,17 +11,16 @@ form, so identical inputs give identical outputs on every run.
 
 Every exact solve goes through one nullspace engine on integer matrices (a
 Mat's own array).  A matrix with more than twice as many rows as columns is
-first replaced by its Gram matrix, which has the same nullspace.  At every size the engine
-eliminates modulo several word-size primes and lifts the result back to
-rationals by CRT and rational reconstruction; Bareiss (fraction-free)
+first replaced by its Gram matrix, which has the same nullspace, joined from
+the nonzero entries of each row and summed by sorted key (:func:`row_pairs`,
+:func:`sum_by_key`).  The engine eliminates modulo word-size primes, combines
+the residues by CRT and lifts them by one rational reconstruction over the
+whole residue array (:func:`rat_reconstruct`).  The kernel is one
+:class:`Mat` whose rows are the reduced echelon basis, checked once, exactly,
+by one integer product with the full matrix.  Bareiss (fraction-free)
 elimination runs only when the primes run out without a verified answer.
-Each returned kernel vector is checked once, exactly, by one integer
-product with the full matrix before any Gram compression.  :func:`rref`
-stays as the plain rational reference.
-
-:func:`solve` is the kernel vector of the normal equations A^T [A | b] whose
-free coordinate is the right-hand side, negated; only that one vector is
-lifted, and the answer is checked exactly against A x = b.
+:func:`rref` stays as the plain rational reference.  :func:`solve` reads the
+kernel of [A | b].
 
 Operator identities run on integer stacks of one scale (:func:`scaled_int_mats`),
 each :func:`pair_products` or :func:`commutators` one :func:`exact_int_matmul`.
@@ -38,7 +37,7 @@ import numpy as np
 Vec = tuple[Fraction, ...]
 
 # Primes just below 2**21: residues fit in int64 with exact products
-# (p*p < 2**42), and float64 matmuls on residue matrices stay exact.
+# (p*p < 2**42).
 _PRIMES = (
     2097143, 2097133, 2097131, 2097097, 2097091, 2097083, 2097047, 2097041,
     2097031, 2097023, 2097013, 2096993, 2096987, 2096971, 2096959, 2096957,
@@ -295,40 +294,17 @@ def rref_bareiss(m: Mat) -> tuple[Mat, tuple[int, ...]]:
         prev = piv
         pivots.append(c)
         r += 1
-    out = []
-    for i, row in enumerate(a):
-        if i < len(pivots):
-            piv = row[pivots[i]]
-            out.append([Fraction(x, piv) for x in row])
-        else:
-            if any(row):
-                raise AssertionError("Bareiss left a nonzero non-pivot row")
-            out.append(row)
-    return Mat.from_rows(out), tuple(pivots)
+    if any(any(row) for row in a[r:]):
+        raise AssertionError("Bareiss left a nonzero non-pivot row")
+    # every step scales the earlier pivot rows alike: each pivot ends as prev
+    out = np.array(a, dtype=object).reshape(nr, nc)
+    return Mat(out if prev > 0 else -out, abs(prev)), tuple(pivots)
 
 
-def _kernel_vectors(
-    nc: int, pivots: Sequence[int], cols: Sequence[int], coeffs
-) -> list[Vec]:
-    """Kernel vectors v_f for the free columns f in cols.
-
-    v_f[f] = 1, v_f is 0 on every other free column, and v_f[pivots[i]] =
-    coeffs[i][t] for the t-th entry f of cols.
-    """
-    basis = []
-    for t, f in enumerate(cols):
-        v = [Fraction(0)] * nc
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = coeffs[i][t]
-        basis.append(tuple(v))
-    return basis
-
-
-def _free_columns(nc: int, pivots: Sequence[int], lift: Optional[int]) -> list[int]:
-    pivset = set(pivots)
-    cols = range(nc) if lift is None else (lift,)
-    return [c for c in cols if c not in pivset]
+def _free_columns(nc: int, pivots: Sequence[int]) -> np.ndarray:
+    free = np.ones(nc, dtype=bool)
+    free[list(pivots)] = False
+    return np.flatnonzero(free)
 
 
 def _rref_mod_p(m: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -346,45 +322,55 @@ def _rref_mod_p(m: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
+        # row r is 0 left of c, so only columns c onward change
+        a[r, c:] = (a[r, c:] * pow(int(a[r, c]), -1, p)) % p
         colv = a[:, c].copy()
         colv[r] = 0
         tgt = np.nonzero(colv)[0]
         if tgt.size:
-            a[tgt] = (a[tgt] - colv[tgt, None] * a[r][None, :]) % p
+            a[tgt, c:] = (a[tgt, c:] - colv[tgt, None] * a[r, c:]) % p
         pivots.append(c)
         r += 1
     return a, tuple(pivots)
 
 
-def _rat_reconstruct(r: int, m: int) -> Optional[Fraction]:
-    """Wang's rational reconstruction of r mod m, or None."""
-    r %= m
-    if r == 0:
-        return Fraction(0)
+def rat_reconstruct(res: np.ndarray, m: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Wang's rational reconstruction of every entry of an integer array mod m.
+
+    Returns (num, den) with num = res * den mod m, |num| and den at most
+    sqrt(m / 2), den > 0 and gcd(num, den) = 1 entrywise, or None when some
+    entry has no such fraction.  One extended Euclidean loop runs on all
+    entries at once, each leaving it when its remainder falls to the bound.
+    Every remainder and cofactor stays below m in size: int64 while
+    m < 2**62, object dtype otherwise.
+    """
+    dtype = np.int64 if m < 2**62 else object
     bound = isqrt(m // 2)
-    s0, s1 = m, r
-    t0, t1 = 0, 1
-    while s1 > bound:
-        q = s0 // s1
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if t1 == 0 or abs(t1) > bound:
+    s0, s1 = np.full(res.size, m, dtype=dtype), (res.ravel() % m).astype(dtype)
+    t0, t1 = np.zeros(res.size, dtype=dtype), np.ones(res.size, dtype=dtype)
+    live = np.flatnonzero(s1 > bound)
+    while live.size:
+        a, b = s0[live], s1[live]
+        q = a // b
+        s0[live], s1[live] = b, a - q * b
+        a, b = t0[live], t1[live]
+        t0[live], t1[live] = b, a - q * b
+        live = live[s1[live] > bound]
+    # t1 is never 0: its size grows at every step from 1
+    if max_abs_int(t1) > bound:
         return None
-    a, b = s1, t1
-    if b < 0:
-        a, b = -a, -b
-    if gcd(a, b) != 1:
+    num, den = np.where(t1 < 0, -s1, s1), np.abs(t1)
+    if (np.gcd(num, den) != 1).any():
         return None
-    if (a - b * r) % m != 0:
-        return None
-    return Fraction(a, b)
+    return num.reshape(res.shape), den.reshape(res.shape)
 
 
 def _crt_pair(r1: np.ndarray, m1: int, r2: np.ndarray, m2: int) -> np.ndarray:
-    """Entrywise x = r1 mod m1, x = r2 mod m2, in [0, m1 m2); object arrays."""
-    return (r1 + m1 * (((r2 - r1) * pow(m1, -1, m2)) % m2)) % (m1 * m2)
+    """Entrywise x = r1 mod m1, x = r2 mod m2, in [0, m1 m2): int64 while
+    m1 m2 < 2**62 (r1 is reduced mod m2 first), object dtype otherwise."""
+    if m1 * m2 >= 2**62:
+        r1, r2 = r1.astype(object), r2.astype(object)
+    return r1 + m1 * ((r2 - r1 % m2) * pow(m1, -1, m2) % m2)
 
 
 def max_abs_int(arr: np.ndarray) -> int:
@@ -466,42 +452,97 @@ def kron(b: Mat, m: Mat) -> Mat:
     return Mat(np.kron(x, y), b.den * m.den)
 
 
-def _annihilates(arr: np.ndarray, vectors: Sequence[Vec]) -> bool:
-    """arr @ v == 0 for every v, as one exact integer product."""
-    if not vectors:
-        return True
-    return not (exact_int_matmul(arr, Mat.from_rows(vectors).ints.T) != 0).any()
+# ---------------------------------------------------------------------------
+# sparse joins
+
+
+def row_pairs(ptr: np.ndarray, rows: np.ndarray, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Join positions into rows with the entries of CSR rows (row offsets
+    ptr): pair t is position first + left[t] with entry right[t] of its row."""
+    cnt = ptr[rows + 1] - ptr[rows]
+    left = np.repeat(np.arange(first, first + len(rows)), cnt)
+    right = np.arange(left.size) + np.repeat(ptr[rows] - np.cumsum(cnt) + cnt, cnt)
+    return left, right
+
+
+def sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys in increasing order with the nonzero sums of their values."""
+    if keys.size == 0:
+        return keys, vals
+    order = np.argsort(keys)
+    keys, vals = keys[order], vals[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    sums = np.add.reduceat(vals, starts)
+    nz = sums != 0
+    return keys[starts][nz], sums[nz]
+
+
+_JOIN_PAIRS = 2**21  # products per block of the Gram join, bounding its memory
+
+
+def _gram(arr: np.ndarray) -> np.ndarray:
+    """A^T A of an integer matrix A, joined from the nonzero entries of A.
+
+    Every nonzero entry meets every nonzero entry of its own row, itself
+    included, and the products are summed under the key (column, column),
+    a block of rows at a time.  Each entry of A^T A is a sum of at most
+    rows products of size at most max|a|**2: int64 when that bound is below
+    2**63, object dtype otherwise.
+    """
+    nr, nc = arr.shape
+    r, c = np.nonzero(arr)
+    vals = arr[r, c]
+    vals = vals.astype(np.int64 if max_abs_int(vals) ** 2 * nr < 2**63 else object)
+    ptr = np.searchsorted(r, np.arange(nr + 1))
+    done = np.r_[0, np.cumsum(np.diff(ptr) ** 2)]  # products of the rows before each row
+    out = np.zeros(nc * nc, dtype=vals.dtype)
+    lo = 0
+    while lo < nr:
+        hi = max(lo + 1, int(np.searchsorted(done, done[lo] + _JOIN_PAIRS, side="right")) - 1)
+        s, t = row_pairs(ptr, r[ptr[lo] : ptr[hi]], ptr[lo])
+        keys, sums = sum_by_key(c[s] * nc + c[t], vals[s] * vals[t])
+        out[keys] += sums
+        lo = hi
+    return out.reshape(nc, nc)
 
 
 # ---------------------------------------------------------------------------
 # the nullspace engine
 
 
-def _nullspace_modular(
-    arr: np.ndarray, work: np.ndarray, lift: Optional[int] = None
-) -> Optional[tuple[list[Vec], tuple[int, ...]]]:
+def _kernel(nc: int, pivots: Sequence[int], num: np.ndarray, den) -> Mat:
+    """The canonical kernel, over the lcm of the denominators: the vector of
+    the t-th free column f is 1 at f, 0 at every other free column and
+    num[i, t] / den at pivots[i] (den one integer or an array like num)."""
+    d = lcm(*set(np.ravel(den).tolist()))
+    if max(max_abs_int(num), 1) * d >= 2**62:
+        num, den = num.astype(object), np.asarray(den, dtype=object)
+    free = _free_columns(nc, pivots)
+    out = np.zeros((free.size, nc), dtype=num.dtype)
+    out[np.arange(free.size), free] = d
+    out[:, list(pivots)] = (num * (d // den)).T
+    return Mat(out, d)
+
+
+def _nullspace_modular(arr: np.ndarray, work: np.ndarray) -> Optional[tuple[Mat, tuple[int, ...]]]:
     """Multi-prime modular nullspace of arr, eliminating on work.
 
     work has the nullspace of arr (arr itself or its Gram matrix).  Each
     prime gives an RREF of work mod p; a prime with fewer pivots, or with
     the same number of pivots further right, is bad and skipped, and the
-    pivot entries of the lifted free columns are combined by CRT over the
-    good primes.  After each prime they are rationally reconstructed and
-    checked exactly against arr.  Returns (basis, pivots), or None when the
-    primes run out first, or when the column to lift is a pivot mod every
-    good prime.
+    pivot entries of the free columns are combined by CRT over the good
+    primes.  After each prime they are rationally reconstructed and the
+    kernel is checked exactly against arr.  Returns (kernel, pivots), or
+    None when the primes run out first.
 
-    Lifting every free column certifies the rank: the verified vectors give
-    nullity >= nc - (rank mod p) >= the true nullity.
+    The verified kernel certifies the rank: it gives nullity >= nc - (rank
+    mod p) >= the true nullity, so the pivots are the rational ones.
     """
     nc = arr.shape[1]
     best: Optional[tuple[int, ...]] = None
-    residues = np.empty((0, 0), dtype=object)
-    modulus = 1
     for p in _PRIMES:
         red, pivots = _rref_mod_p(work, p)
-        cols = _free_columns(nc, pivots, lift)
-        res = (-red[: len(pivots), cols] % p).astype(object)
+        res = -red[: len(pivots)][:, _free_columns(nc, pivots)] % p
         if best is None or (-len(pivots), pivots) < (-len(best), best):
             best, residues, modulus = pivots, res, p
         elif pivots == best:
@@ -509,74 +550,45 @@ def _nullspace_modular(
             modulus *= p
         else:
             continue
-        if lift is not None and not cols:
-            continue
-        coeffs = []
-        for row in residues:
-            coeffs.append([_rat_reconstruct(int(x), modulus) for x in row])
-            if None in coeffs[-1]:
-                break
-        else:
-            basis = _kernel_vectors(nc, best, cols, coeffs)
-            if _annihilates(arr, basis):
-                return basis, best
+        lifted = rat_reconstruct(residues, modulus)
+        if lifted is not None:
+            kernel = _kernel(nc, best, *lifted)
+            if not exact_int_matmul(arr, kernel.ints.T).any():
+                return kernel, best
     return None
-
-
-def _nullspace_of_int(
-    arr: np.ndarray, lift: Optional[int] = None
-) -> tuple[list[Vec], tuple[int, ...]]:
-    """Canonical nullspace vectors of an integer matrix, and its pivots.
-
-    lift=None gives the vector of every free column; an int gives only that
-    column's vector, or none when it is a pivot.  Tall matrices are
-    compressed to their Gram matrix first: over an ordered field
-    null(A^T A) = null(A), and A^T A is exact integer arithmetic.  The
-    modular engine runs at every size; Bareiss elimination runs only when it
-    gives no answer.  Every returned vector is checked exactly against arr,
-    once.
-    """
-    nr, nc = arr.shape
-    if nc == 0:
-        return [], ()
-    work = exact_int_matmul(arr.T, arr) if nr > 2 * nc else arr
-    found = _nullspace_modular(arr, work, lift)
-    if found is not None:
-        return found
-    red, pivots = rref_bareiss(Mat(work))
-    cols = _free_columns(nc, pivots, lift)
-    coeffs = [[-red[i, f] for f in cols] for i in range(len(pivots))]
-    basis = _kernel_vectors(nc, pivots, cols, coeffs)
-    if not _annihilates(arr, basis):
-        raise AssertionError("nullspace verification failed")
-    return basis, pivots
 
 
 # ---------------------------------------------------------------------------
 # public solvers
 
 
-def nullspace(m: Mat) -> list[Vec]:
-    """Basis of the right nullspace, in reduced echelon form.
-
-    Every returned vector satisfies m @ v = 0 exactly; this is re-verified
-    by multiplication before returning.
-    """
-    if m.cols == 0:
-        return []
-    return _nullspace_of_int(m.ints)[0]
-
-
-def nullspace_int(arr: np.ndarray) -> tuple[list[Vec], tuple[int, ...]]:
+def nullspace_int(arr: np.ndarray) -> tuple[Mat, tuple[int, ...]]:
     """Nullspace of an integer matrix given as a numpy array.
 
-    Returns (basis, pivot columns); the free columns are the complement of
-    the pivots, and the canonical basis satisfies v_a[free_b] = delta_ab,
-    which makes expansion coefficients of span members directly readable.
+    Returns (kernel, pivot columns).  The rows of the kernel Mat are the
+    canonical basis, one per free column in increasing order, with
+    v_a[free_b] = delta_ab, so expansion coefficients of span members are
+    read off directly.  Tall matrices are compressed to their Gram matrix
+    first: over an ordered field null(A^T A) = null(A).
     """
     if arr.dtype not in (np.int64, object):
         arr = arr.astype(np.int64)
-    return _nullspace_of_int(arr)
+    nr, nc = arr.shape
+    work = _gram(arr) if nr > 2 * nc else arr
+    found = _nullspace_modular(arr, work)
+    if found is not None:
+        return found
+    red, pivots = rref_bareiss(Mat(work))
+    kernel = _kernel(nc, pivots, -red.ints[: len(pivots)][:, _free_columns(nc, pivots)], red.den)
+    if exact_int_matmul(arr, kernel.ints.T).any():
+        raise AssertionError("nullspace verification failed")
+    return kernel, pivots
+
+
+def nullspace(m: Mat) -> list[Vec]:
+    """Basis of the right nullspace in reduced echelon form; m @ v = 0 is
+    verified exactly for every vector before it is returned."""
+    return list(nullspace_int(m.ints)[0].data)
 
 
 def rank(m: Mat) -> int:
@@ -585,9 +597,7 @@ def rank(m: Mat) -> int:
     The modular path certifies both bounds: pivots nonzero mod p give
     rank >= r, and the verified nullspace vectors give rank <= r.
     """
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    return m.cols - len(nullspace(m))
+    return m.cols - nullspace_int(m.ints)[0].rows
 
 
 def rank_lower_bound(arr: np.ndarray, target: int) -> int:
@@ -605,31 +615,33 @@ def rank_lower_bound(arr: np.ndarray, target: int) -> int:
 
 
 def solve(m: Mat, b: Sequence[Fraction]) -> Optional[Vec]:
-    """One exact solution of m x = b (free variables set to 0), or None.
-
-    With A and b lifted to integers over one denominator, the normal
-    equations A^T [A | b] are always consistent, and while A x = b is
-    consistent they have the same row space, hence the same RREF solution.  That solution is the negated
-    kernel vector whose free coordinate is the right-hand side; it is
-    checked exactly against A x = b, so a nonzero residual means "no
-    solution".
-    """
+    """The exact solution of m x = b in reduced echelon form (free variables
+    set to 0), or None when there is none."""
     if len(b) != m.rows:
         raise ValueError("right hand side has wrong length")
     if m.rows == 0:
         return zero_vec(m.cols)
     rhs = Mat.from_rows([b])
-    return solve_int(scale_ints(m.ints, rhs.den), scale_ints(rhs.ints[0], m.den))
+    (x,) = solve_int(scale_ints(m.ints, rhs.den), scale_ints(rhs.ints[0], m.den))
+    return None if x is None else x.row(0)
 
 
-def solve_int(arr: np.ndarray, rhs: np.ndarray) -> Optional[Vec]:
-    """:func:`solve` for an integer matrix and an integer right-hand side."""
+def solve_int(arr: np.ndarray, rhs: np.ndarray) -> list[Optional[Mat]]:
+    """:func:`solve` for an integer matrix A and each column b of an integer
+    right-hand side B (one column when rhs is 1-D): a (1, cols) Mat, or None.
+
+    The columns of B follow those of A in one kernel of [A | B].  A x = b is
+    consistent exactly when b is free and its kernel vector is 0 on the
+    pivot columns of B; then the vector is (-x, 1) on A and b, for x the
+    reduced echelon solution.
+    """
     nc = arr.shape[1]
-    aug = np.concatenate((arr, rhs.reshape(-1, 1)), axis=1)
-    kernel, _ = _nullspace_of_int(exact_int_matmul(arr.T, aug), lift=nc)
-    if not kernel or not _annihilates(aug, kernel):
-        return None
-    return tuple(-x for x in kernel[0][:nc])
+    aug = np.concatenate((arr, rhs if rhs.ndim == 2 else rhs[:, None]), axis=1)
+    kernel, pivots = nullspace_int(aug)
+    free = _free_columns(aug.shape[1], pivots).tolist()
+    rhs_pivots = [p for p in pivots if p >= nc]
+    rows = (kernel.ints[free.index(c)] if c in free else None for c in range(nc, aug.shape[1]))
+    return [None if r is None or r[rhs_pivots].any() else Mat(-r[None, :nc], kernel.den) for r in rows]
 
 
 def expand_in_basis(vectors: Sequence[Vec], target: Vec) -> Optional[Vec]:

@@ -287,10 +287,8 @@ def hom_basis(m1: ModuleAction, m2: ModuleAction) -> list[ModuleHom]:
     eye_q = np.eye(q, dtype=np.int64)
     for i in range(n):
         rows[i * q * p : (i + 1) * q * p] = np.kron(a2s[i], eye_p) - np.kron(eye_q, a1s[i].T)
-    basis, _ = nullspace_int(rows)
-    # the basis over one denominator; row v is the (q x p) hom, row-major
-    homs = Mat.from_rows(basis)
-    hs = homs.ints.reshape(len(basis), q, p)
+    homs, _ = nullspace_int(rows)  # row v is the (q x p) hom, row-major
+    hs = homs.ints.reshape(homs.rows, q, p)
     # T_i H == H S_i for every basis element i and hom H, both sides scaled alike
     if (pair_products(a2s, hs) != pair_products(hs, a1s).transpose(1, 0, 2, 3)).any():
         raise AssertionError("hom basis element fails to intertwine")

@@ -12,8 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from jordanium.kernels import _csr, _row_pairs, _sum_by_key
-from jordanium.linalg import max_abs_int
+from jordanium.kernels import _csr
+from jordanium.linalg import max_abs_int, row_pairs, sum_by_key
 
 
 def reference_witness_operator(a, i, j, k):
@@ -44,22 +44,22 @@ def full_join_jordan_violation(c: np.ndarray) -> Optional[tuple[int, int, int]]:
     n = c.shape[0]
     dtype = np.int64 if 12 * n * n * max_abs_int(c) ** 3 < 2**63 else object
     ci, cj, ck, cv, cptr = _csr(c, dtype)
-    s, t = _row_pairs(cptr, ck)
-    keys, xv = _sum_by_key(((cj[t] * n + ci[s]) * n + cj[s]) * n + ck[t], cv[s] * cv[t])
+    s, t = row_pairs(cptr, ck)
+    keys, xv = sum_by_key(((cj[t] * n + ci[s]) * n + cj[s]) * n + ck[t], cv[s] * cv[t])
     xb, xi, xj, xr = keys // n**3, keys // n**2 % n, keys // n % n, keys % n
     xptr = np.searchsorted(xb, np.arange(n + 1))
 
     best: Optional[int] = None
     for l in range(n):
-        s, t = _row_pairs(xptr, ck[cptr[l] : cptr[l + 1]], cptr[l])
+        s, t = row_pairs(xptr, ck[cptr[l] : cptr[l + 1]], cptr[l])
         i1, j1, k1, r1, v1 = xi[t], xj[t], cj[s], xr[t], xv[t] * cv[s]
-        s, t = _row_pairs(cptr, xr[xptr[l] : xptr[l + 1]], xptr[l])
+        s, t = row_pairs(cptr, xr[xptr[l] : xptr[l + 1]], xptr[l])
         i2, j2, k2, r2, v2 = xi[s], xj[s], cj[t], ck[t], -(xv[s] * cv[t])
         i, j, k, r = (np.concatenate(p) for p in ((i1, i2), (j1, j2), (k1, k2), (r1, r2)))
         lo = np.minimum(np.minimum(i, j), k)
         hi = np.maximum(np.maximum(i, j), k)
         code = (lo * n + (i + j + k - lo - hi)) * n + hi
-        keys, _ = _sum_by_key(code * n + r, np.concatenate((v1, v2)))
+        keys, _ = sum_by_key(code * n + r, np.concatenate((v1, v2)))
         if keys.size and (best is None or keys[0] // n < best):
             best = int(keys[0] // n)
     if best is None:

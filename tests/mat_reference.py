@@ -4,12 +4,15 @@
 array and one denominator: every operation is a Python loop over
 ``Fraction`` entries.  ``ref_nullspace``, ``ref_rank`` and ``ref_solve``
 read plain Gauss-Jordan elimination over the rationals, so they share
-nothing with the library's modular nullspace engine.
+nothing with the library's modular nullspace engine.  ``ref_rat_reconstruct``
+is Wang's rational reconstruction of one residue at a time, as the engine
+ran it before it became one array loop.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -137,3 +140,27 @@ def ref_solve(m: RefMat, b: Sequence[Fraction]) -> Optional[Vec]:
     for i, p in enumerate(pivots):
         x[p] = red[i][m.cols]
     return tuple(x)
+
+
+def ref_rat_reconstruct(r: int, m: int) -> Optional[Fraction]:
+    """Wang's rational reconstruction of r mod m, or None."""
+    r %= m
+    if r == 0:
+        return Fraction(0)
+    bound = isqrt(m // 2)
+    s0, s1 = m, r
+    t0, t1 = 0, 1
+    while s1 > bound:
+        q = s0 // s1
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > bound:
+        return None
+    a, b = s1, t1
+    if b < 0:
+        a, b = -a, -b
+    if gcd(a, b) != 1:
+        return None
+    if (a - b * r) % m != 0:
+        return None
+    return Fraction(a, b)

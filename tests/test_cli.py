@@ -1,14 +1,19 @@
 """Command line interface: schemas, exit codes, pipelines, determinism."""
 
+import copy
 import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jordanium.algebra import DENSE_ENTRY_CAP, algebra_dumps, algebra_loads, build_spin
 from jordanium.cli import main
@@ -232,6 +237,10 @@ class TestMalformedInput:
             (["conn", "curvature", "--potential", "-"], _potential_wire(potential=[[[0.5]], [["2"]], [["3"]]])),
             (["module", "check", "--module", "-"], _module_by_label_wire(mdim=10**6)),
             (["algebra", "check", "--algebra", "-"], _spin_wire(2999)),
+            (["conn", "curvature", "--potential", "-"], _potential_wire(rank=-1, potential=[])),
+            (["conn", "flat", "--potential", "-"], _potential_wire(rank=-1, potential=[])),
+            (["conn", "curvature", "--potential", "-"], _potential_wire(rank=100000, potential=[])),
+            (["conn", "flat", "--potential", "-"], _potential_wire(rank=100000, potential=[])),
         ],
     )
     def test_exits_2_without_traceback(self, capsys, monkeypatch, argv, doc):
@@ -258,6 +267,72 @@ class TestMalformedInput:
         code, out, err = run_cli(capsys, "conn", "curvature", "--potential", str(f))
         assert code == 2
         assert "Traceback" not in err
+
+
+def _paths(doc, prefix=()):
+    """Every position in a JSON document, as the keys and indices leading to it."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    out = copy.deepcopy(doc)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+# each wire document with the subcommands that read it from stdin
+_FUZZ_CASES = [
+    (
+        _spin2_wire(),
+        [
+            ["algebra", "check", "--algebra", "-"],
+            ["der", "basis", "--algebra", "-"],
+            ["der", "inner", "--algebra", "-"],
+            ["module", "homdim", "--free", "1", "1", "--algebra", "-"],
+        ],
+    ),
+    (
+        json.loads(module_dumps(build_free(build_spin(2), 1))),
+        [["module", "check", "--module", "-"], ["conn", "innerflat", "--module", "-"]],
+    ),
+    (_potential_wire(), [["conn", "curvature", "--potential", "-"], ["conn", "flat", "--potential", "-"]]),
+]
+_FUZZ_VALUES = [None, 0.5, True, "1/0", [[1, 2], [3]], 10**30, -(10**30), -1, 100000, "x", {}, []]
+
+
+@st.composite
+def _mutated_inputs(draw):
+    """(argv, stdin): a wire document cut short, or with one to three fields
+    replaced by a value of another type or an out-of-range number."""
+    doc, commands = draw(st.sampled_from(_FUZZ_CASES))
+    argv = draw(st.sampled_from(commands))
+    if draw(st.booleans()):
+        text = json.dumps(doc)
+        return argv, text[: draw(st.integers(0, len(text) - 1))]
+    for _ in range(draw(st.integers(1, 3))):
+        doc = _replaced(doc, draw(st.sampled_from(list(_paths(doc)))), draw(st.sampled_from(_FUZZ_VALUES)))
+    return argv, json.dumps(doc)
+
+
+class TestFuzzedInput:
+    @given(_mutated_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_exit_code_contract(self, case):
+        argv, text = case
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv))
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
 
 
 class TestHomSystemCap:

@@ -1,7 +1,9 @@
 """Exact linear algebra: the layer everything else stands on."""
 
 from fractions import Fraction
+from math import isqrt, prod
 from typing import Optional
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,21 +14,23 @@ from jordanium import linalg
 from jordanium.linalg import (
     _PRIMES,
     Mat,
+    _gram,
     _nullspace_modular,
-    _rat_reconstruct,
     format_fraction,
     kron,
     nullspace,
     nullspace_int,
     parse_fraction,
     rank,
+    rat_reconstruct,
     rref,
     rref_bareiss,
     solve,
+    solve_int,
     expand_in_basis,
     exact_int_matmul,
 )
-from mat_reference import RefMat, ref_kron, ref_nullspace, ref_rank, ref_solve
+from mat_reference import RefMat, ref_kron, ref_nullspace, ref_rank, ref_rat_reconstruct, ref_solve
 
 
 def fr(p, q=1):
@@ -105,6 +109,11 @@ def _int_matrices(draw):
     return rows
 
 
+def kernel_mat(basis: list[tuple], cols: int) -> Mat:
+    """The kernel vectors as the rows of one Mat, (0, cols) when there are none."""
+    return Mat.from_rows(basis) if basis else Mat.zeros(0, cols)
+
+
 def rref_kernel(red: Mat, pivots: tuple[int, ...]) -> list[tuple]:
     """Reference kernel read off an RREF, one vector per free column."""
     basis = []
@@ -156,7 +165,7 @@ class TestNullspace:
         basis = rref_kernel(red, pivots)
         arr = np.empty((len(rows), len(rows[0])), dtype=object)
         arr[:] = rows
-        assert nullspace_int(arr) == (basis, pivots)
+        assert nullspace_int(arr) == (kernel_mat(basis, m.cols), pivots)
         assert nullspace(m) == basis
 
     def test_frozen_kernel(self):
@@ -170,11 +179,12 @@ class TestNullspace:
 
     def test_canonical_free_coordinates(self):
         arr = np.array([[1, 2, 3, 4], [0, 0, 1, 1]], dtype=np.int64)
-        basis, pivots = nullspace_int(arr)
+        kernel, pivots = nullspace_int(arr)
         free = [k for k in range(4) if k not in pivots]
-        for a, v in enumerate(basis):
+        assert kernel.rows == len(free) == 2
+        for a in range(kernel.rows):
             for b, f in enumerate(free):
-                assert v[f] == (1 if a == b else 0)
+                assert kernel[a, f] == (1 if a == b else 0)
 
     @given(
         st.lists(
@@ -206,11 +216,11 @@ class TestNullspace:
         # compression, then the modular engine
         arr = block_system(3, 50, (11, 5))
         assert arr.shape[1] > 200 and arr.shape[0] > 2 * arr.shape[1]
-        basis, pivots = nullspace_int(arr)
+        kernel, pivots = nullspace_int(arr)
         red, pivots_ref = rref(Mat.from_rows(arr.tolist()))
         assert pivots == pivots_ref
-        assert basis == nullspace(Mat.from_rows(arr.tolist()))
-        assert basis == rref_kernel(red, pivots_ref)
+        assert list(kernel.data) == nullspace(Mat.from_rows(arr.tolist()))
+        assert kernel == kernel_mat(rref_kernel(red, pivots_ref), arr.shape[1])
 
     def test_bareiss_fallback_when_primes_run_out(self, monkeypatch):
         # the kernel entries -1/3**130 need more bits than the primes give
@@ -219,9 +229,9 @@ class TestNullspace:
         monkeypatch.setattr(linalg, "rref_bareiss", lambda m: calls.append(m) or real(m))
         big = 3**130
         arr = np.array([[big, 1]], dtype=object)
-        basis, pivots = nullspace_int(arr)
+        kernel, pivots = nullspace_int(arr)
         assert len(calls) == 1 and pivots == (0,)
-        assert basis == [(Fraction(-1, big), Fraction(1))]
+        assert kernel == Mat.from_rows([(Fraction(-1, big), Fraction(1))])
 
     def test_modular_path_matches_exact(self):
         rng = np.random.default_rng(5)
@@ -234,14 +244,128 @@ class TestNullspace:
         assert basis_m == basis_e
 
 
+def kronecker_system(ss: list[np.ndarray], ts: list[np.ndarray]) -> np.ndarray:
+    """Rows of T_i H - H S_i = 0 in the entries of a (q x p) matrix H,
+    row-major: the shape of the intertwiner system of two modules."""
+    p, q = ss[0].shape[0], ts[0].shape[0]
+    eye_p, eye_q = np.eye(p, dtype=np.int64), np.eye(q, dtype=np.int64)
+    return np.concatenate([np.kron(t, eye_p) - np.kron(eye_q, s.T) for s, t in zip(ss, ts)])
+
+
+def leibniz_shaped(c: np.ndarray) -> np.ndarray:
+    """Rows of X(e_i e_j) - X(e_i) e_j - e_i X(e_j) = 0 in the entries of an
+    n x n matrix X, row-major, one block of n rows per pair i <= j, for a
+    symmetric integer tensor c: the shape of the derivation system."""
+    n = c.shape[0]
+    blocks = []
+    for i in range(n):
+        for j in range(i, n):
+            blk = np.zeros((n, n, n), dtype=object)  # blk[r, a, b]: X[a, b] in row r
+            blk[np.arange(n), np.arange(n)] += c[i, j]
+            blk[:, :, i] -= c[j].T
+            blk[:, :, j] -= c[i].T
+            blocks.append(blk.reshape(n, n * n))
+    return np.concatenate(blocks)
+
+
+_sparse_small = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3])
+_near_2_62 = st.one_of(
+    st.integers(-3, 3), st.integers(2**62 - 4, 2**62 + 4), st.integers(-(2**62) - 4, -(2**62) + 4)
+)
+
+
+def _int_array(rows) -> np.ndarray:
+    """An integer array as the engine receives it: int64 when it fits."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
+class TestSparseEngine:
+    """The Gram join, the array reconstruction and the nullspace of tall
+    sparse systems against dense and per-entry references."""
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_gram_join_matches_dense_product(self, data):
+        nc = data.draw(st.integers(1, 7))
+        nr = data.draw(st.integers(2 * nc + 1, 4 * nc + 3))
+        entries = data.draw(st.sampled_from([_sparse_small, _near_2_62]))
+        cells = data.draw(
+            st.lists(st.tuples(st.integers(0, nr - 1), st.integers(0, nc - 1), entries), max_size=3 * nr)
+        )
+        rows = [[0] * nc for _ in range(nr)]
+        for r, c, v in cells:
+            rows[r][c] = v
+        arr = _int_array(rows)
+        dense = np.array(rows, dtype=object)
+        want = dense.T @ dense
+        big = max(abs(v) for row in rows for v in row)
+        for block in (linalg._JOIN_PAIRS, 1, 4):
+            with mock.patch.object(linalg, "_JOIN_PAIRS", block):
+                got = _gram(arr)
+            assert got.shape == (nc, nc)
+            assert (got == want).all()
+            assert (got.dtype == np.int64) == (big * big * nr < 2**63)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_array_reconstruction_matches_per_entry(self, data):
+        m = prod(_PRIMES[: data.draw(st.integers(1, 4))])
+        size = 2 * isqrt(m // 2)
+        fracs = st.builds(
+            lambda a, b: a * pow(b, -1, m) % m, st.integers(-size, size), st.integers(1, min(size, _PRIMES[-1] - 1))
+        )
+        residues = data.draw(st.lists(st.one_of(fracs, st.integers(0, m - 1)), min_size=1, max_size=12))
+        ref = [ref_rat_reconstruct(r, m) for r in residues]
+        got = rat_reconstruct(np.array([residues], dtype=np.int64 if m < 2**62 else object), m)
+        if None in ref:
+            assert got is None
+        else:
+            num, den = got
+            assert num.shape == den.shape == (1, len(residues))
+            assert [Fraction(int(a), int(b)) for a, b in zip(num[0], den[0])] == ref
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_tall_kronecker_systems_match_rref_reference(self, data):
+        n, p, q = data.draw(st.integers(3, 4)), data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        entries = st.sampled_from([0, 0, 0, 1, -1, 2, 2**40])
+        ss = [np.array(data.draw(st.lists(st.lists(entries, min_size=p, max_size=p), min_size=p, max_size=p)), dtype=np.int64) for _ in range(n)]
+        # equal actions on both sides make the identity an intertwiner
+        ts = ss if p == q and data.draw(st.booleans()) else [
+            np.array(data.draw(st.lists(st.lists(entries, min_size=q, max_size=q), min_size=q, max_size=q)), dtype=np.int64)
+            for _ in range(n)
+        ]
+        self._matches_rref_reference(kronecker_system(ss, ts))
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_tall_leibniz_systems_match_rref_reference(self, data):
+        n = data.draw(st.integers(4, 5))  # tall from n = 4 on: n**2 (n + 1) / 2 rows
+        c = np.zeros((n, n, n), dtype=object)
+        for i, j, k, v in data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3, _sparse_small), max_size=2 * n * n)):
+            c[i, j, k] = c[j, i, k] = v
+        self._matches_rref_reference(_int_array(leibniz_shaped(c).tolist()))
+
+    @staticmethod
+    def _matches_rref_reference(arr: np.ndarray) -> None:
+        assert arr.shape[0] > 2 * arr.shape[1]
+        red, pivots = rref(Mat.from_rows(arr.tolist()))
+        assert nullspace_int(arr) == (kernel_mat(rref_kernel(red, pivots), arr.shape[1]), pivots)
+
+
 class TestReconstruction:
     def test_round_trip_small_fractions(self):
         m = 1
         for p in _PRIMES[:4]:
             m *= p
-        for q in [fr(3, 7), fr(-22, 5), fr(0), fr(1001, 999)]:
-            r = (q.numerator * pow(q.denominator, -1, m)) % m
-            assert _rat_reconstruct(r, m) == q
+        qs = [fr(3, 7), fr(-22, 5), fr(0), fr(1001, 999)]
+        res = np.array([(q.numerator * pow(q.denominator, -1, m)) % m for q in qs], dtype=object)
+        assert [ref_rat_reconstruct(int(r), m) for r in res] == qs
+        num, den = rat_reconstruct(res, m)
+        assert [Fraction(int(a), int(b)) for a, b in zip(num, den)] == qs
 
     def test_primes_are_prime(self):
         def is_prime(n):
@@ -263,6 +387,32 @@ class TestSolveInverse:
         m = Mat.from_rows([[2, 1], [1, 3]])
         sol = solve(m, (fr(5), fr(10)))
         assert sol == (fr(1), fr(3))
+
+    def test_solve_is_canonical_under_a_bad_first_prime(self):
+        # mod the first prime the row is (0, 1, 1): x = (0, 1, 0) solves it
+        # exactly, but the reduced echelon solution is (1/p, 0, 0)
+        p = _PRIMES[0]
+        assert solve(Mat.from_rows([[p, 1, 1]]), [1]) == (fr(1, p), fr(0), fr(0))
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_solve_int_columns_match_one_at_a_time(self, data):
+        nr, nc, k = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+        ints = st.integers(-4, 4)
+        rows = data.draw(st.lists(st.lists(ints, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+        m = RefMat.from_rows(rows)
+        # right-hand sides in the column space and not, in any order
+        cols = [
+            list(m.apply(data.draw(st.lists(ints, min_size=nc, max_size=nc))))
+            if data.draw(st.booleans())
+            else data.draw(st.lists(ints, min_size=nr, max_size=nr))
+            for _ in range(k)
+        ]
+        got = solve_int(np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64).T.reshape(nr, k))
+        for b, x in zip(cols, got, strict=True):
+            want = ref_solve(m, b)
+            assert (x is None) == (want is None)
+            assert x is None or x.row(0) == want
 
     def test_solve_inconsistent(self):
         m = Mat.from_rows([[1, 1], [1, 1]])
