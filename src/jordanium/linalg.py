@@ -9,18 +9,28 @@ routines favour determinism: pivoting always picks the first nonzero entry
 in row-major order, and nullspace bases are returned in reduced echelon
 form, so identical inputs give identical outputs on every run.
 
-Every exact solve goes through one nullspace engine on integer matrices (a
-Mat's own array).  A matrix with more than twice as many rows as columns is
-first replaced by its Gram matrix, which has the same nullspace, joined from
-the nonzero entries of each row and summed by sorted key (:func:`row_pairs`,
-:func:`sum_by_key`).  The engine eliminates modulo word-size primes, combines
-the residues by CRT and lifts them by one rational reconstruction over the
-whole residue array (:func:`rat_reconstruct`).  The kernel is one
-:class:`Mat` whose rows are the reduced echelon basis, checked once, exactly,
-by one integer product with the full matrix.  Bareiss (fraction-free)
-elimination runs only when the primes run out without a verified answer.
-:func:`rref` stays as the plain rational reference.  :func:`solve` reads the
-kernel of [A | b].
+Every exact solve goes through one nullspace engine on integer matrices,
+given as a dense array (a Mat's own array) or as :class:`Triples`: the
+nonzero (row, column, value) entries in sorted order and the shape.  A
+dense array is read into triples by one ``np.nonzero``.  A system with more
+than twice as many rows as columns is first replaced by its Gram matrix,
+which has the same nullspace, joined from the nonzero entries of each row
+and summed by sorted key (:func:`row_pairs`, :func:`sum_by_key`).  A work
+matrix of at least ``_LABEL_MIN_COLS`` columns is split into its connected
+components; the RREF of a block-diagonal matrix is the union of its
+blocks', so components of similar size are stacked and eliminated
+together, one step per column of the largest of them.  The engine
+eliminates modulo word-size primes, combines the residues by CRT and lifts
+them by one rational reconstruction over the whole residue array
+(:func:`rat_reconstruct`).  The kernel is one
+:class:`Mat` whose rows are the reduced echelon basis, checked once,
+exactly, against the full system by a sparse product over its triples.
+Bareiss (fraction-free) elimination runs only when the primes run out
+without a verified answer.  Each route is a module-level function that a
+tracer outside the package can wrap: ``_gram``, ``_components``,
+``_eliminate_mod_p`` (once per prime), ``_nullspace_bareiss`` and
+``_verify``.  :func:`rref` stays as the plain rational reference.
+:func:`solve` reads the kernel of [A | b].
 
 Operator identities run on integer stacks of one scale (:func:`scaled_int_mats`),
 each :func:`pair_products` or :func:`commutators` one :func:`exact_int_matmul`.
@@ -30,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -307,33 +317,6 @@ def _free_columns(nc: int, pivots: Sequence[int]) -> np.ndarray:
     return np.flatnonzero(free)
 
 
-def _rref_mod_p(m: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Vectorized Gauss-Jordan over GF(p); same pivot rule as :func:`rref`."""
-    a = np.mod(m, p).astype(np.int64)
-    nr, nc = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        # row r is 0 left of c, so only columns c onward change
-        a[r, c:] = (a[r, c:] * pow(int(a[r, c]), -1, p)) % p
-        colv = a[:, c].copy()
-        colv[r] = 0
-        tgt = np.nonzero(colv)[0]
-        if tgt.size:
-            a[tgt, c:] = (a[tgt, c:] - colv[tgt, None] * a[r, c:]) % p
-        pivots.append(c)
-        r += 1
-    return a, tuple(pivots)
-
-
 def rat_reconstruct(res: np.ndarray, m: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Wang's rational reconstruction of every entry of an integer array mod m.
 
@@ -453,7 +436,39 @@ def kron(b: Mat, m: Mat) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# sparse joins
+# sparse systems
+
+
+class Triples(NamedTuple):
+    """An integer matrix by its nonzero entries: row, col and val in
+    increasing (row, column) order, val int64 or object dtype, and the
+    matrix shape."""
+
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    shape: tuple[int, int]
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.val.dtype)
+        out[self.row, self.col] = self.val
+        return out
+
+
+def triples(arr: np.ndarray) -> Triples:
+    """The nonzero entries of a dense integer array, read by one np.nonzero."""
+    if arr.dtype not in (np.int64, object):
+        arr = arr.astype(np.int64)
+    r, c = np.nonzero(arr)
+    return Triples(r, c, arr[r, c], arr.shape)
+
+
+def triples_by_key(keys: np.ndarray, vals: np.ndarray, shape: tuple[int, int]) -> Triples:
+    """The matrix whose entry (k // cols, k % cols) is the sum of the values
+    under key k (:func:`sum_by_key`)."""
+    keys, vals = sum_by_key(keys, vals)
+    r, c = np.divmod(keys, max(shape[1], 1))
+    return Triples(r, c, vals, shape)
 
 
 def row_pairs(ptr: np.ndarray, rows: np.ndarray, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -477,11 +492,11 @@ def sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return keys[starts][nz], sums[nz]
 
 
-_JOIN_PAIRS = 2**21  # products per block of the Gram join, bounding its memory
+_JOIN_PAIRS = 2**21  # products per block of the Gram join and the sparse product, bounding their memory
 
 
-def _gram(arr: np.ndarray) -> np.ndarray:
-    """A^T A of an integer matrix A, joined from the nonzero entries of A.
+def _gram(a: Triples) -> Triples:
+    """A^T A of an integer matrix A, joined from its triples.
 
     Every nonzero entry meets every nonzero entry of its own row, itself
     included, and the products are summed under the key (column, column),
@@ -489,25 +504,255 @@ def _gram(arr: np.ndarray) -> np.ndarray:
     rows products of size at most max|a|**2: int64 when that bound is below
     2**63, object dtype otherwise.
     """
-    nr, nc = arr.shape
-    r, c = np.nonzero(arr)
-    vals = arr[r, c]
-    vals = vals.astype(np.int64 if max_abs_int(vals) ** 2 * nr < 2**63 else object)
-    ptr = np.searchsorted(r, np.arange(nr + 1))
+    nr, nc = a.shape
+    vals = a.val.astype(np.int64 if max_abs_int(a.val) ** 2 * nr < 2**63 else object)
+    ptr = np.searchsorted(a.row, np.arange(nr + 1))
     done = np.r_[0, np.cumsum(np.diff(ptr) ** 2)]  # products of the rows before each row
-    out = np.zeros(nc * nc, dtype=vals.dtype)
+    keys, sums = [np.zeros(0, dtype=np.int64)], [vals[:0]]
     lo = 0
     while lo < nr:
         hi = max(lo + 1, int(np.searchsorted(done, done[lo] + _JOIN_PAIRS, side="right")) - 1)
-        s, t = row_pairs(ptr, r[ptr[lo] : ptr[hi]], ptr[lo])
-        keys, sums = sum_by_key(c[s] * nc + c[t], vals[s] * vals[t])
-        out[keys] += sums
+        s, t = row_pairs(ptr, a.row[ptr[lo] : ptr[hi]], ptr[lo])
+        k, v = sum_by_key(a.col[s] * nc + a.col[t], vals[s] * vals[t])
+        keys.append(k)
+        sums.append(v)
         lo = hi
-    return out.reshape(nc, nc)
+    return triples_by_key(np.concatenate(keys), np.concatenate(sums), (nc, nc))
+
+
+def _sparse_product(a: Triples, b: np.ndarray) -> np.ndarray:
+    """A B for A as triples and a dense integer B, joined on the nonzero
+    entries of both: entry (r, c) of A meets every nonzero B[c, j], and the
+    product is added at (r, j), a block of at most _JOIN_PAIRS products at
+    a time.
+
+    Each entry is a sum of at most w products of size at most
+    max|a| max|B|, for w the most entries in a row of A: int64 when
+    w max|a| max|B| < 2**63, object dtype otherwise.
+    """
+    width = int(np.bincount(a.row).max(initial=1))
+    dtype = np.int64 if max(max_abs_int(a.val), 1) * max(max_abs_int(b), 1) * width < 2**63 else object
+    c, j = np.nonzero(b)  # in increasing c: B's rows in CSR
+    ptr = np.searchsorted(c, np.arange(b.shape[0] + 1))
+    vals, bv = a.val.astype(dtype, copy=False), b[c, j].astype(dtype, copy=False)
+    cnt = ptr[a.col + 1] - ptr[a.col]
+    ends = np.cumsum(cnt)  # products up to each entry of A
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=dtype)
+    lo = 0
+    while lo < vals.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - cnt[lo] + _JOIN_PAIRS, side="right")))
+        t, u = row_pairs(ptr, a.col[lo:hi], lo)
+        np.add.at(out, (a.row[t], j[u]), vals[t] * bv[u])
+        lo = hi
+    return out
 
 
 # ---------------------------------------------------------------------------
 # the nullspace engine
+
+# Work matrices of at least this many columns are split into connected
+# components before elimination; smaller ones are eliminated whole.
+# Labelling costs a fixed few hundred microseconds of numpy calls.  On the
+# 74 nullspaces of a calculus round (2-72 columns, 64 of them 4 x 2; the
+# systems captured from one round, best of 9 on 2 vCPUs), labelling every
+# system took 18.7 ms against 12.2 ms from 16, 32 or 64 columns on, and
+# 13.9 ms from 128; on the 29 of a derivation-algebra round 64 was best.
+_LABEL_MIN_COLS = 64
+
+
+def _label(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """The smallest node of each node's connected component, in the graph
+    on n nodes with edges (u, v): every root takes the smallest root it
+    meets along an edge, then the links are followed to their roots,
+    until no edge joins two roots."""
+    lab = np.arange(n)
+    while True:
+        lu, lv = lab[u], lab[v]
+        low = np.minimum(lu, lv)
+        new = lab.copy()
+        np.minimum.at(new, lu, low)
+        np.minimum.at(new, lv, low)
+        jump = new[new]
+        while (jump != new).any():
+            new, jump = jump, jump[jump]
+        if (new == lab).all():
+            return lab
+        lab = new
+
+
+# a work matrix split into groups of components (stack, cols) by
+# _components, or, below _LABEL_MIN_COLS columns, the dense matrix itself
+Blocks = Union[list[tuple[np.ndarray, np.ndarray]], np.ndarray]
+
+
+def _components(work: Triples) -> Blocks:
+    """The work matrix split into connected components, stacked in groups.
+
+    Rows and columns are the nodes and nonzero entries the edges.  A group
+    (stack, cols) holds K components as a zero-padded (K, R, C) stack,
+    each with its rows in any order and its columns in increasing order,
+    and cols (K, C) their global columns, -1 on padding.  Empty columns are
+    in no component.
+    """
+    nr, nc = work.shape
+    lab = _label(work.col, nc + work.row, nc + nr)
+    cols = np.bincount(work.col, minlength=nc).nonzero()[0]
+    rows = np.bincount(work.row, minlength=nr).nonzero()[0]
+    # a component is named by its smallest node, which is one of its columns
+    names = cols[lab[cols] == cols]
+    col_comp = np.searchsorted(names, lab[cols])
+    col_place, ncols = _places(col_comp, names.size)
+    row_place, nrows = _places(np.searchsorted(names, lab[nc + rows]), names.size)
+    group, slot, shapes = _grouping(nrows, ncols)
+    comp = np.searchsorted(names, lab[work.col])
+    at_row = row_place[np.searchsorted(rows, work.row)]
+    at_col = col_place[np.searchsorted(cols, work.col)]
+    blocks: Blocks = []
+    for g, shape in enumerate(shapes):
+        stack = np.zeros(shape, dtype=work.val.dtype)
+        mine = group[comp] == g
+        stack[slot[comp[mine]], at_row[mine], at_col[mine]] = work.val[mine]
+        gcols = np.full((shape[0], shape[2]), -1)
+        mine = group[col_comp] == g
+        gcols[slot[col_comp[mine]], col_place[mine]] = cols[mine]
+        blocks.append((stack, gcols))
+    return blocks
+
+
+def _places(owner: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """For nodes in increasing order and their owners 0..k-1: each node's
+    place among its owner's nodes, and the count per owner."""
+    counts = np.bincount(owner, minlength=k)
+    order = np.argsort(owner, kind="stable")
+    place = np.empty(owner.size, dtype=np.int64)
+    place[order] = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return place, counts
+
+
+def _grouping(nrows: np.ndarray, ncols: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple[int, ...]]]:
+    """Components in groups, most columns first: a group takes the next
+    component while its zero-padded stack holds at most four times the
+    entries of its components' dense blocks.  Returns each component's
+    group and slot in it, and each group's stack shape (K, R, C)."""
+    group = np.zeros(ncols.size, dtype=np.int64)
+    slot = np.zeros(ncols.size, dtype=np.int64)
+    groups: list[list[int]] = []  # [K, most rows, columns, entries of the dense blocks]
+    for k in np.argsort(-ncols, kind="stable").tolist():
+        r, c = int(nrows[k]), int(ncols[k])
+        g = groups[-1] if groups else None
+        if g is not None and (g[0] + 1) * max(g[1], r) * g[2] <= 4 * (g[3] + r * c):
+            g[0], g[1], g[3] = g[0] + 1, max(g[1], r), g[3] + r * c
+        else:
+            groups.append([1, r, c, r * c])
+        group[k], slot[k] = len(groups) - 1, groups[-1][0] - 1
+    return group, slot, [(g[0], g[1], g[2]) for g in groups]
+
+
+def _blocks(work: Triples) -> Blocks:
+    return _components(work) if work.shape[1] >= _LABEL_MIN_COLS else work.dense()
+
+
+def _rref_mod_p(m: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Gauss-Jordan over GF(p) of one matrix, one column at a time, with the
+    pivot rule of :func:`rref`; only the rows nonzero in the pivot column
+    are updated.  Returns the reduced matrix and the pivot columns."""
+    a = np.mod(m, p).astype(np.int64)
+    nr, nc = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        # row r is 0 left of c, so only columns c onward change
+        a[r, c:] = (a[r, c:] * pow(int(a[r, c]), -1, p)) % p
+        colv = a[:, c].copy()
+        colv[r] = 0
+        tgt = np.nonzero(colv)[0]
+        if tgt.size:
+            a[tgt, c:] = (a[tgt, c:] - colv[tgt, None] * a[r, c:]) % p
+        pivots.append(c)
+        r += 1
+    return a, tuple(pivots)
+
+
+def _rref_stack_mod_p(stack: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Jordan over GF(p) of every matrix of a (K, R, C) stack at once,
+    one step per column; each step updates every row of the matrices with
+    a pivot in that column.
+
+    In each matrix the first row not yet a pivot row and nonzero in the
+    column becomes its pivot row; the reduced rows are the RREF whichever
+    is taken.  Returns the reduced pivot rows as a (P, C) array, and for
+    each its matrix and its pivot column, in column order.
+    """
+    nk, nr, nc = stack.shape
+    a = np.mod(stack, p).astype(np.int64)
+    unused = np.ones((nk, nr), dtype=bool)
+    found = []
+    for c in range(nc):
+        live = (a[:, :, c] != 0) & unused
+        k = live.any(axis=1).nonzero()[0]
+        if k.size == 0:
+            continue
+        r = live[k].argmax(axis=1)
+        # the pivot rows are 0 left of c, so only columns c onward change
+        top = a[k, r, c:]
+        top = top * np.array([pow(x, -1, p) for x in top[:, 0].tolist()], dtype=np.int64)[:, None] % p
+        sel = slice(None) if k.size == nk else k  # a slice is a view, not a copy
+        blk = a[sel, :, c:]
+        blk = (blk - blk[:, :, :1] * top[:, None, :]) % p
+        blk[np.arange(k.size), r] = top
+        a[sel, :, c:] = blk
+        unused[k, r] = False
+        found.append((k, r, np.full(k.size, c)))
+    if not found:
+        return a[:0, 0], np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    k, r, c = (np.concatenate(x) for x in zip(*found))
+    return a[k, r], k, c
+
+
+def _eliminate_mod_p(blocks: Blocks, nc: int, p: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The RREF mod p of a work matrix with nc columns, from its blocks.
+
+    Returns the pivot columns and red, with red[i, t] the entry of the
+    pivot row of pivots[i] at the t-th free column; the row is 1 at its
+    pivot and 0 at the other pivots.  The RREF of a block-diagonal matrix
+    is the union of its blocks' RREFs, each over its columns in increasing
+    order.  A stack of one matrix is eliminated by :func:`_rref_mod_p`,
+    which skips the rows that are 0 in the pivot column; a stack of
+    several, all at once.
+    """
+    if isinstance(blocks, np.ndarray):
+        red, pivots = _rref_mod_p(blocks, p)
+        return pivots, red[: len(pivots)][:, _free_columns(nc, pivots)]
+    found = []
+    for stack, cols in blocks:
+        if len(stack) == 1:
+            red, c = _rref_mod_p(stack[0], p)
+            red, k, c = red[: len(c)], np.zeros(len(c), dtype=np.int64), np.array(c, dtype=np.int64)
+        else:
+            red, k, c = _rref_stack_mod_p(stack, p)
+        i, j = red.nonzero()
+        off = j != c[i]  # the other nonzero entries are at free columns
+        i, j = i[off], j[off]
+        found.append((cols[k, c], cols[k, c][i], cols[k[i], j], red[i, j]))
+    pivots = np.sort(np.concatenate([np.zeros(0, dtype=np.int64)] + [f[0] for f in found]))
+    free = _free_columns(nc, pivots)
+    red = np.zeros((pivots.size, free.size), dtype=np.int64)
+    for _, at_piv, at_free, vals in found:
+        red[np.searchsorted(pivots, at_piv), np.searchsorted(free, at_free)] = vals
+    return tuple(pivots.tolist()), red
+
+
+def _verify(system: Triples, kernel: Mat) -> bool:
+    """Whether every kernel row is annihilated by the full system, exactly."""
+    return not _sparse_product(system, kernel.ints.T).any()
 
 
 def _kernel(nc: int, pivots: Sequence[int], num: np.ndarray, den) -> Mat:
@@ -524,25 +769,26 @@ def _kernel(nc: int, pivots: Sequence[int], num: np.ndarray, den) -> Mat:
     return Mat(out, d)
 
 
-def _nullspace_modular(arr: np.ndarray, work: np.ndarray) -> Optional[tuple[Mat, tuple[int, ...]]]:
-    """Multi-prime modular nullspace of arr, eliminating on work.
+def _nullspace_modular(system: Triples, blocks: Blocks) -> Optional[tuple[Mat, tuple[int, ...]]]:
+    """Multi-prime modular nullspace of a system, eliminating on blocks.
 
-    work has the nullspace of arr (arr itself or its Gram matrix).  Each
-    prime gives an RREF of work mod p; a prime with fewer pivots, or with
-    the same number of pivots further right, is bad and skipped, and the
-    pivot entries of the free columns are combined by CRT over the good
-    primes.  After each prime they are rationally reconstructed and the
-    kernel is checked exactly against arr.  Returns (kernel, pivots), or
-    None when the primes run out first.
+    blocks split a work matrix with the nullspace of the system (the system
+    itself or its Gram matrix).  Each prime gives an RREF of the work
+    matrix mod p; a prime with fewer pivots, or with the same number of
+    pivots further right, is bad and skipped, and the pivot entries of the
+    free columns are combined by CRT over the good primes.  After each
+    prime they are rationally reconstructed and the kernel is checked
+    exactly against the full system.  Returns (kernel, pivots), or None
+    when the primes run out first.
 
     The verified kernel certifies the rank: it gives nullity >= nc - (rank
     mod p) >= the true nullity, so the pivots are the rational ones.
     """
-    nc = arr.shape[1]
+    nc = system.shape[1]
     best: Optional[tuple[int, ...]] = None
     for p in _PRIMES:
-        red, pivots = _rref_mod_p(work, p)
-        res = -red[: len(pivots)][:, _free_columns(nc, pivots)] % p
+        pivots, red = _eliminate_mod_p(blocks, nc, p)
+        res = -red % p
         if best is None or (-len(pivots), pivots) < (-len(best), best):
             best, residues, modulus = pivots, res, p
         elif pivots == best:
@@ -553,17 +799,27 @@ def _nullspace_modular(arr: np.ndarray, work: np.ndarray) -> Optional[tuple[Mat,
         lifted = rat_reconstruct(residues, modulus)
         if lifted is not None:
             kernel = _kernel(nc, best, *lifted)
-            if not exact_int_matmul(arr, kernel.ints.T).any():
+            if _verify(system, kernel):
                 return kernel, best
     return None
+
+
+def _nullspace_bareiss(system: Triples, work: Triples) -> tuple[Mat, tuple[int, ...]]:
+    """The nullspace by fraction-free elimination on the dense work matrix."""
+    nc = work.shape[1]
+    red, pivots = rref_bareiss(Mat(work.dense()))
+    kernel = _kernel(nc, pivots, -red.ints[: len(pivots)][:, _free_columns(nc, pivots)], red.den)
+    if not _verify(system, kernel):
+        raise AssertionError("nullspace verification failed")
+    return kernel, pivots
 
 
 # ---------------------------------------------------------------------------
 # public solvers
 
 
-def nullspace_int(arr: np.ndarray) -> tuple[Mat, tuple[int, ...]]:
-    """Nullspace of an integer matrix given as a numpy array.
+def nullspace_int(system: Union[np.ndarray, Triples]) -> tuple[Mat, tuple[int, ...]]:
+    """Nullspace of an integer matrix: a numpy array, or its :class:`Triples`.
 
     Returns (kernel, pivot columns).  The rows of the kernel Mat are the
     canonical basis, one per free column in increasing order, with
@@ -571,18 +827,11 @@ def nullspace_int(arr: np.ndarray) -> tuple[Mat, tuple[int, ...]]:
     read off directly.  Tall matrices are compressed to their Gram matrix
     first: over an ordered field null(A^T A) = null(A).
     """
-    if arr.dtype not in (np.int64, object):
-        arr = arr.astype(np.int64)
-    nr, nc = arr.shape
-    work = _gram(arr) if nr > 2 * nc else arr
-    found = _nullspace_modular(arr, work)
-    if found is not None:
-        return found
-    red, pivots = rref_bareiss(Mat(work))
-    kernel = _kernel(nc, pivots, -red.ints[: len(pivots)][:, _free_columns(nc, pivots)], red.den)
-    if exact_int_matmul(arr, kernel.ints.T).any():
-        raise AssertionError("nullspace verification failed")
-    return kernel, pivots
+    a = system if isinstance(system, Triples) else triples(system)
+    nr, nc = a.shape
+    work = _gram(a) if nr > 2 * nc else a
+    found = _nullspace_modular(a, _blocks(work))
+    return found if found is not None else _nullspace_bareiss(a, work)
 
 
 def nullspace(m: Mat) -> list[Vec]:
@@ -606,9 +855,11 @@ def rank_lower_bound(arr: np.ndarray, target: int) -> int:
     Reduction mod p never raises the rank, so this is a lower bound on the
     rational rank; it stops early once it reaches target.
     """
+    a = triples(arr)
+    blocks = _blocks(a)
     best = 0
     for p in _PRIMES[:3]:
-        best = max(best, len(_rref_mod_p(arr, p)[1]))
+        best = max(best, len(_eliminate_mod_p(blocks, a.shape[1], p)[0]))
         if best == target:
             break
     return best

@@ -6,7 +6,9 @@ array and one denominator: every operation is a Python loop over
 read plain Gauss-Jordan elimination over the rationals, so they share
 nothing with the library's modular nullspace engine.  ``ref_rat_reconstruct``
 is Wang's rational reconstruction of one residue at a time, as the engine
-ran it before it became one array loop.
+ran it before it became one array loop.  ``ref_rref_mod_p`` is Gauss-Jordan
+mod p of the whole matrix, one column at a time, as the engine ran it
+before it split systems into connected components.
 """
 
 from dataclasses import dataclass
@@ -14,6 +16,8 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 Vec = tuple[Fraction, ...]
 
@@ -164,3 +168,33 @@ def ref_rat_reconstruct(r: int, m: int) -> Optional[Fraction]:
     if (a - b * r) % m != 0:
         return None
     return Fraction(a, b)
+
+
+def ref_rref_mod_p(m: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Gauss-Jordan over GF(p) of the whole matrix, one column at a time,
+    with the pivot rule of the rational RREF: the first nonzero row at or
+    below the next pivot row.  Returns the reduced matrix, pivot rows
+    first, and the pivot columns."""
+    a = np.mod(m, p).astype(np.int64)
+    nr, nc = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        # row r is 0 left of c, so only columns c onward change
+        a[r, c:] = (a[r, c:] * pow(int(a[r, c]), -1, p)) % p
+        colv = a[:, c].copy()
+        colv[r] = 0
+        tgt = np.nonzero(colv)[0]
+        if tgt.size:
+            a[tgt, c:] = (a[tgt, c:] - colv[tgt, None] * a[r, c:]) % p
+        pivots.append(c)
+        r += 1
+    return a, tuple(pivots)

@@ -257,6 +257,13 @@ class TestMalformedInput:
         assert rep["results"]["mdim"] == 0
         assert rep["results"]["passed"] is True
 
+    def test_derivations_of_zero_dimensional_algebra(self, capsys, monkeypatch):
+        doc = {"label": "zero", "dim": 0, "unit": [], "structure": []}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, rep = report(capsys, "der", "basis", "--algebra", "-")
+        assert code == 0
+        assert rep["results"] == {"dim": 0, "label": "zero"}
+
     def test_potential_with_zero_denominator(self, capsys, tmp_path):
         der = derivation_basis(build_spin(3))
         d = potential_to_dict(gauge_potential(der, 1, [Mat.from_rows([[1]])] * der.dim))

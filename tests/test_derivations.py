@@ -5,14 +5,16 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jordanium import derivations
+from jordanium import cli, derivations
 from jordanium.algebra import (
     AlgebraPresentation,
     build_hermitian,
@@ -43,6 +45,7 @@ from jordanium.derivations import (
 )
 from jordanium.linalg import (
     Mat,
+    Triples,
     basis_vec,
     exact_int_matmul,
     max_abs_int,
@@ -110,6 +113,74 @@ class TestSolver:
         x = der.element(coeffs)
         assert leibniz_violation(der.algebra, x) is None
         assert der.coefficients_of(x) == coeffs
+
+
+def dense_leibniz_system(a: AlgebraPresentation) -> np.ndarray:
+    """The Leibniz system as a dense array, one block of n rows per pair
+    i <= j, as the library built it before it built triples."""
+    c, _ = a.int_tensor()
+    if 3 * max_abs_int(c) >= 2**62:
+        c = c.astype(object)
+    n = a.dim
+    lm = np.ascontiguousarray(c.transpose(0, 2, 1))  # lm[i][r][m] = c[i,m,r]
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    rows = np.zeros((len(pairs) * n, n * n), dtype=c.dtype)
+    idx = np.arange(n)
+    for t, (i, j) in enumerate(pairs):
+        blk = rows[t * n : (t + 1) * n].reshape(n, n, n)
+        blk[idx, idx] += c[i, j]
+        blk[:, :, i] -= lm[j]
+        blk[:, :, j] -= lm[i]
+    return rows
+
+
+def spin_with_form_entries(n: int, entry: int) -> AlgebraPresentation:
+    """JSpin_n with e_i e_i = entry * 1 for the n non-unit basis elements."""
+    structure = {(0, 0): [(0, Fraction(1))]}
+    for i in range(1, n + 1):
+        structure[(0, i)] = [(i, Fraction(1))]
+        structure[(i, i)] = [(0, Fraction(entry))]
+    return AlgebraPresentation("JSpin%d(%d)" % (n, entry), n + 1, (1,) + (0,) * n, structure)
+
+
+_LEIBNIZ_CASES = {
+    **{label: build for label, build in sorted(cli._ALIASES.items())},
+    "jspin5_2**45": lambda: spin_with_form_entries(5, 2**45),  # object-dtype Gram
+    "jspin3_2**61": lambda: spin_with_form_entries(3, 2**61),  # object-dtype triples
+    "dim0": lambda: AlgebraPresentation("zero", 0, (), {}),
+}
+
+
+class TestLeibnizTriples:
+    @pytest.mark.parametrize("label", list(_LEIBNIZ_CASES))
+    def test_triples_match_dense_builder(self, label):
+        a = _LEIBNIZ_CASES[label]()
+        got = derivations._leibniz_system(a)
+        want = dense_leibniz_system(a)
+        assert isinstance(got, Triples) and got.shape == want.shape
+        assert got.val.dtype == want.dtype
+        r, c = np.nonzero(want)  # row-major order, as the triples are sorted
+        assert np.array_equal(got.row, r) and np.array_equal(got.col, c)
+        assert (got.val == want[r, c]).all()
+
+    def test_large_entries_keep_their_derivations(self):
+        # spin factors: so(n) acting on the non-unit span, whatever the form
+        for n, entry in ((5, 2**45), (3, 2**61)):
+            der = derivation_basis(spin_with_form_entries(n, entry))
+            assert der.dim == n * (n - 1) // 2
+            assert all(leibniz_violation(der.algebra, m) is None for m in der.mats)
+
+    def test_albert_peak_memory_stays_sparse(self):
+        # the dense 10,206 x 729 system and its float64 copy peaked at 127 MB
+        a = build_hermitian(3, 3)
+        tracemalloc.start()
+        try:
+            der = derivation_basis(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert der.dim == 52
+        assert peak < 48 * 2**20
 
 
 class TestBrackets:

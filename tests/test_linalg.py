@@ -1,5 +1,6 @@
 """Exact linear algebra: the layer everything else stands on."""
 
+from collections import Counter
 from fractions import Fraction
 from math import isqrt, prod
 from typing import Optional
@@ -27,10 +28,11 @@ from jordanium.linalg import (
     rref_bareiss,
     solve,
     solve_int,
+    triples,
     expand_in_basis,
     exact_int_matmul,
 )
-from mat_reference import RefMat, ref_kron, ref_nullspace, ref_rank, ref_rat_reconstruct, ref_solve
+from mat_reference import RefMat, ref_kron, ref_nullspace, ref_rank, ref_rat_reconstruct, ref_rref_mod_p, ref_solve
 
 
 def fr(p, q=1):
@@ -236,7 +238,7 @@ class TestNullspace:
     def test_modular_path_matches_exact(self):
         rng = np.random.default_rng(5)
         arr = rng.integers(-40, 40, size=(30, 24)).astype(np.int64)
-        got = _nullspace_modular(arr, arr)
+        got = _nullspace_modular(triples(arr), linalg._blocks(triples(arr)))
         assert got is not None
         basis_m, pivots_m = got
         basis_e, pivots_e = nullspace_int(arr)
@@ -304,10 +306,10 @@ class TestSparseEngine:
         big = max(abs(v) for row in rows for v in row)
         for block in (linalg._JOIN_PAIRS, 1, 4):
             with mock.patch.object(linalg, "_JOIN_PAIRS", block):
-                got = _gram(arr)
+                got = _gram(triples(arr))
             assert got.shape == (nc, nc)
-            assert (got == want).all()
-            assert (got.dtype == np.int64) == (big * big * nr < 2**63)
+            assert (got.dense() == want).all()
+            assert (got.val.dtype == np.int64) == (big * big * nr < 2**63)
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -354,6 +356,105 @@ class TestSparseEngine:
         assert arr.shape[0] > 2 * arr.shape[1]
         red, pivots = rref(Mat.from_rows(arr.tolist()))
         assert nullspace_int(arr) == (kernel_mat(rref_kernel(red, pivots), arr.shape[1]), pivots)
+
+
+@st.composite
+def _block_systems(draw):
+    """(matrix, p): blocks on the diagonal, rows and columns shuffled.
+
+    One block or several, some of one shape so that they share a stack,
+    with empty rows and columns, and coupling entries that are multiples
+    of p: those join blocks over the integers but vanish mod p.
+    """
+    p = draw(st.sampled_from([2, 3, 7, _PRIMES[0]]))
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, 3, -5, p])
+    shapes = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 5)), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        shapes = [shapes[0]] * len(shapes)
+    nr = sum(r for r, _ in shapes) + draw(st.integers(0, 2))
+    nc = sum(c for _, c in shapes) + draw(st.integers(0, 2))
+    arr = np.zeros((nr, nc), dtype=np.int64)
+    r0 = c0 = 0
+    for r, c in shapes:
+        if r:
+            block = draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
+            arr[r0 : r0 + r, c0 : c0 + c] = block
+        r0, c0 = r0 + r, c0 + c
+    if nr:
+        cells = st.tuples(st.integers(0, nr - 1), st.integers(0, nc - 1), st.integers(-2, 2))
+        for i, j, q in draw(st.lists(cells, max_size=4)):
+            arr[i, j] += q * p
+    rows, cols = draw(st.permutations(range(nr))), draw(st.permutations(range(nc)))
+    return arr[list(rows)][:, list(cols)], p
+
+
+class TestComponentEngine:
+    """Elimination by connected components against the per-column
+    reference, the sparse verifying product, and the engine's routes."""
+
+    @given(_block_systems())
+    @settings(max_examples=250, deadline=None)
+    def test_component_elimination_matches_per_column_reference(self, system):
+        arr, p = system
+        nc = arr.shape[1]
+        ref, ref_pivots = ref_rref_mod_p(arr, p)
+        free = [c for c in range(nc) if c not in ref_pivots]
+        for blocks in (linalg._components(triples(arr)), arr):
+            pivots, red = linalg._eliminate_mod_p(blocks, nc, p)
+            assert pivots == ref_pivots
+            rows = np.zeros((len(pivots), nc), dtype=np.int64)
+            rows[np.arange(len(pivots)), list(pivots)] = 1
+            rows[:, free] = red
+            assert (rows == ref[: len(pivots)]).all()
+            assert not ref[len(pivots) :].any()
+
+    def test_verification_rejects_a_changed_entry(self):
+        arr = block_system(7, 10, (3, 4))
+        system = triples(arr)
+        kernel, _ = nullspace_int(arr)
+        assert kernel.rows and linalg._verify(system, kernel)
+        for i in range(kernel.rows):
+            for j in np.flatnonzero(arr.any(axis=0)):
+                bent = kernel.ints.copy()
+                bent[i, j] += 1
+                assert not linalg._verify(system, Mat(bent, kernel.den))
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_sparse_product_matches_dense_product(self, data):
+        nr, nc, f = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)), data.draw(st.integers(0, 4))
+        entries = data.draw(st.sampled_from([_sparse_small, _near_2_62]))
+        a = _int_array(data.draw(st.lists(st.lists(entries, min_size=nc, max_size=nc), min_size=nr, max_size=nr)))
+        b = _int_array(data.draw(st.lists(st.lists(entries, min_size=f, max_size=f), min_size=nc, max_size=nc)))
+        want = a.astype(object) @ b.reshape(nc, f).astype(object)
+        for block in (linalg._JOIN_PAIRS, 1, 3):
+            with mock.patch.object(linalg, "_JOIN_PAIRS", block):
+                assert (linalg._sparse_product(triples(a), b.reshape(nc, f)) == want).all()
+
+    def test_sparse_product_switches_to_object_past_its_bound(self):
+        # the widest row has two entries: int64 while 2 max|a| max|b| < 2**63
+        a = np.array([[2**31, 2**31], [0, 1], [0, 0]], dtype=np.int64)
+        for top, dtype in ((2**31 - 1, np.int64), (2**31, object)):
+            b = np.array([[top, 1], [top, -1]], dtype=np.int64)
+            got = linalg._sparse_product(triples(a), b)
+            assert got.dtype == dtype
+            assert (got == a.astype(object) @ b.astype(object)).all()
+
+    def test_each_route_is_a_module_function(self, monkeypatch):
+        # an outside tracer can wrap every route of the engine by name
+        calls = Counter()
+        for name in ("_gram", "_components", "_eliminate_mod_p", "_nullspace_bareiss", "_verify"):
+            real = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name, lambda *a, real=real, name=name: calls.update([name]) or real(*a))
+        arr = block_system(3, 30, (11, 3))  # tall and wide enough to be labelled
+        assert arr.shape[0] > 2 * arr.shape[1] >= 2 * linalg._LABEL_MIN_COLS
+        nullspace_int(arr)
+        assert calls["_gram"] == calls["_components"] == 1
+        assert calls["_verify"] == calls["_eliminate_mod_p"] >= 1
+        calls.clear()
+        nullspace_int(np.array([[3**130, 1]], dtype=object))  # the primes run out
+        assert calls["_eliminate_mod_p"] == len(_PRIMES) and calls["_nullspace_bareiss"] == 1
+        assert not calls["_gram"] and not calls["_components"]
 
 
 class TestReconstruction:
