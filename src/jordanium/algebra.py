@@ -2,10 +2,12 @@
 
 An :class:`AlgebraPresentation` holds a basis-free description of a
 commutative algebra with unit: the dimension, the unit's coordinates, and the
-sparse structure tensor c with e_i e_j = sum_k c[i,j,k] e_k.  Commutativity
-and the unit law are enforced at construction; the Jordan identity is not,
-it is the job of :func:`check_jordan`, so deliberately broken presentations
-can be built for testing.
+structure tensor c with e_i e_j = sum_k c[i,j,k] e_k, stored as one read-only
+integer array s * c and the scale s in lowest terms, as ``Mat`` holds a matrix;
+coefficients given twice at one (i, j, k) are added.  Commutativity and the
+unit law are enforced at construction; the Jordan identity is not, it is the
+job of :func:`check_jordan`, so deliberately broken presentations can be built
+for testing.
 
 Constructors cover the standard classification:
 
@@ -28,6 +30,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,10 +47,9 @@ from .linalg import (
     nullspace_int,
     parse_fraction,
     parse_int,
+    scale_ints,
     zero_vec,
 )
-
-TableEntry = tuple[int, Fraction]
 
 # Largest dense integer array one input may ask for: 2 * 10**7 entries, 160 MB
 # in int64.  It bounds a wire algebra's n**3 structure tensor, a wire module's
@@ -62,32 +64,49 @@ def refuse_above_cap(what: str, entries: int) -> None:
 
 
 class AlgebraPresentation:
-    """Commutative unital algebra with explicit rational structure constants."""
+    """Commutative unital algebra on one integer structure tensor and scale."""
 
     def __init__(self, label: str, dim: int, unit: Sequence, structure):
-        """structure maps (i, j) to a sparse list of (k, coeff).
+        """structure maps (i, j) to a sparse list of (k, coeff), summed per k.
 
         The (j, i) products are filled in by commutativity.  Raises if a pair
-        given in both orders differs or the unit law fails.
+        given in both orders has other sums or the unit law fails.
         """
-        self.label = str(label)
-        self.dim = int(dim)
+        dim = int(dim)
+        given = np.zeros((dim, dim), dtype=bool)
+        entries = []
+        for (i, j), row in structure.items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ValueError("structure index out of range")
+            given[i, j] = True
+            for k, q in row:
+                k, q = int(k), frac(q)
+                if not q:
+                    continue
+                if not 0 <= k < dim:
+                    raise ValueError("structure index out of range")
+                entries.append(((i, j, k), q))
+        c, s = kernels.to_int_tensor(entries, (dim,) * 3)
+        self._set(label, unit, np.where(given[:, :, None], c, c.transpose(1, 0, 2)), s)
+
+    @classmethod
+    def _from_tensor(cls, label: str, unit: Sequence, c: np.ndarray, s: int) -> "AlgebraPresentation":
+        """The algebra of the integer tensor c / s, with the checks of __init__."""
+        a = cls.__new__(cls)
+        a._set(label, unit, c, s)
+        return a
+
+    def _set(self, label: str, unit: Sequence, c: np.ndarray, s: int) -> None:
+        n = len(c)
+        self.label, self.dim = str(label), n
         self.unit: Vec = tuple(frac(x) for x in unit)
-        if len(self.unit) != self.dim:
+        if len(self.unit) != n:
             raise ValueError("unit has wrong length")
-        table: dict[tuple[int, int], tuple[TableEntry, ...]] = {}
-        for (i, j), entries in structure.items():
-            if not (0 <= i < self.dim and 0 <= j < self.dim):
-                raise ValueError("structure index out of range")
-            cleaned = tuple(sorted(e for e in ((int(k), frac(q)) for k, q in entries) if e[1]))
-            if any(not 0 <= k < self.dim for k, _ in cleaned):
-                raise ValueError("structure index out of range")
-            if (j, i) in table and table[(j, i)] != cleaned:
-                raise ValueError("structure constants are not commutative")
-            table[(i, j)] = cleaned
-            table[(j, i)] = cleaned
-        self._table = {ij: entries for ij, entries in table.items() if entries}
-        self._int_cache = None
+        t = Mat(c.reshape(n, n * n), s)  # lowest terms, read-only
+        c = t.ints.reshape(n, n, n)
+        if not np.array_equal(c, c.transpose(1, 0, 2)):
+            raise ValueError("structure constants are not commutative")
+        self._tensor = c, t.den
         self._center_cache: Optional[list[Vec]] = None
         j = self.unit_defect()
         if j is not None:
@@ -96,66 +115,49 @@ class AlgebraPresentation:
     # -- products ----------------------------------------------------------
 
     def basis_product(self, i: int, j: int) -> Vec:
-        out = [Fraction(0)] * self.dim
-        for k, q in self._table.get((i, j), ()):
-            out[k] += q
-        return tuple(out)
+        c, s = self._tensor
+        return tuple(Fraction(v, s) for v in c[i, j].tolist())
 
     def mul(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vec:
-        out = [Fraction(0)] * self.dim
-        ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in ys:
-                f = xi * yj
-                for k, q in self._table.get((i, j), ()):
-                    out[k] += f * q
-        return tuple(out)
+        return self.left_op(x).apply(y)
 
     def left_mult_basis(self, i: int) -> Mat:
         """Matrix of left multiplication by e_i."""
-        c, s = self.int_tensor()
+        c, s = self._tensor
         return Mat(c[i].T, s)
 
     def left_op(self, x: Sequence[Fraction]) -> Mat:
         """Matrix of left multiplication by x: sum_i x_i L_i, one exact product."""
-        c, s = self.int_tensor()
+        c, s = self._tensor
         xs = Mat.from_rows([x])
         n = self.dim
         return Mat(exact_int_matmul(xs.ints, c.reshape(n, n * n)).reshape(n, n).T, s * xs.den)
 
     def unit_defect(self) -> Optional[int]:
-        """First j with unit e_j != e_j, or None: L(unit) = I, summed from the
-        table entries (i, j) with unit_i != 0."""
-        cols: list[dict[int, Fraction]] = [{} for _ in range(self.dim)]
-        for (i, j), entries in self._table.items():
-            for k, q in entries if self.unit[i] else ():
-                cols[j][k] = cols[j].get(k, 0) + self.unit[i] * q
-        bad = (j for j, col in enumerate(cols) if {k: v for k, v in col.items() if v} != {j: 1})
-        return next(bad, None)
+        """First j with unit e_j != e_j, or None: s d L(unit) = s d I, for d the
+        unit's denominator, as one array comparison; summed exactly, no float."""
+        c, s = self._tensor
+        u = Mat.from_rows([self.unit])
+        at = np.flatnonzero(u.ints[0])
+        lu = np.tensordot(u.ints[0, at].astype(object), c[at], axes=1)  # row j: s d (unit e_j)
+        bad = np.flatnonzero((lu != scale_ints(np.eye(self.dim, dtype=np.int64), s * u.den)).any(axis=1))
+        return int(bad[0]) if bad.size else None
 
     # -- integer form ------------------------------------------------------
 
     def structure_entries(self) -> list[tuple[int, int, int, Fraction]]:
         """All nonzero (i, j, k, c) in lexicographic order."""
-        out = []
-        for (i, j), entries in self._table.items():
-            for k, q in entries:
-                out.append((i, j, k, q))
-        out.sort(key=lambda e: e[:3])
-        return out
+        c, s = self._tensor
+        idx = np.nonzero(c)  # row-major, so lexicographic
+        vals = c[idx].tolist()
+        q = {v: Fraction(v, s) for v in set(vals)}  # one Fraction per distinct value
+        return [(i, j, k, q[v]) for i, j, k, v in zip(*(x.tolist() for x in idx), vals)]
 
     def int_tensor(self):
-        """(tensor, scale) with tensor = scale * structure constants, exact.
-
-        int64 when every entry fits, object dtype otherwise; built once.
-        """
-        if self._int_cache is None:
-            entries = [((i, j, k), q) for i, j, k, q in self.structure_entries()]
-            n = self.dim
-            self._int_cache = kernels.to_int_tensor(entries, (n, n, n))
-        return self._int_cache
+        """(tensor, scale) with tensor = scale * structure constants, exact and
+        in lowest terms: a read-only int64 array when every entry is below
+        2**62 in size, object dtype otherwise."""
+        return self._tensor
 
     # -- misc --------------------------------------------------------------
 
@@ -171,7 +173,8 @@ class AlgebraPresentation:
             and self.label == other.label
             and self.dim == other.dim
             and self.unit == other.unit
-            and self._table == other._table
+            and self._tensor[1] == other._tensor[1]
+            and np.array_equal(self._tensor[0], other._tensor[0])
         )
 
     def __repr__(self):
@@ -183,7 +186,7 @@ class AlgebraPresentation:
 
 
 def build_real() -> AlgebraPresentation:
-    return AlgebraPresentation("R", 1, (1,), {(0, 0): [(0, Fraction(1))]})
+    return AlgebraPresentation("R", 1, (1,), {(0, 0): [(0, 1)]})
 
 
 def build_spin(n: int) -> AlgebraPresentation:
@@ -191,13 +194,11 @@ def build_spin(n: int) -> AlgebraPresentation:
     if n < 1:
         raise ValueError("spin factor needs n >= 1")
     dim = n + 1
-    structure: dict[tuple[int, int], list[TableEntry]] = {}
-    structure[(0, 0)] = [(0, Fraction(1))]
-    for i in range(1, dim):
-        structure[(0, i)] = [(i, Fraction(1))]
-        structure[(i, i)] = [(0, Fraction(1))]
-    unit = (Fraction(1),) + (Fraction(0),) * n
-    return AlgebraPresentation("JSpin%d" % n, dim, unit, structure)
+    c = np.zeros((dim,) * 3, dtype=np.int64)
+    c[0] = c[:, 0] = np.eye(dim, dtype=np.int64)
+    v = np.arange(1, dim)
+    c[v, v, 0] = 1
+    return AlgebraPresentation._from_tensor("JSpin%d" % n, basis_vec(dim, 0), c, 1)
 
 
 def hermitian_pairs(n: int) -> list[tuple[int, int]]:
@@ -258,7 +259,7 @@ def build_hermitian(n: int, level: int) -> AlgebraPresentation:
     then for each off-diagonal position all 2**level coordinate entries.
     The doubled products xy + yx are one integer join of the basis matrices'
     entries through ``sign_tensor(level)`` (``kernels.symmetrized_products``),
-    which raises if one leaves the hermitian matrices; they are halved here.
+    which raises if one leaves the hermitian matrices; they are kept on scale 2.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -269,26 +270,22 @@ def build_hermitian(n: int, level: int) -> AlgebraPresentation:
             "hermitian octonion matrices are only Jordan for n <= 3; n=%d rejected" % n
         )
     basis = hermitian_basis(n, level)
-    products = kernels.symmetrized_products(basis, sign_tensor(level))
-    structure: dict[tuple[int, int], list[TableEntry]] = {}
-    for a, b, k, v in zip(*(x.tolist() for x in products)):
-        structure.setdefault((a, b), []).append((k, Fraction(v, 2)))
+    a, b, k, v = kernels.symmetrized_products(basis, sign_tensor(level))
     dim = len(basis)
-    unit = tuple(Fraction(1 if i < n else 0) for i in range(dim))
-    return AlgebraPresentation("J%d_%d" % (2**level, n), dim, unit, structure)
+    doubled = np.zeros((dim,) * 3, dtype=np.int64)
+    doubled[a, b, k] = doubled[b, a, k] = v
+    unit = (1,) * n + (0,) * (dim - n)
+    return AlgebraPresentation._from_tensor("J%d_%d" % (2**level, n), unit, doubled, 2)
 
 
 def direct_sum(a: AlgebraPresentation, b: AlgebraPresentation, label: Optional[str] = None):
-    dim = a.dim + b.dim
-    structure: dict[tuple[int, int], list[TableEntry]] = {}
-    for (i, j), entries in a._table.items():
-        if i <= j:
-            structure[(i, j)] = list(entries)
-    for (i, j), entries in b._table.items():
-        if i <= j:
-            structure[(a.dim + i, a.dim + j)] = [(a.dim + k, q) for k, q in entries]
-    unit = a.unit + b.unit
-    return AlgebraPresentation(label or (a.label + "+" + b.label), dim, unit, structure)
+    (ca, sa), (cb, sb) = a.int_tensor(), b.int_tensor()
+    s = lcm(sa, sb)
+    ca, cb = scale_ints(ca, s // sa), scale_ints(cb, s // sb)
+    c = np.zeros((a.dim + b.dim,) * 3, dtype=np.result_type(ca, cb))
+    c[: a.dim, : a.dim, : a.dim] = ca
+    c[a.dim :, a.dim :, a.dim :] = cb
+    return AlgebraPresentation._from_tensor(label or (a.label + "+" + b.label), a.unit + b.unit, c, s)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +380,7 @@ def algebra_to_dict(a: AlgebraPresentation) -> dict:
 def algebra_from_dict(d: dict) -> AlgebraPresentation:
     dim = parse_int(d["dim"])
     refuse_above_cap("the structure tensor", dim**3)
-    structure: dict[tuple[int, int], list[TableEntry]] = {}
+    structure: dict[tuple[int, int], list] = {}
     for i, j, k, q in d["structure"]:
         structure.setdefault((parse_int(i), parse_int(j)), []).append((parse_int(k), parse_fraction(q)))
     # the constructor fills in and checks the mirrored pairs

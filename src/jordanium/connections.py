@@ -46,7 +46,6 @@ from .linalg import (
     Vec,
     commutators,
     exact_int_matmul,
-    expand_in_basis,
     format_fraction,
     frac,
     kron,
@@ -332,6 +331,34 @@ class Curvature:
         return None if hit is None else (keys[hit[0]], hit[1])
 
 
+def _center_expansions(der: DerivationBasis) -> tuple[Mat, Mat]:
+    """Center coordinates of z_t z_u (rows (t, u)) and of X_mu(z_t) (rows
+    (mu, t)), for z the center basis and X the frame.
+
+    The products are one contraction of the structure tensor, the images one
+    product with the frame stack, and all of them are expanded by one
+    solve_int; AssertionError when one leaves the center.
+    """
+    alg = der.algebra
+    zs = Mat.from_rows(center_basis(alg))
+    k, n = zs.rows, alg.dim
+    c, sc = alg.int_tensor()
+    (x,), sx = scaled_int_mats(der.mats)
+    # zc[t, j] = sum_i z_t[i] c[i, j]; row (u, t) of zz is z_t z_u, which is
+    # row (t, u) by commutativity
+    zc = exact_int_matmul(zs.ints, c.reshape(n, n * n)).reshape(k, n, n)
+    zz = exact_int_matmul(zs.ints, zc.transpose(1, 0, 2).reshape(n, k * n)).reshape(k * k, n)
+    dz = exact_int_matmul(x.reshape(-1, n), zs.ints.T).reshape(-1, n, k).transpose(0, 2, 1).reshape(-1, n)
+    (tz, td), s = scaled_int_mats([Mat(zz, zs.den**2 * sc)], [Mat(dz, zs.den * sx)])
+    # each integer solution y of zs.ints^T y = s * target gives the coordinates y zs.den / s
+    sols = solve_int(zs.ints.T, np.concatenate((tz[0], td[0])).T)
+    if None in sols:
+        raise AssertionError("center failed to close under product or derivations")
+    (y,), sy = scaled_int_mats(sols)
+    y = scale_ints(y.reshape(-1, k), zs.den)
+    return Mat(y[: k * k], sy * s), Mat(y[k * k :], sy * s)
+
+
 def _gauge_curvature_table(c: Connection) -> tuple[np.ndarray, int]:
     """Curvature of every pair mu < nu from the potential formula, as one
     integer stack of module operators and its scale.
@@ -348,14 +375,9 @@ def _gauge_curvature_table(c: Connection) -> tuple[np.ndarray, int]:
     """
     der = c.der
     alg = der.algebra
-    zs = center_basis(alg)
-    d, k, p = der.dim, len(zs), c.potential.rank
-    # products and derivative images of center elements, re-expanded
-    zz = [expand_in_basis(zs, alg.mul(zt, zu)) for zt in zs for zu in zs]
-    dz = [expand_in_basis(zs, x.apply(z)) for x in der.mats for z in zs]
-    if None in zz or None in dz:
-        raise AssertionError("center failed to close under product or derivations")
-    zz, dz, br = Mat.from_rows(zz), Mat.from_rows(dz), bracket_table(der)
+    d, p = der.dim, c.potential.rank
+    zz, dz = _center_expansions(der)
+    k, br = zz.cols, bracket_table(der)
     (a,), sa = scaled_int_mats([block for per in c.potential.mats for block in per])
     a = a.reshape(d, k, p, p)
     # each term as a Mat with rows (mu, nu, s) and columns the p x p block

@@ -27,16 +27,23 @@ class ExactOverflow(Exception):
 
 
 def to_int_tensor(entries: Sequence[tuple[tuple[int, ...], Fraction]], shape: tuple[int, ...]):
-    """Clear denominators of a sparse rational tensor.
+    """Clear denominators of a sparse rational tensor, adding the values
+    given at one index.
 
-    Returns (array, scale) with array = scale * tensor, exactly: int64 when
-    every entry fits, object dtype otherwise.
+    Returns (array, scale) with array = scale * tensor, exactly and in
+    lowest terms, as a :class:`Mat` holds a matrix: read-only, int64 when
+    every entry is below 2**62 in size, object dtype otherwise.
     """
     vals = Mat.from_rows([[q for _, q in entries]])
-    out = np.zeros(shape, dtype=vals.ints.dtype)
-    for (idx, _), v in zip(entries, vals.ints[0]):
-        out[idx] = v
-    return out, vals.den
+    v = vals.ints[0]
+    if len(v) * max_abs_int(v) >= 2**63:
+        v = v.astype(object)  # a sum of repeated values may leave int64
+    at = np.array([idx for idx, _ in entries], dtype=np.intp).reshape(-1, len(shape))
+    keys, sums = sum_by_key(np.ravel_multi_index(tuple(at.T), shape), v)
+    out = np.zeros(int(np.prod(shape)), dtype=v.dtype)
+    out[keys] = sums
+    t = Mat(out.reshape(1, -1), vals.den)
+    return t.ints.reshape(shape), t.den
 
 
 def _csr(t: np.ndarray, dtype) -> tuple[np.ndarray, ...]:

@@ -16,9 +16,9 @@ the symmetrized product, and Clifford modules over the spin factors.  Module
 homomorphisms are computed exactly as intertwiner nullspaces.
 
 Exactness: both oracles are sums over joins of nonzero integer entries of
-the extension's tensor, lifted from the algebra's and the action's cached
-tensors to one scale.  The extension is built as a presentation only on
-FAIL, for the witness operator.  Both decide on any entry size.
+the extension's tensor, placed on one scale by the block builder that
+:func:`split_null_extension` shares.  The extension is built as a presentation
+only on FAIL, for the witness operator.  Both decide on any entry size.
 """
 
 from __future__ import annotations
@@ -74,7 +74,8 @@ class ModuleAction:
         for op in self.ops:
             if op.rows != self.mdim or op.cols != self.mdim:
                 raise ValueError("action operators must be square and same size")
-        self._int_cache = None
+        (lam,), s = scaled_int_mats(self.ops)
+        self._tensor = np.ascontiguousarray(lam.transpose(0, 2, 1)), s
         if self.mdim and self.op_of(algebra.unit) != Mat.identity(self.mdim):
             raise ValueError("unit does not act as the identity")
 
@@ -100,11 +101,8 @@ class ModuleAction:
 
     def int_tensor(self):
         """(tensor, scale) with tensor[i, alpha, beta] = scale * the f_beta
-        coordinate of e_i f_alpha, exact; int64 when it fits, built once."""
-        if self._int_cache is None:
-            (lam,), s = scaled_int_mats(self.ops)
-            self._int_cache = np.ascontiguousarray(lam.transpose(0, 2, 1)), s
-        return self._int_cache
+        coordinate of e_i f_alpha, exact; int64 when it fits."""
+        return self._tensor
 
     def __eq__(self, other):
         return (
@@ -122,15 +120,26 @@ class ModuleAction:
 # split null extension and the module check
 
 
+def _extension_tensor(mod: ModuleAction) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(ext, c, t, s): the split null extension's tensor ext, the algebra's
+    c and the action's t, all three on the one scale s."""
+    (c, sc), (t, st) = mod.algebra.int_tensor(), mod.int_tensor()
+    s = lcm(sc, st)
+    c, t = scale_ints(c, s // sc), scale_ints(t, s // st)
+    n = mod.algebra.dim
+    # ext[i, n + alpha, n + beta] = ext[n + alpha, i, n + beta] = t[i, alpha, beta]
+    ext = np.zeros((n + mod.mdim,) * 3, dtype=np.result_type(c, t))
+    ext[:n, :n, :n] = c
+    ext[:n, n:, n:] = t
+    ext[n:, :n, n:] = t.transpose(1, 0, 2)
+    return ext, c, t, s
+
+
 def split_null_extension(mod: ModuleAction) -> AlgebraPresentation:
     """J + M with product (x, m)(x', m') = (xx', x m' + m x') and M M = 0."""
+    ext, _, _, s = _extension_tensor(mod)
     a = mod.algebra
-    n = a.dim
-    structure = {(i, j): list(entries) for (i, j), entries in a._table.items() if i <= j}
-    for i, alpha, beta, v in mod.action_entries():
-        structure.setdefault((i, n + alpha), []).append((n + beta, v))
-    unit = a.unit + (Fraction(0),) * mod.mdim
-    return AlgebraPresentation("snx(%s,%s)" % (a.label, mod.label), n + mod.mdim, unit, structure)
+    return AlgebraPresentation._from_tensor("snx(%s,%s)" % (a.label, mod.label), a.unit + (0,) * mod.mdim, ext, s)
 
 
 @dataclass(frozen=True)
@@ -151,15 +160,7 @@ def check_module(mod: ModuleAction) -> ModuleVerdict:
     Oracle two: the operator identity [[A_i, A_j], A_k] = -A((e_i e_k) e_j -
     e_i (e_k e_j)) holds on all basis triples.  A genuine module passes both.
     """
-    (c, sc), (t, st) = mod.algebra.int_tensor(), mod.int_tensor()
-    s = lcm(sc, st)
-    c, t = scale_ints(c, s // sc), scale_ints(t, s // st)
-    n = mod.algebra.dim
-    # ext[i, n + alpha, n + beta] = ext[n + alpha, i, n + beta] = t[i, alpha, beta]
-    ext = np.zeros((n + mod.mdim,) * 3, dtype=np.result_type(c, t))
-    ext[:n, :n, :n] = c
-    ext[:n, n:, n:] = t
-    ext[n:, :n, n:] = t.transpose(1, 0, 2)
+    ext, c, t, _ = _extension_tensor(mod)
     witness = kernels.module_identity_violation(c, t.transpose(0, 2, 1))
     triple = kernels.jordan_violation(ext)
     if triple is None:

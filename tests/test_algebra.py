@@ -30,7 +30,14 @@ from jordanium.algebra import (
 )
 from jordanium import kernels
 from jordanium.cayley_dickson import sign_tensor
+from jordanium.linalg import Mat
 
+from algebra_reference import (
+    TableAlgebra,
+    reference_direct_sum,
+    reference_split_null_extension,
+    upper_structure,
+)
 from cd_reference import hermitian_reference
 
 from jordan_reference import (
@@ -488,3 +495,194 @@ class TestSerialization:
     def test_spin_round_trip(self, n):
         a = build_spin(n)
         assert algebra_loads(algebra_dumps(a)) == a
+
+
+class TestRepeatedEntries:
+    def test_pair_in_both_orders_compared_by_sums(self):
+        # JSpin1 with e_0 e_1 given as 1/3 + 2/3 one way and as 1 the other,
+        # and a cancelling pair that disappears
+        a = AlgebraPresentation(
+            "t",
+            2,
+            (1, 0),
+            {
+                (0, 0): [(0, 1)],
+                (0, 1): [(1, fr(1, 3)), (1, fr(2, 3)), (0, 5), (0, -5)],
+                (1, 0): [(1, 1)],
+                (1, 1): [(0, 1)],
+            },
+        )
+        assert a.structure_entries() == build_spin(1).structure_entries()
+
+
+def _alias_algebras():
+    from jordanium.cli import _ALIASES
+
+    return sorted(_ALIASES.items())
+
+
+class TestTensorInvariants:
+    """int_tensor() is the stored tensor, read-only, in lowest terms, with
+    the dtype, values and scale of clearing the Fraction table entry by
+    entry (tests/algebra_reference.py)."""
+
+    @staticmethod
+    def _assert_as_table(a):
+        c, s = a.int_tensor()
+        ref = TableAlgebra(a.label, a.dim, a.unit, upper_structure(a.structure_entries()))
+        expected, scale = ref.int_tensor()
+        assert c.dtype == expected.dtype and s == scale
+        assert c.shape == expected.shape and (c == expected).all()
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[(0,) * 3] = 1
+        assert a.int_tensor() is a.int_tensor()
+
+    @pytest.mark.parametrize("name,builder", _alias_algebras())
+    def test_every_cli_alias(self, name, builder):
+        self._assert_as_table(builder())
+
+    @pytest.mark.parametrize(
+        "n,entry,dtype,scale",
+        [(5, 2**45, "int64", 1), (3, 2**61, "int64", 1), (3, 2**62, "object", 1), (3, fr(2**61, 3), "int64", 3)],
+    )
+    def test_spin_factors_with_large_forms(self, n, entry, dtype, scale):
+        a = big_spin(n, [entry] * n)
+        c, s = a.int_tensor()
+        assert c.dtype == dtype and s == scale
+        assert c[1, 1, 0] == entry * scale
+        self._assert_as_table(a)
+
+    def test_dimension_zero(self):
+        a = AlgebraPresentation("zero", 0, (), {})
+        c, s = a.int_tensor()
+        assert c.shape == (0, 0, 0) and c.dtype == "int64" and s == 1
+        assert not c.flags.writeable
+        assert a.structure_entries() == [] and a.unit_defect() is None
+
+    def test_int_tensor_is_a_plain_method(self):
+        # perfbench/tracer.py wraps the method found in the class body
+        assert "int_tensor" in AlgebraPresentation.__dict__
+
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+NONZERO = SMALL.filter(bool)
+
+
+@st.composite
+def fraction_tables(draw):
+    """(n, unit, table): dimension 0 to 5, the unit u e_0 with e_0 e_j =
+    e_j / u, and sparse random constants {(i, j): {k: q}} for 1 <= i <= j,
+    all scaled by 1, 2**31 + 1 or 2**62 + 1 (past int64 in the tensor)."""
+    n = draw(st.integers(0, 5))
+    big = draw(st.sampled_from([1, 2**31 + 1, 2**62 + 1]))
+    u = draw(NONZERO)
+    table = {(0, j): {j: 1 / u} for j in range(n)}
+    for i in range(1, n):
+        for j in range(i, n):
+            if draw(st.booleans()):
+                table[(i, j)] = {k: draw(SMALL) * big for k in range(n) if draw(st.booleans())}
+    unit = tuple(u if i == 0 else fr(0) for i in range(n))
+    return n, unit, table
+
+
+FAULTS = ["range", "commute", "unit"]
+
+
+def wire_structure(data, n, table, fault=None):
+    """The constructor's dict input for a table: each pair given as (i, j),
+    as (j, i) or both, coefficients split into repeats, zero entries and
+    given-but-empty pairs added, and at most one fault."""
+    structure = {}
+    for (i, j), row in table.items():
+        orders = [(i, j)] if i == j else data.draw(st.sampled_from([[(i, j)], [(j, i)], [(i, j), (j, i)]]))
+        for ij in orders:
+            entries = []
+            for k, q in row.items():
+                if data.draw(st.booleans()):
+                    part = data.draw(SMALL)
+                    entries += [(k, part), (k, q - part)]
+                else:
+                    entries.append((k, q))
+            if data.draw(st.booleans()):
+                entries.append((data.draw(st.integers(0, n + 1)), 0))
+            structure[ij] = entries
+    if fault == "range":
+        if n and data.draw(st.booleans()):
+            ij = data.draw(st.sampled_from(sorted(structure)))
+            structure[ij] = structure[ij] + [(n + data.draw(st.integers(0, 2)), data.draw(NONZERO))]
+        else:
+            structure[(n, data.draw(st.integers(0, n)))] = []
+    elif fault == "commute":
+        both = [(i, j) for i, j in structure if i < j and (j, i) in structure]
+        if both:
+            i, j = data.draw(st.sampled_from(both))
+            structure[(j, i)] = structure[(j, i)] + [(data.draw(st.integers(0, n - 1)), data.draw(NONZERO))]
+    elif fault == "unit" and n:
+        j = data.draw(st.integers(0, n - 1))
+        extra = [(data.draw(st.integers(0, n - 1)), data.draw(NONZERO))]
+        for ij in {(0, j), (j, 0)} & set(structure):
+            structure[ij] = structure[ij] + extra
+    return structure
+
+
+def _built(cls, *args):
+    try:
+        return cls(*args), None
+    except ValueError as e:
+        return None, str(e)
+
+
+class TestAgainstFractionTable:
+    """The tensor presentation against the Fraction-table one it replaced."""
+
+    @given(fraction_tables(), st.sampled_from([None] + FAULTS), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_same_presentation_or_same_error(self, drawn, fault, data):
+        n, unit, table = drawn
+        structure = wire_structure(data, n, table, fault)
+        a, err = _built(AlgebraPresentation, "t", n, unit, structure)
+        ref, ref_err = _built(TableAlgebra, "t", n, unit, structure)
+        assert err == ref_err
+        if a is None:
+            return
+        assert a.unit_defect() is ref.unit_defect() is None
+        assert a.structure_entries() == ref.structure_entries()
+        for i in range(n):
+            for j in range(n):
+                assert a.basis_product(i, j) == ref.basis_product(i, j)
+        vec = st.lists(SMALL, min_size=n, max_size=n).map(tuple)
+        x, y = data.draw(vec), data.draw(vec)
+        assert a.mul(x, y) == ref.mul(x, y)
+        c, s = a.int_tensor()
+        expected, scale = ref.int_tensor()
+        assert c.dtype == expected.dtype and s == scale and (c == expected).all()
+        # a second wiring of the same table, and a different table
+        again = wire_structure(data, n, table)
+        assert a == AlgebraPresentation("t", n, unit, again)
+        n2, unit2, table2 = data.draw(fraction_tables())
+        other = wire_structure(data, n2, table2)
+        b, rb = AlgebraPresentation("t", n2, unit2, other), TableAlgebra("t", n2, unit2, other)
+        assert (a == b) == (ref == rb)
+        ab, rab = direct_sum(a, b), reference_direct_sum(ref, rb)
+        assert (ab.label, ab.dim, ab.unit) == (rab.label, rab.dim, rab.unit)
+        assert ab.structure_entries() == rab.structure_entries()
+        self._assert_extension(a, ref, data)
+
+    @staticmethod
+    def _assert_extension(a, ref, data):
+        from jordanium.modules import ModuleAction, build_free, split_null_extension
+
+        mod = build_free(a, data.draw(st.integers(0, 2)))
+        if mod.mdim and a.dim > 1:
+            # a perturbed action of e_1, which keeps the unit acting as the identity
+            ops = list(mod.ops)
+            r, col = (data.draw(st.integers(0, mod.mdim - 1)) for _ in range(2))
+            ops[1] = ops[1] + Mat.from_rows(
+                [[data.draw(NONZERO) if (p, q) == (r, col) else 0 for q in range(mod.mdim)] for p in range(mod.mdim)]
+            )
+            mod = ModuleAction(a, ops, "perturbed")
+        snx = split_null_extension(mod)
+        rsnx = reference_split_null_extension(ref, mod.action_entries(), mod.mdim, mod.label)
+        assert (snx.label, snx.dim, snx.unit) == (rsnx.label, rsnx.dim, rsnx.unit)
+        assert snx.structure_entries() == rsnx.structure_entries()

@@ -548,6 +548,29 @@ class TestLargeEntries:
         assert rep["results"]["dim"] == 1
 
 
+class TestRepeatedEntries:
+    """A wire constant given twice at one (i, j, k) is the sum of the two,
+    in the products and in the integer tensor every check reads."""
+
+    DOC = {"label": "rep", "dim": 1, "unit": ["1"], "structure": [[0, 0, 0, "1/2"], [0, 0, 0, "1/2"]]}
+
+    def test_build_and_check_report_the_summed_algebra(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(self.DOC)))
+        code, out, _ = run_cli(capsys, "algebra", "build", "--type", "sum", "--parts", "-", "real")
+        assert code == 0
+        assert json.loads(out)["structure"] == [[0, 0, 0, "1"], [1, 1, 1, "1"]]
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(self.DOC)))
+        code, rep = report(capsys, "algebra", "check", "--algebra", "-")
+        assert code == 0
+        assert rep["results"]["jordan"] is True and rep["results"]["center_dim"] == 1
+
+    def test_int_tensor_agrees_with_the_products(self):
+        a = algebra_loads(json.dumps(self.DOC))
+        assert a.basis_product(0, 0) == (Fraction(1),)
+        c, s = a.int_tensor()
+        assert c.tolist() == [[[1]]] and s == 1
+
+
 def test_too_large_to_check_exactly_exits_2(capsys, tmp_path):
     # dimension 46 with 2**45 entries once had no exact Jordan check; the
     # sparse kernel sums past int64 in object dtype, so it now gets a verdict

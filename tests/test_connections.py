@@ -131,6 +131,14 @@ class TestCurvature:
                 seen_curved = True
         assert seen_curved
 
+    def test_gauge_formula_needs_a_closed_center(self, monkeypatch):
+        # e_1 spans no subalgebra of JSpin2: e_1 e_1 = e_0
+        der = derivation_basis(build_spin(2))
+        c = with_potential(base_connection(der, build_free(der.algebra, 1)), zero_potential(der, 1))
+        monkeypatch.setattr("jordanium.connections.center_basis", lambda a: [a.basis_element(1)])
+        with pytest.raises(AssertionError, match="center failed to close"):
+            curvature(c)
+
     def test_scalar_potential_curvature_is_minus_bracket_contraction(self):
         der = derivation_basis(build_spin(3))
         mod = build_free(der.algebra, 1)
