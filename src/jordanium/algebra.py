@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .cayley_dickson import conj_array, sign_tensor
+from .cayley_dickson import basis_products, conj_array, sign_tensor
 from .linalg import (
     Mat,
     Vec,
@@ -258,7 +258,7 @@ def build_hermitian(n: int, level: int) -> AlgebraPresentation:
     Dimension n + n(n-1)/2 * 2**level.  Basis order: diagonal units E_1..E_n,
     then for each off-diagonal position all 2**level coordinate entries.
     The doubled products xy + yx are one integer join of the basis matrices'
-    entries through ``sign_tensor(level)`` (``kernels.symmetrized_products``),
+    entries through ``sign_tensor(level)`` (``cayley_dickson.basis_products``),
     which raises if one leaves the hermitian matrices; they are kept on scale 2.
     """
     if n < 1:
@@ -270,10 +270,10 @@ def build_hermitian(n: int, level: int) -> AlgebraPresentation:
             "hermitian octonion matrices are only Jordan for n <= 3; n=%d rejected" % n
         )
     basis = hermitian_basis(n, level)
-    a, b, k, v = kernels.symmetrized_products(basis, sign_tensor(level))
     dim = len(basis)
     doubled = np.zeros((dim,) * 3, dtype=np.int64)
-    doubled[a, b, k] = doubled[b, a, k] = v
+    a, b, k, v = basis_products(basis, basis, basis, sign_tensor(level), 1)
+    doubled[a, b, k] = v
     unit = (1,) * n + (0,) * (dim - n)
     return AlgebraPresentation._from_tensor("J%d_%d" % (2**level, n), unit, doubled, 2)
 

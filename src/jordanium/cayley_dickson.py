@@ -13,19 +13,19 @@ and are rejected.
 The package has no Cayley-Dickson element type.  ``sign_tensor(level)`` is
 the multiplication table as one signed (d, d, d) integer array, built level
 by level from the doubling formula; :func:`basis_table` reads it as
-(index, sign) pairs, and :func:`mat_product` multiplies (..., n, n, d)
-integer arrays of matrices with Cayley-Dickson entries through it (Baez,
-"The Octonions", Bull. AMS 39, 2002).
+(index, sign) pairs, and :func:`basis_products` makes every product of
+matrices with Cayley-Dickson entries in the package: one sparse join of the
+basis matrices' nonzero entries through it (Baez, "The Octonions", Bull.
+AMS 39, 2002).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
-from .linalg import max_abs_int
+from .linalg import row_pairs, sum_by_key
 
 MAX_LEVEL = 3
 
@@ -77,34 +77,65 @@ def conj_array(x: np.ndarray) -> np.ndarray:
     return np.concatenate((x[..., :1], -x[..., 1:]), axis=-1)
 
 
-def mat_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Products of n x n matrices with Cayley-Dickson entries, as (..., n, n, d) arrays.
+def basis_products(
+    x: np.ndarray, y: np.ndarray, out: np.ndarray, o: np.ndarray, sign: int
+) -> tuple[np.ndarray, ...]:
+    """Coordinates over the basis out of x_a y_b + sign y_b x_a, every (a, b).
 
-    (xy)[i, j] = sum_t x[i, t] y[t, j], each entry product contracted with
-    ``sign_tensor``; leading axes broadcast.  The sum runs in int64 only when
-    max|x| max|y| n d is below 2**63, and in object dtype otherwise: every
-    output has at most n d nonzero terms, so this bounds the partial sums of
-    any contraction order einsum picks.
+    x, y and out are (N, n, n, d) arrays of matrices with Cayley-Dickson
+    entries, each entry of each matrix 0 or +/-eps_k (an atom (row, column,
+    k, sign)), and o is the level's sign tensor.  The product of two atoms is
+    nonzero only when the inner indices meet, and then it is the atom
+    (r, c, k1 ^ k2, s1 s2 o[k1, k2, k1 ^ k2]): atoms of x by column are joined
+    with atoms of y by row, and atoms of y by column with atoms of x by row,
+    and every term is summed under the key (a, b, r, c, k).
+
+    A coordinate is read off the first atom of its out matrix, which presumes
+    disjoint supports, and each product must then be exactly the combination
+    of out its coordinates give: AssertionError otherwise, raised also under
+    python -O (a product outside the span of out, or overlapping supports
+    misread).  With at most A atoms in one basis matrix, every sum has at most
+    2 A**2 terms of size 1, so int64 is exact.
+
+    Returns (a, b, m, v): x_a y_b + sign y_b x_a = sum of v out_m, nonzero v
+    only, ordered by (a, b) and then by the position of out_m's first atom.
     """
-    n, d = x.shape[-2:]
-    if max_abs_int(x) * max_abs_int(y) * n * d >= 2**63:
-        x, y = x.astype(object), y.astype(object)
-    o = sign_tensor(d.bit_length() - 1)
-    return np.einsum("...ita,...tjb,abc->...ijc", x, y, o, optimize=True)
+    _, n, _, d = out.shape
+    size, count = n * n * d, len(y)
 
+    def atoms(basis):
+        m, r, c, k = np.nonzero(basis)
+        return m, r, c, k, basis[m, r, c, k].astype(np.int64)
 
-def coords_in_basis(w: np.ndarray, basis: np.ndarray) -> Optional[np.ndarray]:
-    """Integer coordinates of each (n, n, d) matrix of w in basis, or None.
+    def join(p, q):
+        # atoms of p against the atoms of q whose row is p's column
+        pm, pr, pc, pk, ps = p
+        qm, qr, qc, qk, qs = q
+        by_row = np.argsort(qr, kind="stable")
+        s, t = row_pairs(np.searchsorted(qr[by_row], np.arange(n + 1)), pc)
+        t = by_row[t]
+        k = pk[s] ^ qk[t]
+        return pm[s], qm[t], (pr[s] * n + qc[t]) * d + k, ps[s] * qs[t] * o[pk[s], qk[t], k]
 
-    basis is (N, n, n, d) with entries 0, +1, -1 and pairwise disjoint
-    supports, so a coordinate is the inner product with its basis matrix
-    divided by that matrix's squared norm.  None when some matrix of w is not
-    the integer combination of the basis its coordinates give.  Each sum has
-    at most two nonzero terms, so int64 input below 2**62 cannot overflow.
-    """
-    b = basis.reshape(len(basis), int(np.prod(basis.shape[1:])))
-    flat = w.reshape(-1, b.shape[1])
-    coords = (flat @ b.T) // (b * b).sum(axis=1)
-    if not (coords @ b == flat).all():
-        return None
-    return coords.reshape(w.shape[:-3] + (len(basis),))
+    xs, ys = atoms(x), atoms(y)
+    a1, b1, at1, v1 = join(xs, ys)
+    b2, a2, at2, v2 = join(ys, xs)
+    keys, vals = sum_by_key(
+        np.concatenate(((a1 * count + b1) * size + at1, (a2 * count + b2) * size + at2)),
+        np.concatenate((v1, sign * v2)),
+    )
+    # coordinates from the first atom of each out matrix
+    m, r, c, k, s = atoms(out)
+    pos = (r * n + c) * d + k
+    _, first = np.unique(m, return_index=True)
+    lead = np.full(size, -1)
+    lead[pos[first]] = first
+    at = lead[keys % size]
+    read = at >= 0
+    cpair, cm, cv = keys[read] // size, m[at[read]], vals[read] * s[at[read]]
+    # the products as those coordinates times the atoms of out
+    t, u = row_pairs(np.searchsorted(m, np.arange(len(out) + 1)), cm)
+    rebuilt, rvals = sum_by_key(cpair[t] * size + pos[u], cv[t] * s[u])
+    if not (np.array_equal(rebuilt, keys) and np.array_equal(rvals, vals)):
+        raise AssertionError("a basis product leaves the span of the out basis")
+    return cpair // count, cpair % count, cm, cv

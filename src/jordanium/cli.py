@@ -113,6 +113,8 @@ def _parse_json(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise UsageError("malformed JSON input: %s" % e)
+    except RecursionError:
+        raise UsageError("JSON input is nested too deeply")
     if not isinstance(doc, dict):
         raise UsageError("JSON input must be an object, not %s" % type(doc).__name__)
     return doc
@@ -152,7 +154,10 @@ def _canonical(obj) -> str:
 
 
 def _emit_report(args, command: str, inputs, results: dict, ok: bool) -> int:
-    digest = hashlib.sha256(_canonical(inputs).encode("utf-8")).hexdigest()
+    try:
+        digest = hashlib.sha256(_canonical(inputs).encode("utf-8")).hexdigest()
+    except RecursionError:  # input the decoder read just under its limit
+        raise UsageError("JSON input is nested too deeply")
     report = {
         "tool": "jordanium",
         "version": __version__,

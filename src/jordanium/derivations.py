@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import AlgebraPresentation, antihermitian_basis, center_basis, hermitian_basis
-from .cayley_dickson import coords_in_basis, conj_array, mat_product, sign_tensor
+from .cayley_dickson import basis_products, conj_array, sign_tensor
 from .linalg import (
     Mat,
     Triples,
@@ -562,11 +562,11 @@ def _commutator_tensor() -> np.ndarray:
     M z - z M is checked here, once.
     """
     herm = hermitian_basis(3, 3)
-    unit = antihermitian_basis(3, 3)[21:, None]  # off-diagonal slots only
-    coords = coords_in_basis(mat_product(unit, herm) - mat_product(herm, unit), herm)
-    if coords is None:
-        raise AssertionError("commutator left the hermitian matrices")
-    return coords.transpose(0, 2, 1).reshape(24, 27 * 27)
+    unit = antihermitian_basis(3, 3)[21:]  # off-diagonal slots only
+    t = np.zeros((24, 27, 27), dtype=np.int64)
+    p, z, m, v = basis_products(unit, herm, herm, sign_tensor(3), -1)
+    t[p, m, z] = v
+    return t.reshape(24, 27 * 27)
 
 
 def commutator_action_matrix(x1: Sequence, x2: Sequence, x3: Sequence) -> Mat:

@@ -5,9 +5,7 @@ triples and the module operator identity, are cubic or worse in the
 dimension.  Both are summed over joins of the nonzero entries of the
 denominator-cleared tensors only, in int64 under a proven bound on every
 sum and in object dtype past it: exact on any input, with no float64 path.
-The associative center's system is read off the Jordan kernel's join, and
-the structure constants of the hermitian matrix algebras are one join of
-their basis matrices' entries through the Cayley-Dickson sign tensor.
+The associative center's system is read off the Jordan kernel's join.
 None raises ExactOverflow; the class stays for callers that catch it.
 """
 
@@ -210,54 +208,3 @@ def module_identity_violation(c: np.ndarray, a: np.ndarray) -> Optional[tuple[in
             best = (p // n, p % n, k)
     return best
 
-
-def symmetrized_products(basis: np.ndarray, o: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Coordinates of x_a x_b + x_b x_a, a <= b, over the basis matrices x.
-
-    basis is (N, n, n, d): N matrices with Cayley-Dickson entries, each entry
-    of each matrix 0 or +/-eps_k (an atom (row, column, k, sign)), and o the
-    level's sign tensor.  The product of two atoms is nonzero only when the
-    inner indices meet, and then it is the atom (r, c, k1 ^ k2, s1 s2
-    o[k1, k2, k1 ^ k2]): atoms are joined by column against atoms by row,
-    and each term is summed under the key (min(a, b), max(a, b), r, c, k),
-    which adds x_a x_b to x_b x_a (a term with a = b counts twice).
-
-    A coordinate is read off the first atom of its basis matrix, which
-    presumes disjoint supports, and each product must then be exactly the
-    basis combination its coordinates give: AssertionError otherwise (a
-    product that is not hermitian, or has a non-real diagonal, leaves the
-    span of the hermitian basis; overlapping supports misread).  With at
-    most A atoms in one basis matrix, every sum has at most 2 A**2 terms of
-    size at most 2, so int64 is exact.
-
-    Returns (a, b, m, v): x_a x_b + x_b x_a = sum of v e_m, nonzero v only,
-    ordered by (a, b) and then by the position of e_m's first atom.
-    """
-    count, n, _, d = basis.shape
-    size = n * n * d
-    m, r, c, k = np.nonzero(basis)
-    s = basis[m, r, c, k].astype(np.int64)
-    # atoms of x_a against the atoms of x_b whose row is x_a's column
-    by_row = np.argsort(r, kind="stable")
-    left, right = row_pairs(np.searchsorted(r[by_row], np.arange(n + 1)), c)
-    right = by_row[right]
-    a, b, k1, k2 = m[left], m[right], k[left], k[right]
-    pair = np.minimum(a, b) * count + np.maximum(a, b)
-    val = np.where(a == b, 2, 1) * s[left] * s[right] * o[k1, k2, k1 ^ k2]
-    keys, vals = sum_by_key(pair * size + (r[left] * n + c[right]) * d + (k1 ^ k2), val)
-    # coordinates from the first atom of each basis matrix
-    pos = (r * n + c) * d + k
-    first = np.flatnonzero(np.r_[True, m[1:] != m[:-1]])
-    owner = np.full(size, -1)
-    owner[pos[first]] = m[first]
-    sign = np.zeros(size, dtype=np.int64)
-    sign[pos[first]] = s[first]
-    at = keys % size
-    read = owner[at] >= 0
-    cpair, cm, cv = keys[read] // size, owner[at[read]], vals[read] * sign[at[read]]
-    # the products as those coordinates times the basis atoms
-    t, u = row_pairs(np.searchsorted(m, np.arange(count + 1)), cm)
-    rebuilt, rvals = sum_by_key(cpair[t] * size + pos[u], cv[t] * s[u])
-    if not (np.array_equal(rebuilt, keys) and np.array_equal(rvals, vals)):
-        raise AssertionError("a symmetrized product leaves the span of the basis")
-    return cpair // count, cpair % count, cm, cv

@@ -44,7 +44,7 @@ from .algebra import (
     jordan_verdict,
     refuse_above_cap,
 )
-from .cayley_dickson import coords_in_basis, mat_product
+from .cayley_dickson import basis_products, sign_tensor
 from .linalg import (
     Mat,
     Vec,
@@ -190,21 +190,19 @@ def build_antihermitian(n: int, level: int) -> ModuleAction:
 
     Carrier dimension n(n-1)/2 * 2**level + n * (2**level - 1).  Octonion
     entries are rejected: the symmetrized action needs associativity.  All
-    products xa + ax of basis matrices come from one integer
-    ``mat_product``; closure in the antihermitian matrices is checked on
-    their coordinates.
+    products xa + ax of basis matrices are one integer join of their entries
+    (``cayley_dickson.basis_products``), which raises if one leaves the
+    antihermitian matrices.
     """
     if not (0 <= level <= 2):
         raise ValueError("antihermitian module needs Cayley-Dickson level 0..2")
     if n < 1:
         raise ValueError("need n >= 1")
-    herm = hermitian_basis(n, level)[:, None]
-    anti = antihermitian_basis(n, level)
-    coords = coords_in_basis(mat_product(herm, anti) + mat_product(anti, herm), anti)
-    if coords is None:
-        raise AssertionError("antihermitian product left the module")
-    ops = [Mat(op, 2) for op in coords.transpose(0, 2, 1)]
-    return ModuleAction(build_hermitian(n, level), ops, "A%d_%d" % (2**level, n))
+    herm, anti = hermitian_basis(n, level), antihermitian_basis(n, level)
+    ops = np.zeros((len(herm), len(anti), len(anti)), dtype=np.int64)
+    i, alpha, beta, v = basis_products(herm, anti, anti, sign_tensor(level), 1)
+    ops[i, beta, alpha] = v
+    return ModuleAction(build_hermitian(n, level), [Mat(op, 2) for op in ops], "A%d_%d" % (2**level, n))
 
 
 def _blade_mult_sign(i: int, mask: int, from_left: bool) -> int:
@@ -357,16 +355,14 @@ def module_from_dict(
     if m < 0:
         raise ValueError("mdim must be nonnegative")
     refuse_above_cap("the action tensor", a.dim * m * m)
-    entries = {}  # a later entry replaces an earlier one at the same place
+    entries = []
     for i, alpha, beta, v in d["action"]:
         i, alpha, beta = parse_int(i), parse_int(alpha), parse_int(beta)
         if not (0 <= i < a.dim and 0 <= alpha < m and 0 <= beta < m):
             raise ValueError("action index out of range")
-        entries[(i, beta, alpha)] = parse_fraction(v)
-    vals = Mat.from_rows([list(entries.values())])
-    ops = np.zeros((a.dim, m, m), dtype=vals.ints.dtype)
-    ops[tuple(np.array(list(entries), dtype=np.intp).reshape(-1, 3).T)] = vals.ints[0]
-    return ModuleAction(a, [Mat(op, vals.den) for op in ops], d["label"])
+        entries.append(((i, beta, alpha), parse_fraction(v)))
+    ops, den = kernels.to_int_tensor(entries, (a.dim, m, m))
+    return ModuleAction(a, [Mat(op, den) for op in ops], d["label"])
 
 
 def module_dumps(mod: ModuleAction, pretty: bool = False) -> str:

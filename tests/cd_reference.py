@@ -4,9 +4,8 @@
 product (a, b)(c, d) = (ac - conj(d) b, da + b conj(c)) on `Fraction`
 coordinates.  The library computes on the integer ``sign_tensor`` instead;
 the loops below are what it used before, with every entry product going
-through ``CD``, so they share nothing with ``cayley_dickson.mat_product`` or
-``kernels.symmetrized_products`` but the basis conventions
-(``hermitian_pairs``).
+through ``CD``, so they share nothing with ``cayley_dickson.basis_products``
+but the basis conventions (``hermitian_pairs``).
 """
 
 from dataclasses import dataclass

@@ -29,7 +29,7 @@ from jordanium.algebra import (
     unit_check,
 )
 from jordanium import kernels
-from jordanium.cayley_dickson import sign_tensor
+from jordanium.cayley_dickson import basis_products, sign_tensor
 from jordanium.linalg import Mat
 
 from algebra_reference import (
@@ -135,7 +135,7 @@ class TestHermitianJoin:
             bent = o.copy()
             bent[a, b, a ^ b] *= -1
             with pytest.raises(AssertionError, match="leaves the span"):
-                kernels.symmetrized_products(basis, bent)
+                basis_products(basis, basis, basis, bent, 1)
         assert len(flips) == 56
 
     def test_basis_not_closed_is_caught(self):
@@ -143,7 +143,7 @@ class TestHermitianJoin:
         # (1, 0) and (0, 2) entries still land there
         basis = np.delete(hermitian_basis(3, 2), 4, axis=0)
         with pytest.raises(AssertionError, match="leaves the span"):
-            kernels.symmetrized_products(basis, sign_tensor(2))
+            basis_products(basis, basis, basis, sign_tensor(2), 1)
 
     def test_overlapping_supports_are_caught(self):
         # an antisymmetric matrix on the support of the symmetric one: every
@@ -153,20 +153,19 @@ class TestHermitianJoin:
         anti[0, 0, 1, 0], anti[0, 1, 0, 0] = 1, -1
         basis = np.concatenate((hermitian_basis(2, 0), anti))
         with pytest.raises(AssertionError, match="leaves the span"):
-            kernels.symmetrized_products(basis, sign_tensor(0))
+            basis_products(basis, basis, basis, sign_tensor(0), 1)
 
     def test_closure_check_raises_under_python_O(self):
         script = (
             "import numpy as np\n"
-            "from jordanium import kernels\n"
             "from jordanium.algebra import hermitian_basis\n"
-            "from jordanium.cayley_dickson import sign_tensor\n"
+            "from jordanium.cayley_dickson import basis_products, sign_tensor\n"
             "o = sign_tensor(3).copy()\n"
             "o[1, 2, 3] *= -1\n"
             "cases = [(hermitian_basis(3, 3), o), (np.delete(hermitian_basis(3, 2), 4, axis=0), sign_tensor(2))]\n"
             "for basis, signs in cases:\n"
             "    try:\n"
-            "        kernels.symmetrized_products(basis, signs)\n"
+            "        basis_products(basis, basis, basis, signs, 1)\n"
             "    except AssertionError:\n"
             "        print('raised')\n"
         )

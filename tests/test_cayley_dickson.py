@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jordanium.cayley_dickson import MAX_LEVEL, basis_table, conj_array, mat_product, sign_tensor
+from jordanium.algebra import antihermitian_basis, hermitian_basis
+from jordanium.cayley_dickson import MAX_LEVEL, basis_products, basis_table, conj_array, sign_tensor
 
-from cd_reference import CD
+from cd_reference import CD, _add, _cd_mat_mul, cd_antihermitian_basis, cd_hermitian_basis
 
 rationals = st.fractions(
     min_value=-5, max_value=5, max_denominator=4
@@ -138,24 +139,52 @@ class TestIntegerMatrices:
                 assert (o[i, j] == expected).all()
         assert not o.flags.writeable
 
-    @given(st.integers(0, MAX_LEVEL), st.integers(1, 3), st.sampled_from([1, 2**20, 2**61]), st.data())
-    @settings(max_examples=30, deadline=None)
-    def test_mat_product_matches_cd(self, level, n, big, data):
-        # int64 inputs; at 2**61 the checked bound moves the sum to object dtype
-        d = 2**level
-        ints = st.integers(-3, 3).map(lambda v: v * big)
-        x, y = (
-            np.array(data.draw(st.lists(ints, min_size=n * n * d, max_size=n * n * d)), dtype=np.int64).reshape(n, n, d)
-            for _ in range(2)
-        )
-        got = mat_product(x, y)
-        for i in range(n):
-            for j in range(n):
-                want = CD.zero(level)
-                for t in range(n):
-                    want = want + CD.from_coords(level, x[i, t].tolist()) * CD.from_coords(level, y[t, j].tolist())
-                assert [int(v) for v in got[i, j]] == list(want.coords)
-
     def test_conj_array(self):
         x = np.arange(8).reshape(1, 8)
         assert conj_array(x).tolist() == [list(CD.from_coords(3, range(8)).conj().coords)]
+
+
+BASES = {
+    "herm": (hermitian_basis, cd_hermitian_basis),
+    "anti": (antihermitian_basis, cd_antihermitian_basis),
+}
+
+
+class TestBasisProducts:
+    """basis_products on two distinct bases against the CD-object matrix loop."""
+
+    @pytest.mark.parametrize("level", range(MAX_LEVEL + 1))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("left, right", [("herm", "anti"), ("anti", "herm")])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_matches_cd_loop(self, level, n, left, right, sign):
+        # x y + y x of a hermitian and an antihermitian matrix is
+        # antihermitian, x y - y x is hermitian
+        x, y = BASES[left][0](n, level), BASES[right][0](n, level)
+        out = BASES["anti" if sign == 1 else "herm"][0](n, level)
+        a, b, m, v = basis_products(x, y, out, sign_tensor(level), sign)
+        coords = np.zeros((len(x), len(y), len(out)), dtype=np.int64)
+        coords[a, b, m] = v
+        got = np.tensordot(coords, out, axes=(2, 0))
+        cx, cy = BASES[left][1](n, level), BASES[right][1](n, level)
+        for i, p in enumerate(cx):
+            for j, q in enumerate(cy):
+                w = _add(_cd_mat_mul(p, q), _cd_mat_mul(q, p), sign)
+                assert got[i, j].tolist() == [[list(e.coords) for e in row] for row in w]
+
+    @pytest.mark.parametrize("level", range(MAX_LEVEL + 1))
+    def test_product_outside_the_out_basis_is_caught(self, level):
+        # x y + y x lands in the antihermitian matrices, x y - y x in the
+        # hermitian ones: read onto the other basis, both raise
+        herm, anti, o = hermitian_basis(2, level), antihermitian_basis(2, level), sign_tensor(level)
+        with pytest.raises(AssertionError, match="leaves the span"):
+            basis_products(herm, anti, herm, o, 1)
+        with pytest.raises(AssertionError, match="leaves the span"):
+            basis_products(herm, anti, anti, o, -1)
+
+    def test_empty_basis(self):
+        # the antihermitian 1 x 1 real matrices are zero
+        herm, anti = hermitian_basis(1, 0), antihermitian_basis(1, 0)
+        assert len(anti) == 0
+        for part in basis_products(herm, anti, anti, sign_tensor(0), 1):
+            assert part.size == 0

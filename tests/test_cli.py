@@ -250,6 +250,34 @@ class TestMalformedInput:
         assert out == ""
         assert err.strip() and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--algebra", "--module", "--potential"])
+    def test_json_nested_past_the_recursion_limit(self, capsys, monkeypatch, tmp_path, flag):
+        # the decoder raises RecursionError here, not JSONDecodeError
+        argv = {
+            "--algebra": ["algebra", "check"],
+            "--module": ["module", "check"],
+            "--potential": ["conn", "curvature"],
+        }[flag]
+        f = tmp_path / "deep.json"
+        f.write_text("[" * 100000)
+        code, out, err = run_cli(capsys, *argv, flag, str(f))
+        assert code == 2
+        assert out == ""
+        assert "nested too deeply" in err and "Traceback" not in err
+
+    def test_every_nesting_depth_near_the_limit(self, capsys, tmp_path):
+        # a document the decoder still reads may be too deep to encode for
+        # the inputs digest: every depth either reports or exits 2
+        f = tmp_path / "deep.json"
+        doc = json.dumps(_spin2_wire(extra=None))
+        codes = set()
+        for depth in range(sys.getrecursionlimit() - 400, sys.getrecursionlimit() + 1):
+            f.write_text(doc.replace("null", "[" * depth + "]" * depth))
+            code, _, err = run_cli(capsys, "algebra", "check", "--algebra", str(f))
+            assert code in (0, 2) and "Traceback" not in err
+            codes.add(code)
+        assert codes == {0, 2}
+
     def test_zero_dimensional_module_is_valid(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(_module_by_label_wire())))
         code, rep = report(capsys, "module", "check", "--module", "-")
@@ -569,6 +597,23 @@ class TestRepeatedEntries:
         assert a.basis_product(0, 0) == (Fraction(1),)
         c, s = a.int_tensor()
         assert c.tolist() == [[[1]]] and s == 1
+
+    @staticmethod
+    def _module(*values):
+        return {"label": "rep", "algebra": "real", "mdim": 1, "action": [[0, 0, 0, v] for v in values]}
+
+    def test_module_entries_are_added(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(self._module("1/2", "1/2"))))
+        code, rep = report(capsys, "module", "check", "--module", "-")
+        assert code == 0
+        assert rep["results"]["passed"] is True
+
+    def test_module_entries_summing_past_the_unit_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(self._module("3", "1"))))
+        code, out, err = run_cli(capsys, "module", "check", "--module", "-")
+        assert code == 2
+        assert out == ""
+        assert "unit does not act as the identity" in err
 
 
 def test_too_large_to_check_exactly_exits_2(capsys, tmp_path):
