@@ -378,6 +378,8 @@ def algebra_to_dict(a: AlgebraPresentation) -> dict:
 
 
 def algebra_from_dict(d: dict) -> AlgebraPresentation:
+    if not isinstance(d["label"], str):
+        raise ValueError("the label must be a string, not %r" % (d["label"],))
     dim = parse_int(d["dim"])
     refuse_above_cap("the structure tensor", dim**3)
     structure: dict[tuple[int, int], list] = {}

@@ -7,6 +7,19 @@ denominator-cleared tensors only, in int64 under a proven bound on every
 sum and in object dtype past it: exact on any input, with no float64 path.
 The associative center's system is read off the Jordan kernel's join.
 None raises ExactOverflow; the class stays for callers that catch it.
+
+After a first join shared by every index, each kernel joins its remaining
+terms over runs of consecutive l (the Jordan kernel) or k (the module
+kernel).  A run takes the next index while the run's joined terms, counted
+from the CSR row offsets before any join, stay within ``_RUN_TERMS``; an
+index with more terms is a run on its own.  A run is summed by one
+:func:`~jordanium.linalg.sum_by_key` under a key that carries the index
+between the triple and the output coordinate, so each sum is still the sum
+of one index, and the smallest key in any run still names the smallest
+violating triple.  Small tensors pay the fixed numpy cost of a join once
+per run instead of once per index; the largest (the free module of the
+27-dimensional algebra, about 19,500 terms per l) keep one index per run,
+so memory does not grow.
 """
 
 from __future__ import annotations
@@ -22,6 +35,14 @@ from .linalg import Mat, max_abs_int, row_pairs, sum_by_key
 class ExactOverflow(Exception):
     """Entries too large for an exact path; no check in the package raises
     it any longer, and it stays for callers that catch it."""
+
+
+# Joined terms per run of l (or k) in the two identity kernels.  On the 64
+# Jordan and 41 module kernel inputs of one module-oracle round (best of 7,
+# 2 vCPUs), one index per run took 0.133 + 0.051 s, runs of 2**12 terms
+# 0.103 + 0.039 s, 2**14 0.099 + 0.034 s, 2**16 0.113 + 0.036 s and 2**18
+# 0.137 + 0.041 s: past 2**14 the sorts grow faster than the calls shrink.
+_RUN_TERMS = 2**14
 
 
 def to_int_tensor(entries: Sequence[tuple[tuple[int, ...], Fraction]], shape: tuple[int, ...]):
@@ -64,6 +85,22 @@ def _join_x(csr: tuple[np.ndarray, ...], i, j, a, v) -> tuple[np.ndarray, np.nda
     return sum_by_key(((cj[t] * n + i[s]) * n + j[s]) * n + ck[t], v[s] * cv[t])
 
 
+def _row_sums(ptr: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sum of w over each CSR row (row offsets ptr)."""
+    return np.diff(np.concatenate(([0], np.cumsum(w)))[ptr])
+
+
+def _runs(terms: np.ndarray):
+    """Runs [lo, hi) of consecutive indices whose terms add up to at most
+    _RUN_TERMS; an index with more terms is a run on its own."""
+    done = np.concatenate(([0], np.cumsum(terms)))
+    lo = 0
+    while lo < len(terms):
+        hi = max(lo + 1, int(np.searchsorted(done, done[lo] + _RUN_TERMS, side="right")) - 1)
+        yield lo, hi
+        lo = hi
+
+
 def _require_commutative(c: np.ndarray) -> None:
     if not np.array_equal(c, c.transpose(1, 0, 2)):
         raise ValueError("structure tensor is not commutative")
@@ -83,8 +120,11 @@ def jordan_violation(c: np.ndarray) -> Optional[tuple[int, int, int]]:
     - e_k((e_i e_j) e_l), and summing G over every ordering of (i, j, k)
     gives 2, 1 or 1/3 times the identity's value on e_l (three, two or one
     distinct indices).  Both terms are joins of the nonzero entries of c
-    through X(i, j, b, r) = sum_a c[i, j, a] c[a, b, r], taken one l at a
-    time and summed under the key (sorted (i, j, k), r).
+    through X(i, j, b, r) = sum_a c[i, j, a] c[a, b, r], taken over runs of
+    consecutive l (at most _RUN_TERMS terms a run, or one l) and summed
+    under the key ((sorted (i, j, k)) n + l) n + r, below n**5: a sum per
+    (triple, l, r), and the smallest key of any run has the smallest
+    violating triple of that run.
 
     By commutativity X and G are symmetric in (i, j), so X is joined from
     the entries with i <= j only, those with i < j weighted by 2: every
@@ -106,22 +146,24 @@ def jordan_violation(c: np.ndarray) -> Optional[tuple[int, int, int]]:
     xb, xi, xj, xr = keys // n**3, keys // n**2 % n, keys // n % n, keys % n
     xptr = np.searchsorted(xb, np.arange(n + 1))
 
-    def key(i, j, k, r):
-        # (sorted (i, j, k), r) for i <= j
+    def key(i, j, k, l, r):
+        # (sorted (i, j, k), l, r) for i <= j
         lo, mid, hi = np.minimum(i, k), np.maximum(i, np.minimum(j, k)), np.maximum(j, k)
-        return ((lo * n + mid) * n + hi) * n + r
+        return (((lo * n + mid) * n + hi) * n + l) * n + r
 
+    # terms joined for each l: c[l, k, b] meets X row b, X(i, j, l, m) meets c row m
+    terms = _row_sums(cptr, np.diff(xptr)[ck]) + _row_sums(xptr, np.diff(cptr)[xr])
     best: Optional[int] = None
-    for l in range(n):
+    for lo, hi in _runs(terms):
         # (e_i e_j)(e_k e_l): c[l, k, b] against X(i, j, b, r)
-        s, t = row_pairs(xptr, ck[cptr[l] : cptr[l + 1]], cptr[l])
-        k1, v1 = key(xi[t], xj[t], cj[s], xr[t]), xv[t] * cv[s]
+        s, t = row_pairs(xptr, ck[cptr[lo] : cptr[hi]], cptr[lo])
+        k1, v1 = key(xi[t], xj[t], cj[s], ci[s], xr[t]), xv[t] * cv[s]
         # e_k((e_i e_j) e_l): X(i, j, l, m) against c[m, k, r]
-        s, t = row_pairs(cptr, xr[xptr[l] : xptr[l + 1]], xptr[l])
-        k2, v2 = key(xi[s], xj[s], cj[t], ck[t]), -(xv[s] * cv[t])
+        s, t = row_pairs(cptr, xr[xptr[lo] : xptr[hi]], xptr[lo])
+        k2, v2 = key(xi[s], xj[s], cj[t], xb[s], ck[t]), -(xv[s] * cv[t])
         keys, _ = sum_by_key(np.concatenate((k1, k2)), np.concatenate((v1, v2)))
-        if keys.size and (best is None or keys[0] // n < best):
-            best = int(keys[0] // n)
+        if keys.size and (best is None or keys[0] // (n * n) < best):
+            best = int(keys[0] // (n * n))
     if best is None:
         return None
     return best // (n * n), best // n % n, best % n
@@ -162,13 +204,17 @@ def module_identity_violation(c: np.ndarray, a: np.ndarray) -> Optional[tuple[in
     (i, j), so the triples i < j decide it; joined terms at i = j get sign 0.
 
     With t[i, alpha, beta] = a[i][beta][alpha], G = A_i A_j - A_j A_i is
-    summed once; then, one k at a time, G A_k, -A_k G and sum_r
-    assoc(i, k, j, r) A_r are summed under the key (i, j, alpha, beta), with
+    summed once; then, over runs of consecutive k (at most _RUN_TERMS terms
+    a run, or one k), G A_k, -A_k G and sum_r assoc(i, k, j, r) A_r are
+    summed under the key ((i n + j) n + k, alpha, beta), with
     assoc(i, k, j, r) = X(k, i, j, r) - X(k, j, i, r) and X the Jordan
-    kernel's join.  For M the largest entry, the terms of any sum add up to
-    at most (4 m**2 + 2 n**2) M**3 in size: int64 below 2**63, else object.
+    kernel's join.  A run's terms are counted before the associator's
+    sums over coinciding (i, j, k, r) merge, so the count is an upper
+    bound.  For M the largest entry, the terms of any sum add up to at most
+    (4 m**2 + 2 n**2) M**3 in size: int64 below 2**63, else object.
 
-    Returns the smallest violating (i, j, k) with i < j, else None.
+    Returns the smallest violating (i, j), with the smallest k for it, as
+    (i, j, k) with i < j, else None.
     """
     n, m = c.shape[0], a.shape[1]
     big = max(max_abs_int(c), max_abs_int(a))
@@ -187,24 +233,33 @@ def module_identity_violation(c: np.ndarray, a: np.ndarray) -> Optional[tuple[in
     g_in, g_pair, g_out = keys // (n * n * m), keys // m % (n * n), keys % m
     gptr = np.searchsorted(g_in, np.arange(m + 1))
 
-    best: Optional[tuple[int, int, int]] = None
-    for k in range(n):
+    # terms joined for each k: t[k, alpha, g] meets G rows g; G(in, out g)
+    # meets t[k, g, :]; c[k, x, w] c[w, y, r] meets A_r, counted before the
+    # associator sums coincide
+    terms = (
+        _row_sums(optr, np.diff(gptr)[tb])
+        + np.diff(tptr).reshape(n, m) @ np.bincount(g_out, minlength=m)
+        + _row_sums(cptr, _row_sums(cptr, np.diff(optr)[ck])[ck])
+    )
+    best: Optional[int] = None
+    for lo, hi in _runs(terms):
         # G A_k: t[k, alpha, g] against G(in g, out beta)
-        s, u = row_pairs(gptr, tb[optr[k] : optr[k + 1]], optr[k])
-        k1, v1 = (g_pair[u] * m + ta[s]) * m + g_out[u], tv[s] * gv[u]
-        # -A_k G: G(in alpha, out g) against t[k, g, beta]
-        s, u = row_pairs(tptr, k * m + g_out)
-        k2, v2 = (g_pair[s] * m + g_in[s]) * m + tb[u], -(gv[s] * tv[u])
+        s, u = row_pairs(gptr, tb[optr[lo] : optr[hi]], optr[lo])
+        k1, v1 = ((g_pair[u] * n + ti[s]) * m + ta[s]) * m + g_out[u], tv[s] * gv[u]
+        # -A_k G: G(in alpha, out g) against t[k, g, beta], G tiled once per k
+        s, u = row_pairs(tptr, (np.arange(lo, hi)[:, None] * m + g_out).ravel())
+        s %= g_out.size
+        k2, v2 = ((g_pair[s] * n + ti[u]) * m + g_in[s]) * m + tb[u], -(gv[s] * tv[u])
         # assoc(i, k, j, r) from X(k, x, y, r) = c[k, x, w] c[w, y, r], then A_r
-        s, u = row_pairs(cptr, ck[cptr[k] : cptr[k + 1]], cptr[k])
+        s, u = row_pairs(cptr, ck[cptr[lo] : cptr[hi]], cptr[lo])
         x, y = cj[s], cj[u]
         pair, sign = np.minimum(x, y) * n + np.maximum(x, y), np.sign(y - x)
-        keys, av = sum_by_key(pair * n + ck[u], sign * cv[s] * cv[u])
+        keys, av = sum_by_key((pair * n + ci[s]) * n + ck[u], sign * cv[s] * cv[u])
         s, u = row_pairs(optr, keys % n)
         k3, v3 = (keys[s] // n * m + ta[u]) * m + tb[u], av[s] * tv[u]
         keys, _ = sum_by_key(np.concatenate((k1, k2, k3)), np.concatenate((v1, v2, v3)))
-        if keys.size and (best is None or keys[0] // (m * m) < best[0] * n + best[1]):
-            p = int(keys[0] // (m * m))
-            best = (p // n, p % n, k)
-    return best
-
+        if keys.size and (best is None or keys[0] // (m * m) < best):
+            best = int(keys[0] // (m * m))
+    if best is None:
+        return None
+    return best // (n * n), best // n % n, best % n

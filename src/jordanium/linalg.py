@@ -15,7 +15,8 @@ nonzero (row, column, value) entries in sorted order and the shape.  A
 dense array is read into triples by one ``np.nonzero``.  A system with more
 than twice as many rows as columns is first replaced by its Gram matrix,
 which has the same nullspace, joined from the nonzero entries of each row
-and summed by sorted key (:func:`row_pairs`, :func:`sum_by_key`).  A work
+and summed by key (:func:`row_pairs`, :func:`sum_by_key`, which sorts key
+and value as one packed int64 word when both fit in 63 bits).  A work
 matrix of at least ``_LABEL_MIN_COLS`` columns is split into its connected
 components; the RREF of a block-diagonal matrix is the union of its
 blocks', so components of similar size are stacked and eliminated
@@ -481,12 +482,32 @@ def row_pairs(ptr: np.ndarray, rows: np.ndarray, first: int = 0) -> tuple[np.nda
 
 
 def sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct keys in increasing order with the nonzero sums of their values."""
+    """Distinct keys in increasing order with the nonzero sums of their values.
+
+    Integer keys and values are grouped by one sort of the packed words
+    (key << vb) | (value - min), vb the bits of the value span, when the
+    keys are nonnegative and key and span bits add up to at most 63; any
+    other input (object values, keys or spans too wide to pack) is grouped
+    by an argsort of the keys.  Each caller keeps its sums exact under its
+    own bound, so the order of the additions does not change them.
+    """
     if keys.size == 0:
         return keys, vals
-    order = np.argsort(keys)
-    keys, vals = keys[order], vals[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    packs = vals.dtype == np.int64 and keys.dtype == np.int64 and keys.min() >= 0
+    if packs:
+        lo = int(vals.min())
+        vb = (int(vals.max()) - lo).bit_length()
+        packs = int(keys.max()).bit_length() + vb <= 63
+    if packs:
+        packed = np.sort((keys << vb) | (vals - lo))
+        keys, vals = packed >> vb, (packed & ((1 << vb) - 1)) + lo
+    else:
+        order = np.argsort(keys)
+        keys, vals = keys[order], vals[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
     sums = np.add.reduceat(vals, starts)
     nz = sums != 0
     return keys[starts][nz], sums[nz]

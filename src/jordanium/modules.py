@@ -342,6 +342,8 @@ def module_to_dict(mod: ModuleAction, inline_algebra: bool = True) -> dict:
 def module_from_dict(
     d: dict, algebra_lookup: Optional[Callable[[str], AlgebraPresentation]] = None
 ) -> ModuleAction:
+    if not isinstance(d["label"], str):
+        raise ValueError("the label must be a string, not %r" % (d["label"],))
     spec = d["algebra"]
     if isinstance(spec, str):
         if algebra_lookup is None:

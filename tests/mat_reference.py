@@ -8,7 +8,9 @@ nothing with the library's modular nullspace engine.  ``ref_rat_reconstruct``
 is Wang's rational reconstruction of one residue at a time, as the engine
 ran it before it became one array loop.  ``ref_rref_mod_p`` is Gauss-Jordan
 mod p of the whole matrix, one column at a time, as the engine ran it
-before it split systems into connected components.
+before it split systems into connected components.  ``ref_sum_by_key``
+groups by one argsort of the keys and two gathers, as ``sum_by_key``
+grouped every input before it sorted packed integer words.
 """
 
 from dataclasses import dataclass
@@ -198,3 +200,16 @@ def ref_rref_mod_p(m: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
         pivots.append(c)
         r += 1
     return a, tuple(pivots)
+
+
+def ref_sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys in increasing order with the nonzero sums of their
+    values: argsort the keys, gather keys and values, add each run."""
+    if keys.size == 0:
+        return keys, vals
+    order = np.argsort(keys)
+    keys, vals = keys[order], vals[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    sums = np.add.reduceat(vals, starts)
+    nz = sums != 0
+    return keys[starts][nz], sums[nz]

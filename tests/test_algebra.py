@@ -7,6 +7,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -445,6 +447,51 @@ class TestSparseKernel:
             assert verdict.witness_operator == reference_witness_operator(a, *expected)
         i, j, k = (data.draw(st.integers(0, a.dim - 1)) for _ in range(3))
         assert jordan_witness_operator(a, i, j, k) == reference_witness_operator(a, i, j, k)
+
+    @given(jordan_candidates())
+    @settings(max_examples=60, deadline=None)
+    def test_any_run_budget_keeps_the_witness(self, a):
+        # budget 1: one l per run; 2**40: every l in one run
+        expected = reference_jordan_violation(a)
+        c = a.int_tensor()[0]
+        for budget in (1, 2**40):
+            with mock.patch.object(kernels, "_RUN_TERMS", budget):
+                assert kernels.jordan_violation(c) == expected
+
+    def test_sums_stay_apart_for_each_l(self):
+        # J2_2 with e2 e2 = 0 and e3 e3 = e1 - e0: the witness operator of
+        # (2, 3, 3) sends e_0 to e_2 / 2 and e_1 to -e_2 / 2, so one run
+        # holding l = 0 and l = 1 must not add their values at e_2
+        base = build_hermitian(2, 1)
+        table = upper_structure(base.structure_entries())
+        table[(2, 2)] = []
+        table[(3, 3)] = [(0, Fraction(-1)), (1, Fraction(1))]
+        a = AlgebraPresentation("bent", 4, base.unit, table)
+        w = reference_witness_operator(a, 2, 3, 3)
+        assert reference_jordan_violation(a) == (2, 3, 3)
+        assert (w.ints[2, :2] != 0).all() and (w.ints.sum(axis=1) == 0).all()
+        for budget in (1, kernels._RUN_TERMS, 2**40):
+            with mock.patch.object(kernels, "_RUN_TERMS", budget):
+                assert kernels.jordan_violation(a.int_tensor()[0]) == (2, 3, 3)
+
+    def test_smallest_triple_in_a_later_run(self):
+        # JSpin3 with e3 added to e1 e3: some triple fails on e_2, the
+        # smallest one, (1, 1, 3), only from e_3 on
+        base = build_spin(3)
+        table = upper_structure(base.structure_entries())
+        table[(1, 3)] = table.get((1, 3), []) + [(3, Fraction(1))]
+        a = AlgebraPresentation("bent", 4, base.unit, table)
+
+        def first_l(t):
+            w = reference_witness_operator(a, *t)
+            return min((l for l in range(4) if (w.ints[:, l] != 0).any()), default=None)
+
+        firsts = [first_l((i, j, k)) for i in range(4) for j in range(i, 4) for k in range(j, 4)]
+        assert reference_jordan_violation(a) == (1, 1, 3)
+        assert first_l((1, 1, 3)) == 3 and min(f for f in firsts if f is not None) == 2
+        for budget in (1, 2, kernels._RUN_TERMS, 2**40):
+            with mock.patch.object(kernels, "_RUN_TERMS", budget):
+                assert kernels.jordan_violation(a.int_tensor()[0]) == (1, 1, 3)
 
 
 class TestSerialization:

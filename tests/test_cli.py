@@ -179,10 +179,14 @@ def _spin_wire(n):
     return {"label": "JSpin%d" % n, "dim": n + 1, "unit": ["1"] + ["0"] * n, "structure": structure}
 
 
-def _free_module_wire(entry_change):
+def _free_module_wire(entry_change=None, **changes):
+    """Wire dict of the free rank-1 module over JSpin2, with one action
+    entry (t, field, value) or some fields replaced."""
     d = json.loads(module_dumps(build_free(build_spin(2), 1)))
-    t, field, value = entry_change
-    d["action"][t][field] = value
+    if entry_change is not None:
+        t, field, value = entry_change
+        d["action"][t][field] = value
+    d.update(changes)
     return d
 
 
@@ -249,6 +253,23 @@ class TestMalformedInput:
         assert code == 2
         assert out == ""
         assert err.strip() and "Traceback" not in err
+
+    @pytest.mark.parametrize("label", [[[1]], None, 3, {"x": 1}, True])
+    @pytest.mark.parametrize(
+        "argv, make, kind",
+        [
+            (["algebra", "check", "--algebra", "-"], lambda x: _spin2_wire(label=x), "algebra"),
+            (["module", "check", "--module", "-"], lambda x: _module_by_label_wire(label=x), "module"),
+            (["module", "check", "--module", "-"], lambda x: _free_module_wire(label=x), "module"),
+            (["module", "check", "--module", "-"], lambda x: _free_module_wire(algebra=_spin2_wire(label=x)), "module"),
+        ],
+    )
+    def test_label_that_is_not_a_string(self, capsys, monkeypatch, argv, make, kind, label):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(make(label))))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "bad %s input" % kind in err and "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["--algebra", "--module", "--potential"])
     def test_json_nested_past_the_recursion_limit(self, capsys, monkeypatch, tmp_path, flag):

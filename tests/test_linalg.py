@@ -32,7 +32,16 @@ from jordanium.linalg import (
     expand_in_basis,
     exact_int_matmul,
 )
-from mat_reference import RefMat, ref_kron, ref_nullspace, ref_rank, ref_rat_reconstruct, ref_rref_mod_p, ref_solve
+from mat_reference import (
+    RefMat,
+    ref_kron,
+    ref_nullspace,
+    ref_rank,
+    ref_rat_reconstruct,
+    ref_rref_mod_p,
+    ref_solve,
+    ref_sum_by_key,
+)
 
 
 def fr(p, q=1):
@@ -282,6 +291,73 @@ def _int_array(rows) -> np.ndarray:
         return np.array(rows, dtype=np.int64)
     except OverflowError:
         return np.array(rows, dtype=object)
+
+
+@st.composite
+def keyed_values(draw):
+    """Keys and values for sum_by_key: a few distinct keys of up to kb bits,
+    repeated; int64 values in a span of vb bits, placed anywhere in
+    [-2**62, 2**62], with kb + vb on both sides of 63; or the same values
+    in object dtype.  Some entries are followed by their negation under
+    the same key, so sums cancel."""
+    kb = draw(st.integers(0, 62))
+    vb = draw(st.sampled_from([0, 1, 2, 62 - kb, 63 - kb, 64 - kb]))
+    vb = min(max(vb, 0), 63)
+    pool = draw(st.lists(st.integers(0, 2**kb - 1), min_size=1, max_size=4))
+    lo = draw(st.integers(-(2**62), 2**62 - (2**vb - 1)))
+    cells = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(lo, lo + 2**vb - 1)), max_size=10))
+    cells += [(k, -v) for k, v in cells if draw(st.booleans())]
+    keys = np.array([k for k, _ in cells], dtype=np.int64)
+    vals = np.array([v for _, v in cells], dtype=draw(st.sampled_from([np.int64, object])))
+    return keys, vals
+
+
+class TestSumByKey:
+    """sum_by_key, which packs key and value into one sorted int64 word when
+    both fit, against the argsort grouping it replaced."""
+
+    @given(keyed_values())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_argsort_grouping(self, kv):
+        keys, vals = kv
+        packs = (
+            vals.dtype == np.int64
+            and keys.size > 0
+            and int(keys.max()).bit_length() + (int(vals.max()) - int(vals.min())).bit_length() <= 63
+        )
+        want = ref_sum_by_key(keys, vals)
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            got = linalg.sum_by_key(keys, vals)
+        assert argsort.called == (keys.size > 0 and not packs)
+        assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
+        assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+        if vals.dtype == object:  # no wrap-around: the sums are the exact ones
+            exact = Counter()
+            for k, v in zip(keys.tolist(), vals.tolist()):
+                exact[k] += v
+            assert dict(zip(got[0].tolist(), got[1].tolist())) == {k: v for k, v in exact.items() if v}
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_empty_single_and_cancelling(self, dtype):
+        empty = np.zeros(0, dtype=np.int64)
+        keys, vals = linalg.sum_by_key(empty, empty.astype(dtype))
+        assert keys.size == vals.size == 0
+        keys, vals = linalg.sum_by_key(np.array([7]), np.array([-(2**62)], dtype=dtype))
+        assert keys.tolist() == [7] and vals.tolist() == [-(2**62)]
+        keys, vals = linalg.sum_by_key(np.array([3, 1, 3, 1]), np.array([5, 2, -5, 2], dtype=dtype))
+        assert keys.tolist() == [1] and vals.tolist() == [4]
+
+    def test_packs_up_to_63_bits(self):
+        # key 2**40 (41 bits) with a span of 2**22 - 1 (22 bits) packs; one
+        # more bit of span does not
+        keys = np.array([2**40, 0, 2**40], dtype=np.int64)
+        for span, packs in ((2**22 - 1, True), (2**22, False)):
+            vals = np.array([-(2**61), -(2**61) + span, 1 - 2**61], dtype=np.int64)
+            with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+                got = linalg.sum_by_key(keys, vals)
+            assert argsort.called != packs
+            assert got[0].tolist() == [0, 2**40]
+            assert got[1].tolist() == [-(2**61) + span, -(2**62) + 1]
 
 
 class TestSparseEngine:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from typing import Optional
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -132,6 +133,14 @@ def reference_module_identity_violation(c, a) -> Optional[tuple[int, int, int]]:
     return best
 
 
+def dense_module_value(c, a, i, j, k) -> np.ndarray:
+    """[[A_i, A_j], A_k] + A((e_i e_k) e_j - e_i (e_k e_j)) in object dtype."""
+    c, a = c.astype(object), a.astype(object)
+    assoc = c[i, k] @ c[:, j] - c[k, j] @ c[i]
+    g = a[i] @ a[j] - a[j] @ a[i]
+    return g @ a[k] - a[k] @ g + np.tensordot(assoc, a, axes=(0, 0))
+
+
 def zero_module(a):
     return ModuleAction(a, [Mat.zeros(0, 0)] * a.dim, "zero(%s)" % a.label)
 
@@ -203,6 +212,40 @@ class TestSparseModuleKernel:
         assert verdict.extension_verdict.witness_operator == ext.witness_operator
         assert verdict.passed == (ext.passed and expected is None)
         assert verdict.oracles_agree == (ext.passed == (expected is None))
+
+    @given(module_candidates())
+    @settings(max_examples=40, deadline=None)
+    def test_any_run_budget_keeps_the_witnesses(self, mod):
+        # budget 1: one l (or k) per run; 2**40: every l (or k) in one run
+        snx = split_null_extension(mod)
+        n = mod.algebra.dim
+        t, _ = snx.int_tensor()
+        c, a = t[:n, :n, :n], t[:n, n:, n:].transpose(0, 2, 1)
+        expected = reference_module_identity_violation(c, a)
+        ext = reference_jordan_violation(snx) if snx.dim <= 7 else None
+        for budget in (1, 2**40):
+            with mock.patch.object(kernels, "_RUN_TERMS", budget):
+                assert kernels.module_identity_violation(c, a) == expected
+                if snx.dim <= 7:  # the Fraction loop takes about 1 s at dimension 8
+                    assert kernels.jordan_violation(t) == ext
+
+    def test_smallest_pair_in_a_later_run(self):
+        # free JSpin3 with one entry of A_1 bent: the pair (1, 3) fails at
+        # k = 1, the smallest pair, (1, 2), only at k = 3
+        good = build_free(build_spin(3), 1)
+        ops = list(good.ops)
+        rows = [list(r) for r in ops[1].data]
+        rows[0][3] += 1
+        ops[1] = Mat.from_rows(rows)
+        mod = ModuleAction(good.algebra, ops, "bent")
+        t, _ = split_null_extension(mod).int_tensor()
+        c, a = t[:4, :4, :4], t[:4, 4:, 4:].transpose(0, 2, 1)
+        hits = [(i, j, k) for i in range(4) for j in range(i + 1, 4) for k in range(4) if dense_module_value(c, a, i, j, k).any()]
+        assert min(hits) == (1, 2, 3) and min(k for _, _, k in hits) == 1
+        assert reference_module_identity_violation(c, a) == (1, 2, 3)
+        for budget in (1, 2, kernels._RUN_TERMS, 2**40):
+            with mock.patch.object(kernels, "_RUN_TERMS", budget):
+                assert kernels.module_identity_violation(c, a) == (1, 2, 3)
 
     def test_different_denominators_in_algebra_and_action(self):
         # halves in the algebra, a third in the action: scales 2 and 6
