@@ -185,10 +185,32 @@ def _emit_object(args, text_pretty: str, text_plain: str) -> int:
 # subcommands
 
 
+def _refuse_above_cap(what: str, entries: int) -> None:
+    """UsageError when a dense array of that many entries is above the cap,
+    checked before anything is allocated."""
+    try:
+        refuse_above_cap(what, entries)
+    except ValueError as e:
+        raise UsageError(str(e))
+
+
+def _hermitian_dim(n: int, level: int) -> int:
+    return n + n * (n - 1) // 2 * 2**level
+
+
+def _refuse_algebra_above_cap(what: str, dim: int) -> None:
+    # the builders fill a dense dim**3 tensor; the cap counts its dim**2 (dim + 1) / 2
+    # independent entries, the products e_i e_j for i <= j of a commutative algebra
+    _refuse_above_cap("the structure of " + what, dim * dim * (dim + 1) // 2)
+
+
 def cmd_algebra_build(args) -> int:
     if args.type == "herm":
         if args.n is None or args.level is None:
             raise UsageError("--type herm needs --n and --level")
+        # levels outside 0..3 are refused by the builder
+        dim = _hermitian_dim(args.n, min(max(args.level, 0), 3))
+        _refuse_algebra_above_cap("the hermitian algebra", dim)
         try:
             a = build_hermitian(args.n, args.level)
         except ValueError as e:
@@ -196,6 +218,7 @@ def cmd_algebra_build(args) -> int:
     elif args.type == "spin":
         if args.n is None:
             raise UsageError("--type spin needs --n")
+        _refuse_algebra_above_cap("the spin factor", args.n + 1)
         try:
             a = build_spin(args.n)
         except ValueError as e:
@@ -288,10 +311,17 @@ def cmd_module_build(args) -> int:
         a, _ = resolve_algebra(args.algebra)
         if args.rank is None or args.rank < 1:
             raise UsageError("--type free needs --rank >= 1")
+        _refuse_above_cap("the action tensor of the free module", a.dim * (args.rank * a.dim) ** 2)
         mod = build_free(a, args.rank)
     elif args.type == "antiherm":
         if args.n is None or args.level is None:
             raise UsageError("--type antiherm needs --n and --level")
+        # levels outside 0..2 are refused by the builder
+        level = min(max(args.level, 0), 2)
+        herm = _hermitian_dim(args.n, level)
+        anti = args.n * (2**level - 1) + args.n * (args.n - 1) // 2 * 2**level
+        _refuse_algebra_above_cap("the hermitian algebra", herm)
+        _refuse_above_cap("the action tensor of the antihermitian module", herm * anti**2)
         try:
             mod = build_antihermitian(args.n, args.level)
         except ValueError as e:
@@ -330,10 +360,7 @@ def cmd_module_homdim(args) -> int:
         raise UsageError("ranks must be positive")
     # hom_basis builds an (n Q P) x (Q P) integer system, for module dimensions
     # P = p n, Q = q n; free 1 -> 1 over the Albert algebra has 1.4 * 10**7 entries
-    try:
-        refuse_above_cap("the hom system", a.dim * (p * a.dim * q * a.dim) ** 2)
-    except ValueError as e:
-        raise UsageError(str(e))
+    _refuse_above_cap("the hom system", a.dim * (p * a.dim * q * a.dim) ** 2)
     homs = hom_basis(build_free(a, p), build_free(a, q))
     results = {"label": a.label, "p": p, "q": q, "dim": len(homs)}
     return _emit_report(

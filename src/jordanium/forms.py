@@ -21,10 +21,9 @@ same sum with its covariant operators in place of the frame matrices.
 Both are computed on integers.  A form is one ``Mat`` of shape (C(D, n), V)
 over the sorted keys of its degree (one integer array and one denominator),
 so equal forms hold equal arrays.  The differential of degree n is a
-:class:`KoszulOperator`, assembled once per frame (``d_der``) or connection
-(``extend_to_forms``) and cached on it: one exact product with the operators
-stacked side by side, n + 1 signed gathers of its rows, and one sparse signed
-map for the bracket term, over a common scale that also holds the 1/(n+1).
+:class:`KoszulOperator`, one sparse integer matrix joined with the form's
+nonzero entries and one scale that also holds the 1/(n+1), built once per
+frame (``d_der``) or connection (``extend_to_forms``) and cached on it.
 ``wedge`` is one exact contraction of the two coefficient arrays with the
 algebra's structure tensor (or the module's action tensor), gathered over the
 disjoint key pairs and summed into the merged keys with their shuffle signs;
@@ -38,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb, lcm
+from math import comb, lcm, prod
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
 
@@ -48,6 +47,7 @@ from .algebra import center_basis
 from .derivations import DerivationBasis, bracket_constants
 from .linalg import (
     Mat,
+    Triples,
     Vec,
     basis_vec,
     exact_int_matmul,
@@ -56,8 +56,10 @@ from .linalg import (
     max_abs_int,
     parse_fraction,
     parse_int,
+    row_pairs,
     scale_ints,
     scaled_int_mats,
+    triples_by_key,
     zero_vec,
 )
 from .modules import ModuleAction
@@ -95,15 +97,6 @@ def _merge_sign(k1: Key, k2: Key) -> tuple[Key, int]:
     inv = sum(1 for a in k1 for b in k2 if a > b)
     merged = tuple(sorted(k1 + k2))
     return merged, (-1 if inv % 2 else 1)
-
-
-def _insert_index(tau: int, rest: Key) -> Optional[tuple[Key, int]]:
-    """Sorted insertion of tau into an increasing tuple, or None on collision."""
-    if tau in rest:
-        return None
-    pos = sum(1 for r in rest if r < tau)
-    key = rest[:pos] + (tau,) + rest[pos:]
-    return key, (-1 if pos % 2 else 1)
 
 
 def _det(rows: list[Vec]) -> Fraction:
@@ -304,90 +297,96 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 class KoszulOperator:
-    """The differential on degree-n forms as integer data, with one scale.
+    """The differential on degree-n forms as one sparse integer matrix and one scale.
 
-    For a form cleared to x = s_x * w over the sorted keys, apply(x) is
-    scale * s_x * (dw) over the sorted keys of degree n + 1:
-
-    - stack is (V, D V), the integer operators s O_mu transposed and side by
-      side, so one exact product gives every O_mu w(key);
-    - target key t with its p-th index mu = frame[p, t] removed is source
-      key src[p, t], entering with sign (-1)^p;
-    - the bracket term adds coeff[e] * x[br_src[e]] to row br_dst[e];
-    - scale is (n + 1) s, for the common scale s of the operators and the
-      bracket table;
-    - row_l1 bounds |apply(x)| by row_l1 * max |x|, which decides int64 or
-      object dtype before any sum.
+    For a form cleared to x = s_x * w, apply(x) is scale * s_x * (dw), for
+    scale (n + 1) s and s the common scale of the operators and brackets.
+    dt is the transpose of the integer differential as ``linalg.Triples``:
+    row k V + v is coordinate v on source key k and column t V + v' is
+    coordinate v' on target key t, for V the value dimension (one column
+    per target key at V = 0, so the shape still counts the targets).  Its
+    row offsets ptr and row_l1, the largest L1 sum of a column, are computed
+    once: |apply(x)| <= row_l1 * max |x| picks int64 or object dtype.
     """
 
-    __slots__ = ("stack", "src", "frame", "br_dst", "br_src", "br_coeff", "scale", "row_l1")
+    __slots__ = ("dt", "ptr", "scale", "row_l1")
 
-    def __init__(self, stack, src, frame, br_dst, br_src, br_coeff, scale: int, row_l1: int):
+    def __init__(self, dt: Triples, scale: int):
         # a plain class: a dataclass costs each CLI process milliseconds at import
-        self.stack, self.src, self.frame = _read_only(stack, src, frame)
-        self.br_dst, self.br_src, self.br_coeff = _read_only(br_dst, br_src, br_coeff)
-        self.scale, self.row_l1 = scale, row_l1
+        self.dt = Triples(*_read_only(dt.row, dt.col, dt.val), dt.shape)
+        (self.ptr,) = _read_only(np.searchsorted(dt.row, np.arange(dt.shape[0] + 1)))
+        l1 = np.zeros(dt.shape[1], dtype=dt.val.dtype)
+        np.add.at(l1, dt.col, np.abs(dt.val))
+        self.scale, self.row_l1 = scale, int(l1.max(initial=0))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Integer image of x, shape (..., C(D, n), V) -> (..., C(D, n + 1), V)."""
-        if max_abs_int(x) * self.row_l1 >= 2**63:
-            x = x.astype(object)
-        v = self.stack.shape[0]
-        xo = exact_int_matmul(x.reshape(-1, v), self.stack)
-        xo = xo.reshape(x.shape[:-1] + (self.stack.shape[1] // v, v))
-        out = xo[..., self.src[0], self.frame[0], :]
-        for p in range(1, len(self.src)):
-            term = xo[..., self.src[p], self.frame[p], :]
-            out = out - term if p % 2 else out + term
-        contrib = x[..., self.br_src, :] * self.br_coeff[:, None]
-        np.add.at(out, (Ellipsis, self.br_dst, slice(None)), contrib)
-        return out
+        """Integer image of x, shape (..., C(D, n), V) -> (..., C(D, n + 1), V):
+        each nonzero entry of x meets the row of dt it selects, and the
+        products are added into the flat output by one ``np.add.at``."""
+        v = x.shape[-1]
+        nt = self.dt.shape[1] // max(v, 1)
+        batch = prod(x.shape[:-2])
+        flat = x.reshape(batch, self.dt.shape[0])
+        b, r = np.nonzero(flat)
+        xv = flat[b, r]
+        dtype = np.int64 if max_abs_int(xv) * self.row_l1 < 2**63 else object
+        t, e = row_pairs(self.ptr, r)
+        out = np.zeros(batch * nt * v, dtype=dtype)
+        terms = xv[t].astype(dtype, copy=False) * self.dt.val[e].astype(dtype, copy=False)
+        np.add.at(out, b[t] * (nt * v) + self.dt.col[e], terms)
+        return out.reshape(x.shape[:-2] + (nt, v))
 
 
-def _build_koszul(der: DerivationBasis, ops: Sequence[Mat], n: int) -> KoszulOperator:
-    """Assemble the degree-n differential with ops along the frame."""
-    targets, _ = _keys(der.dim, n + 1)
-    _, rows = _keys(der.dim, n)
+def _build_koszul(der: DerivationBasis, ops: Sequence[Mat], v: int, n: int) -> KoszulOperator:
+    """Assemble the degree-n differential with ops (v x v) along the frame.
+
+    Target key t takes the frame term (-1)^p O_mu w(t without p) for each
+    position p, mu = t[p], and the bracket term (-1)^(r+u) c^tau_{t[r] t[u]}
+    w(tau, rest) for positions r < u, rest = t without r and u, with one
+    more sign for each index of rest below tau.
+    """
+    d = der.dim
     (o,), so = scaled_int_mats(ops)
     br = bracket_table(der)
     s = lcm(so, br.den)
     o = scale_ints(o, s // so)
-    b = scale_ints(br.ints, s // br.den).reshape(der.dim, der.dim, der.dim)
-    v = o.shape[1]
-    src = np.array(
-        [[rows[key[:p] + key[p + 1 :]] for key in targets] for p in range(n + 1)], dtype=np.intp
-    )
-    frame = np.array([[key[p] for key in targets] for p in range(n + 1)], dtype=np.intp)
-    # the bracket term of the Koszul sum, summed per (target, source) pair
-    nonzero = [[[(tau, q) for tau, q in enumerate(row) if q] for row in mu] for mu in b.tolist()]
-    acc: dict[tuple[int, int], int] = {}
-    for t, key in enumerate(targets):
-        for r, u in combinations(range(n + 1), 2):
-            rest = tuple(key[i] for i in range(n + 1) if i != r and i != u)
-            sgn_ru = -1 if (r + u) % 2 else 1
-            for tau, q in nonzero[key[r]][key[u]]:
-                ins = _insert_index(tau, rest)
-                if ins is None:
-                    continue
-                kk, isign = ins
-                pair = (t, rows[kk])
-                acc[pair] = acc.get(pair, 0) + q * sgn_ru * isign
-    entries = [(pair, c) for pair, c in acc.items() if c]
-    br_l1 = [0] * len(targets)
-    for (t, _), c in entries:
-        br_l1[t] += abs(c)
-    fits = all(abs(c) < 2**62 for _, c in entries)
-    ops_l1 = int(np.abs(o).sum(axis=2).max()) if o.size else 0
-    return KoszulOperator(
-        o.transpose(2, 0, 1).reshape(v, der.dim * v),
-        src,
-        frame,
-        np.array([t for (t, _), _ in entries], dtype=np.intp),
-        np.array([e for (_, e), _ in entries], dtype=np.intp),
-        np.array([c for _, c in entries], dtype=np.int64 if fits else object),
-        scale=(n + 1) * s,
-        row_l1=(n + 1) * ops_l1 + max(br_l1, default=0),
-    )
+    b = scale_ints(br.ints, s // br.den)
+    nk, nt = comb(d, n), comb(d, n + 1)
+    targets = np.array(_keys(d, n + 1)[0], dtype=np.int64).reshape(nt, n + 1)
+    powers = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    # in lexicographic order sorted keys have increasing base-d codes
+    codes = np.array(_keys(d, n)[0], dtype=np.int64).reshape(nk, n) @ powers
+    cols = nt * max(v, 1)
+    # keys are (row, column) of dt as row * cols + column, so their sort is dt's
+    keys, vals = [], []
+    # frame term: the nonzeros (v', v) of O_mu, in CSR by mu
+    mu, vo, vi = np.nonzero(o)
+    oval = o[mu, vo, vi]
+    optr = np.searchsorted(mu, np.arange(d + 1))
+    for p in range(n + 1):
+        src = np.searchsorted(codes, np.delete(targets, p, axis=1) @ powers)
+        t, e = row_pairs(optr, targets[:, p])
+        keys.append((src[t] * v + vi[e]) * cols + t * v + vo[e])
+        vals.append(-oval[e] if p % 2 else oval[e])
+    # bracket term: a signed map of keys, tensored with the identity on values
+    pq, tau = np.nonzero(b)
+    bval = b[pq, tau]
+    bptr = np.searchsorted(pq, np.arange(d * d + 1))
+    diag = np.arange(v)
+    for r, u in combinations(range(n + 1), 2):
+        t, e = row_pairs(bptr, targets[:, r] * d + targets[:, u])
+        rest, ins = np.delete(targets, [r, u], axis=1)[t], tau[e]
+        keep = ~(rest == ins[:, None]).any(axis=1)
+        t, e, rest, ins = t[keep], e[keep], rest[keep], ins[keep]
+        src = np.searchsorted(codes, np.sort(np.column_stack((rest, ins)), axis=1) @ powers)
+        odd = (r + u + (rest < ins[:, None]).sum(axis=1)) % 2
+        keys.append((((src * v)[:, None] + diag) * cols + (t * v)[:, None] + diag).ravel())
+        vals.append(np.repeat(np.where(odd, -bval[e], bval[e]), v))
+    keys, vals = np.concatenate(keys), np.concatenate(vals)
+    # every sum is at most the sum of all |vals|
+    if vals.dtype != object and max_abs_int(vals) * len(vals) >= 2**63:
+        vals = vals.astype(object)
+    return KoszulOperator(triples_by_key(keys, vals, (nk * v, cols)), (n + 1) * s)
 
 
 def koszul_operator(owner: Union[DerivationBasis, "Connection"], degree: int) -> KoszulOperator:
@@ -405,9 +404,9 @@ def koszul_operator(owner: Union[DerivationBasis, "Connection"], degree: int) ->
         object.__setattr__(owner, "_koszul_cache", cache)
     if degree not in cache:
         if isinstance(owner, DerivationBasis):
-            cache[degree] = _build_koszul(owner, owner.mats, degree)
+            cache[degree] = _build_koszul(owner, owner.mats, owner.algebra.dim, degree)
         else:
-            cache[degree] = _build_koszul(owner.der, owner.ops, degree)
+            cache[degree] = _build_koszul(owner.der, owner.ops, owner.module.mdim, degree)
     return cache[degree]
 
 

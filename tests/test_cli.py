@@ -4,6 +4,7 @@ import copy
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -406,6 +407,52 @@ class TestHomSystemCap:
 
     def test_albert_one_to_one_is_under_the_cap(self):
         assert 27 * 729**2 <= DENSE_ENTRY_CAP
+
+
+def _run_with_address_cap(argv):
+    """The CLI in a child process whose address space is capped at 1.5 GB, so
+    an unguarded oversized allocation fails at once, in the child."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1500 * 2**20, 1500 * 2**20))
+
+    env = dict(os.environ, JORDANIUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "jordanium.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=cap,
+        timeout=300,
+        check=False,
+    )
+
+
+class TestBuildSizeCap:
+    @pytest.mark.parametrize(
+        "argv, entries",
+        [
+            # dim**2 (dim + 1) / 2 structure constants, dim = n + 1
+            (["algebra", "build", "--type", "spin", "--n", "3000"], 3001**2 * 3002 // 2),
+            (["algebra", "build", "--type", "spin", "--n", "341"], 342**2 * 343 // 2),
+            # dim = n + n (n - 1) / 2 * 2**level = 45150
+            (["algebra", "build", "--type", "herm", "--n", "300", "--level", "0"], 45150**2 * 45151 // 2),
+            # the action tensor: dim * (rank * dim)**2
+            (["module", "build", "--type", "free", "--algebra", "albert", "--rank", "400"], 27 * 10800**2),
+            (["module", "build", "--type", "antiherm", "--n", "300", "--level", "0"], 45150**2 * 45151 // 2),
+            # hermitian dim 276 (10,550,976 structure constants), carrier 300
+            (["module", "build", "--type", "antiherm", "--n", "12", "--level", "2"], 276 * 300**2),
+        ],
+    )
+    def test_oversized_builds_exit_2_before_allocating(self, argv, entries):
+        proc = _run_with_address_cap(argv)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "%d entries, above the cap" % entries in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_largest_spin_factor_under_the_cap(self):
+        assert 341**2 * 342 // 2 <= DENSE_ENTRY_CAP < 342**2 * 343 // 2
 
 
 class TestDerivationCommands:

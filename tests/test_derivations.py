@@ -23,6 +23,7 @@ from jordanium.algebra import (
     direct_sum,
 )
 from jordanium.derivations import (
+    DerivationBasis,
     _leibniz_witnesses,
     annihilator_subalgebra,
     check_jacobi,
@@ -222,6 +223,20 @@ class TestCenterInteraction:
         assert der.dim == 6
         assert check_center_stability(der)
         assert all(check_lie_rinehart(der).values())
+
+    def test_operator_moving_a_central_unit_out_of_the_center(self):
+        # J1_3 + JSpin3: the center is spanned by the units e_0 + e_1 + e_2 and e_6
+        a = direct_sum(build_hermitian(3, 0), build_spin(3))
+        assert a.dim == 10 and a.unit == (1, 1, 1, 0, 0, 0, 1, 0, 0, 0)
+
+        def sends_e0(k, q):
+            return Mat.from_rows([[q if (r, c) == (k, 0) else 0 for c in range(10)] for r in range(10)])
+
+        # e_0 -> e_0 moves J1_3's unit to E_11; e_0 -> 2 e_6 moves it to twice the other unit
+        out, into = sends_e0(0, 1), sends_e0(6, 2)
+        assert not check_center_stability(DerivationBasis(a, (out,), (0,)))
+        assert check_center_stability(DerivationBasis(a, (into,), (0,)))
+        assert not check_center_stability(DerivationBasis(a, (into.scale(fr(1, 3)), out), (0, 1)))
 
 
 class TestInnerDerivations:

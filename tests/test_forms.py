@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from jordanium import forms
 from jordanium.algebra import (
     algebra_from_dict,
+    algebra_to_dict,
     build_hermitian,
     build_spin,
     center_basis,
@@ -41,7 +42,7 @@ from jordanium.forms import (
     zero_form,
 )
 from jordanium.linalg import Mat, expand_in_basis, format_fraction
-from jordanium.modules import build_free
+from jordanium.modules import build_free, module_from_dict
 
 fr = Fraction
 
@@ -542,6 +543,18 @@ class TestIntegerCalculus:
         assert wedge(w, phi) == _wedge_reference(w, phi)
 
     def test_large_entries_take_the_object_route(self, monkeypatch):
+        der = _der("JSpin3(2**45)")
+        v = der.algebra.dim
+        op = koszul_operator(der, 1)
+        # entries just below 2**62 fit int64 one by one, but their sums do not
+        near = tuple(fr(2**62 - 1 - t) for t in range(v))
+        w = DerForm(der, 1, {(k,): near for k in range(der.dim)})
+        assert w.mat.ints.dtype == np.int64
+        assert op.apply(w.mat.ints).dtype == np.dtype(object)
+        assert d_der(w) == _koszul_reference(w, der.mats)
+        small = DerForm(der, 1, {(k,): (1,) * v for k in range(der.dim)})
+        assert op.apply(small.mat.ints).dtype == np.int64
+        assert d_der(small) == _koszul_reference(small, der.mats)
         seen = []
         real = forms.exact_int_matmul
 
@@ -550,18 +563,27 @@ class TestIntegerCalculus:
             return real(a, b)
 
         monkeypatch.setattr(forms, "exact_int_matmul", spy)
-        der = _der("JSpin3(2**45)")
-        v = der.algebra.dim
-        # entries just below 2**62 fit int64 one by one, but their sums do not
-        near = tuple(fr(2**62 - 1 - t) for t in range(v))
-        w = DerForm(der, 1, {(k,): near for k in range(der.dim)})
-        assert d_der(w) == _koszul_reference(w, der.mats)
-        assert seen and seen[0][0] == np.dtype(object)
-        seen.clear()
         rng = random.Random(4)
         w, f = (_random_form(der, 1, rng, v, big=2**45) for _ in range(2))
         assert wedge(w, f) == _wedge_reference(w, f)
         assert seen and seen[0][0] == np.dtype(object)
+
+    @pytest.mark.parametrize("owner", ["frame", "connection"])
+    @pytest.mark.parametrize("label", sorted(_ALGEBRAS) + ["JSpin3(2**45)"])
+    def test_operator_columns_are_the_differentials_of_basis_forms(self, label, owner):
+        der = _der(label)
+        c = _connection(label, 1, 0) if owner == "connection" else None
+        ops, module = (der.mats, None) if c is None else (c.ops, c.module)
+        v = der.algebra.dim if c is None else c.module.mdim
+        for n in range(DEGREE_CAP):
+            op = koszul_operator(der if c is None else c, n)
+            keys = list(combinations(range(der.dim), n))
+            basis = np.eye(len(keys) * v, dtype=np.int64).reshape(len(keys) * v, len(keys), v)
+            image = op.apply(basis)
+            assert image.shape == (len(keys) * v, comb(der.dim, n + 1), v)
+            for i, (key, j) in enumerate(product(keys, range(v))):
+                w = DerForm(der, n, {key: tuple(int(k == j) for k in range(v))}, module)
+                assert Mat(image[i], op.scale) == _koszul_reference(w, ops).mat
 
     @pytest.mark.parametrize("label", sorted(_ALGEBRAS) + ["JSpin3(2**45)"])
     def test_d_squared_vanishes_on_the_whole_space(self, label):
@@ -574,6 +596,16 @@ class TestIntegerCalculus:
             first = koszul_operator(der, n).apply(basis)
             assert first.any() or comb(der.dim, n + 1) == 0
             assert not koszul_operator(der, n + 1).apply(first).any()
+
+    def test_operator_on_a_zero_dimensional_module(self):
+        der = _der("JSpin3")
+        doc = {"label": "zero", "algebra": algebra_to_dict(der.algebra), "mdim": 0, "action": []}
+        zero = module_from_dict(doc)
+        c = base_connection(der, zero)
+        for n in range(DEGREE_CAP):
+            x = np.zeros((2, comb(der.dim, n), 0), dtype=np.int64)
+            assert koszul_operator(c, n).apply(x).shape == (2, comb(der.dim, n + 1), 0)
+            assert extend_to_forms(c, zero_form(der, n, zero)) == zero_form(der, n + 1, zero)
 
     def test_operators_are_cached_on_their_owner(self):
         der = _der("JSpin3")
