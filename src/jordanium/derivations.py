@@ -7,13 +7,13 @@ sorted (row, column, value) triples joined from the nonzero structure
 constants, never as the dense n(n+1)/2 * n by n**2 array, and goes to
 ``linalg.nullspace_int`` as it is; its Gram matrix splits into connected
 components (on the 27-dimensional algebra, 32 of at most 33 of its 729
-columns).  On the 27-dimensional
-exceptional algebra the answer is the 52-dimensional simple Lie algebra of
-type f4; the subalgebra annihilating the three diagonal idempotents is the
-28-dimensional d4, isomorphic to so(8) acting compatibly on the three
-off-diagonal octonion slots.  :func:`complete_triality` reconstructs, from
-one antisymmetric 8x8 generator, the unique other two members of such a
-compatible triple.
+columns).  On the 27-dimensional exceptional algebra the answer is the
+52-dimensional simple Lie algebra of type f4; the subalgebra annihilating
+the three diagonal idempotents is the 28-dimensional d4, isomorphic to
+so(8) acting compatibly on the three off-diagonal octonion slots.
+:func:`complete_triality` reconstructs, from one antisymmetric 8x8
+generator, the unique other two members of such a compatible triple, by
+one cached exact linear map (one kernel, computed on first use).
 
 Inner derivations are the commutators [L_x, L_y] of multiplication
 operators; for the simple algebras they span everything, and
@@ -23,8 +23,9 @@ The commutators [L_i, L_j] and [D_p, D_q] and the Leibniz test are products
 of the exact integer structure tensor ``AlgebraPresentation.int_tensor()``
 taken by ``linalg.exact_int_matmul``, which decides exactness per product
 (float64, int64 or object dtype); no entry size raises ``ExactOverflow``.
-The octonion constructions read the integer ``cayley_dickson.sign_tensor(3)``:
-the triality defect and completion system are signed gathers of matrix
+The Jacobi test joins the nonzero bracket constants.  The octonion
+constructions read the integer ``cayley_dickson.sign_tensor(3)``: the
+triality defect and completion system are signed gathers of matrix
 entries, and a commutator action is one exact product with a cached tensor.
 """
 
@@ -50,9 +51,11 @@ from .linalg import (
     nullspace_int,
     pair_products,
     rank_lower_bound,
+    row_pairs,
     scale_ints,
     scaled_int_mats,
     solve_int,
+    sum_by_key,
     triples_by_key,
 )
 
@@ -227,14 +230,24 @@ def structure_constants(der: DerivationBasis) -> list[list[Vec]]:
 
 
 def check_jacobi(b: list[list[Vec]]) -> bool:
-    """Jacobi identity for bracket constants b[p][q] = coeffs of [D_p, D_q]."""
+    """Jacobi identity for bracket constants b[p][q] = coeffs of [D_p, D_q]: each
+    nonzero b[p, q, e] times row e of b, b[e, r, f], is added under the three
+    cyclic keys of ((p, q, r), f) by one sum_by_key, and no sum may be left;
+    a sum has at most 3 d terms of size max|b|**2 (int64 below 2**63)."""
     d = len(b)
     if d == 0:
         return True
-    bi = Mat.from_rows([v for row in b for v in row]).ints.reshape(d, d, d)
-    t1 = exact_int_matmul(bi.reshape(d * d, d), bi.reshape(d, d * d)).reshape(d, d, d, d)
-    # int64 entries of t1 are below 2**62, so a sum of two cannot overflow
-    return bool((t1 + t1.transpose(1, 2, 0, 3) == -t1.transpose(2, 0, 1, 3)).all())
+    bi = Mat.from_rows([v for row in b for v in row]).ints
+    if 3 * d * max_abs_int(bi) ** 2 >= 2**63:
+        bi = bi.astype(object)
+    by_row = bi.reshape(d, d * d)  # by_row[e, r d + f] = b[e, r, f]
+    pq, e = np.nonzero(bi)  # bi[p d + q, e] = b[p, q, e]
+    row, rf = np.nonzero(by_row)  # sorted by row
+    left, right = row_pairs(np.searchsorted(row, np.arange(d + 1)), e)
+    prod = bi[pq[left], e[left]] * by_row[row[right], rf[right]]
+    (p, q), (r, f) = np.divmod(pq[left], d), np.divmod(rf[right], d)
+    keys = np.concatenate([((x * d + y) * d + z) * d + f for x, y, z in ((p, q, r), (q, r, p), (r, p, q))])
+    return sum_by_key(keys, np.tile(prod, 3))[0].size == 0
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +419,8 @@ def annihilator_subalgebra(
         return []
     n = a.dim
     (ints,), s = scaled_int_mats(der.mats)
-    rows = np.zeros((len(idempotent_indices) * n, der.dim), dtype=ints.dtype)
-    for t, i in enumerate(idempotent_indices):
-        rows[t * n : (t + 1) * n] = ints[:, :, i].T
-    kernel, _ = nullspace_int(rows)
+    # rows (t, r) read D_p(e_i)_r for the t-th index i
+    kernel, _ = nullspace_int(ints[:, :, list(idempotent_indices)].transpose(2, 1, 0).reshape(-1, der.dim))
     stack = exact_int_matmul(kernel.ints, ints.reshape(der.dim, n * n))
     return [Mat(x.reshape(n, n), kernel.den * s) for x in stack]
 
@@ -431,14 +442,10 @@ def is_block_diagonal_for_slots(x: Mat, n_diag: int = 3, d: int = 8) -> bool:
 # triality completion on the octonions
 
 
-def _antisym_pairs(d: int = 8) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(d) for j in range(i + 1, d)]
-
-
 def random_so8(rng: random.Random) -> Mat:
     """Random antisymmetric 8x8 rational matrix, entries p/q with |p| <= 9, q <= 4."""
     rows = [[Fraction(0)] * 8 for _ in range(8)]
-    for i, j in _antisym_pairs():
+    for i, j in zip(*np.triu_indices(8, 1)):
         q = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
         rows[i][j] = q
         rows[j][i] = -q
@@ -464,59 +471,52 @@ def _triality_terms() -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=1)
-def _triality_solver():
-    """One-time exact data for the completion solve.
+def _triality_solver() -> tuple[np.ndarray, Mat, tuple[np.ndarray, np.ndarray]]:
+    """(system, map, (i, j)): the completion's data, built once.
 
-    The defect is linear in the two unknown antisymmetric matrices: their
-    terms, folded by antisymmetry, give 512 integer rows in 56 unknowns,
-    and the d1 term is the right-hand side.  The system has a trivial
-    nullspace, so every consistent query has exactly one solution; the
-    uniqueness bit is computed once here.
+    Folded by antisymmetry onto the upper triangles (i, j), i < j, the
+    defect is 512 integer rows in the 28 unknowns of d2, then d3, then d1.
+    In one kernel, the vector of each d1 column (unit generator E_ij - E_ji)
+    holds that generator's completion: the (56, 28) map.  Every d1 has one
+    completion exactly when the 56 columns of d2 and d3 are the pivots.
     """
-    pairs = _antisym_pairs()
+    i, j = np.triu_indices(8, 1)
     col = np.zeros(64, dtype=np.int64)
     fold = np.zeros(64, dtype=np.int64)  # 0 on the diagonal
-    for t, (i, j) in enumerate(pairs):
-        col[[8 * i + j, 8 * j + i]] = t
-        fold[[8 * i + j, 8 * j + i]] = (1, -1)
+    col[8 * i + j] = col[8 * j + i] = np.arange(i.size)
+    fold[8 * i + j], fold[8 * j + i] = 1, -1
     index, sign = _triality_terms()
-    rows = np.zeros((512, 2 * len(pairs)), dtype=np.int64)
-    for t in (1, 2):
+    system = np.zeros((512, 3 * i.size), dtype=np.int64)
+    for t in range(3):
         entry = index[t] - 64 * t
-        np.add.at(rows, (np.arange(512), col[entry] + len(pairs) * (t - 1)), sign[t] * fold[entry])
-    null, _ = nullspace_int(rows)
-    return rows, null.rows == 0, pairs
+        np.add.at(system, (np.arange(512), col[entry] + i.size * ((t + 2) % 3)), sign[t] * fold[entry])
+    kernel, pivots = nullspace_int(system)
+    if pivots != tuple(range(2 * i.size)):
+        raise AssertionError("the triality completion system is not uniquely solvable")
+    return system, Mat(kernel.ints[:, : 2 * i.size].T, kernel.den), (i, j)
 
 
 def complete_triality(d1: Mat) -> tuple[Mat, Mat]:
     """The unique antisymmetric (d2, d3) compatible with antisymmetric d1.
 
     Compatibility means (d1 x) y + x (d2 y) = conj(d3(conj(x y))) for all
-    octonions x, y.  The 512 equations are one ``solve_int`` call on the
-    cached integer system, whose exact integer product verifies every
-    equation before the solution is returned.
+    octonions x, y.  It is one exact product of the cached map with the
+    upper triangle of d1; one exact product with the cached system checks
+    all 512 equations before it is returned.
     """
     if d1.rows != 8 or d1.cols != 8:
         raise ValueError("expected an 8x8 matrix")
     if d1 != -d1.transpose():
         raise ValueError("triality completion needs an antisymmetric input")
-    rows, unique, pairs = _triality_solver()
-    if not unique:
-        raise AssertionError("the triality completion system is not uniquely solvable")
-    index, sign = _triality_terms()
-    (u,) = solve_int(rows, -sign[0] * d1.ints.reshape(64)[index[0]])
-    if u is None:
+    system, completion, (i, j) = _triality_solver()
+    x = d1.ints[i, j][:, None]
+    u = exact_int_matmul(completion.ints, x)  # completion.den * d1.den times the upper triangles
+    if exact_int_matmul(system, np.concatenate((u, scale_ints(x, completion.den)))).any():
         raise ValueError("no compatible completion exists")
-    # u is d1.den times the upper triangles of d2 and d3
-    i, j = np.array(pairs).T
-
-    def unpack(offset: int) -> Mat:
-        m = np.zeros((8, 8), dtype=u.ints.dtype)
-        m[i, j] = u.ints[0, offset : offset + len(pairs)]
-        m[j, i] = -m[i, j]
-        return Mat(m, u.den * d1.den)
-
-    return unpack(0), unpack(len(pairs))
+    m = np.zeros((2, 8, 8), dtype=u.dtype)
+    m[:, i, j] = u.reshape(2, i.size)
+    m[:, j, i] = -m[:, i, j]
+    return Mat(m[0], completion.den * d1.den), Mat(m[1], completion.den * d1.den)
 
 
 def derivation_from_triality(d1: Mat) -> Mat:

@@ -5,16 +5,21 @@ product (a, b)(c, d) = (ac - conj(d) b, da + b conj(c)) on `Fraction`
 coordinates.  The library computes on the integer ``sign_tensor`` instead;
 the loops below are what it used before, with every entry product going
 through ``CD``, so they share nothing with ``cayley_dickson.basis_products``
-but the basis conventions (``hermitian_pairs``).
+but the basis conventions (``hermitian_pairs``).  ``complete_triality_reference``
+is the completion as one ``solve_int`` call per query, as the library ran
+it before it cached the solution map.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from jordanium.algebra import AlgebraPresentation, hermitian_pairs
 from jordanium.cayley_dickson import MAX_LEVEL
-from jordanium.linalg import Mat, frac
+from jordanium.derivations import _triality_terms
+from jordanium.linalg import Mat, frac, nullspace_int, solve_int
 
 
 def _conj_coords(a: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
@@ -248,6 +253,43 @@ def triality_defect_reference(d1, d2, d3):
             if lhs.coords != d3xy.conj().coords:
                 return (i, j)
     return None
+
+
+def complete_triality_reference(d1):
+    """(d2, d3) by solving the 512 x 56 completion system for this d1 alone.
+
+    The d2 and d3 terms of the defect, folded by antisymmetry, are the
+    integer matrix; the d1 term is the right-hand side of one ``solve_int``.
+    """
+    if d1.rows != 8 or d1.cols != 8:
+        raise ValueError("expected an 8x8 matrix")
+    if d1 != -d1.transpose():
+        raise ValueError("triality completion needs an antisymmetric input")
+    pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+    col = np.zeros(64, dtype=np.int64)
+    fold = np.zeros(64, dtype=np.int64)
+    for t, (i, j) in enumerate(pairs):
+        col[[8 * i + j, 8 * j + i]] = t
+        fold[[8 * i + j, 8 * j + i]] = (1, -1)
+    index, sign = _triality_terms()
+    rows = np.zeros((512, 2 * len(pairs)), dtype=np.int64)
+    for t in (1, 2):
+        entry = index[t] - 64 * t
+        np.add.at(rows, (np.arange(512), col[entry] + len(pairs) * (t - 1)), sign[t] * fold[entry])
+    if nullspace_int(rows)[0].rows:
+        raise AssertionError("the triality completion system is not uniquely solvable")
+    (u,) = solve_int(rows, -sign[0] * d1.ints.reshape(64)[index[0]])
+    if u is None:
+        raise ValueError("no compatible completion exists")
+    i, j = np.array(pairs).T
+
+    def unpack(offset):
+        m = np.zeros((8, 8), dtype=u.ints.dtype)
+        m[i, j] = u.ints[0, offset : offset + len(pairs)]
+        m[j, i] = -m[i, j]
+        return Mat(m, u.den * d1.den)
+
+    return unpack(0), unpack(len(pairs))
 
 
 def antihermitian_reference(n, level):

@@ -11,6 +11,9 @@ mod p of the whole matrix, one column at a time, as the engine ran it
 before it split systems into connected components.  ``ref_sum_by_key``
 groups by one argsort of the keys and two gathers, as ``sum_by_key``
 grouped every input before it sorted packed integer words.
+``ref_check_jacobi`` is the Jacobi test as one dense product over
+``Fraction`` entries, as ``check_jacobi`` ran it (on integers) before it
+joined the nonzero bracket constants.
 """
 
 from dataclasses import dataclass
@@ -213,3 +216,14 @@ def ref_sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.n
     sums = np.add.reduceat(vals, starts)
     nz = sums != 0
     return keys[starts][nz], sums[nz]
+
+
+def ref_check_jacobi(b: Sequence[Sequence[Sequence]]) -> bool:
+    """Jacobi identity of bracket constants b[p][q][e], from the dense
+    t[p, q, r, f] = sum_e b[p, q, e] b[e, r, f] over Fractions."""
+    d = len(b)
+    if d == 0:
+        return True
+    bi = np.array([[[Fraction(x) for x in v] for v in row] for row in b], dtype=object).reshape(d, d, d)
+    t = (bi.reshape(d * d, d) @ bi.reshape(d, d * d)).reshape(d, d, d, d)
+    return bool((t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3) == 0).all())

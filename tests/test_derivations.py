@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +56,8 @@ from jordanium.linalg import (
     solve,
 )
 
-from cd_reference import commutator_action_reference, triality_defect_reference
+from cd_reference import commutator_action_reference, complete_triality_reference, triality_defect_reference
+from mat_reference import ref_check_jacobi
 
 fr = Fraction
 
@@ -518,6 +520,130 @@ class TestOctonionIntegerRoutes:
             commutator_action_matrix([fr(1)] * 7, zero8, zero8)
         with pytest.raises(ValueError, match="8 coordinates"):
             commutator_action_matrix(zero8, zero8, [fr(1)] * 9)
+
+
+class TestTrialityMap:
+    """The cached completion map against one solve_int per query."""
+
+    @given(
+        st.lists(st.integers(-(2**70), 2**70), min_size=28, max_size=28),
+        st.lists(st.integers(1, 10**6), min_size=28, max_size=28),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_map_matches_solve_int_route(self, nums, dens):
+        rows = [[fr(0)] * 8 for _ in range(8)]
+        for t, (i, j) in enumerate(zip(*np.triu_indices(8, 1))):
+            rows[i][j] = fr(nums[t], dens[t])
+            rows[j][i] = -rows[i][j]
+        d1 = Mat.from_rows(rows)
+        assert complete_triality(d1) == complete_triality_reference(d1)
+
+    def test_seeded_inputs_match_solve_int_route(self):
+        rng = random.Random(11)
+        for _ in range(10):
+            d1 = random_so8(rng)
+            for m in (d1, d1.scale(2**70)):
+                assert complete_triality(m) == complete_triality_reference(m)
+
+    def test_rejects_malformed_input(self):
+        for f in (complete_triality, complete_triality_reference):
+            with pytest.raises(ValueError, match="expected an 8x8 matrix"):
+                f(Mat.zeros(7, 7))
+            with pytest.raises(ValueError, match="expected an 8x8 matrix"):
+                f(Mat.zeros(8, 9))
+            with pytest.raises(ValueError, match="needs an antisymmetric input"):
+                f(Mat.identity(8))
+
+    def test_wrong_map_raises_instead_of_returning(self, monkeypatch):
+        system, completion, upper = derivations._triality_solver()
+        ints = completion.ints.copy()
+        ints[5, 0] += 1
+        wrong = (system, Mat(ints, completion.den), upper)
+        monkeypatch.setattr(derivations, "_triality_solver", lambda: wrong)
+        d1 = Mat.from_rows([[fr((r, c) == (0, 1)) - fr((r, c) == (1, 0)) for c in range(8)] for r in range(8)])
+        with pytest.raises(ValueError, match="no compatible completion exists"):
+            complete_triality(d1)
+        monkeypatch.undo()
+        assert complete_triality(d1) == complete_triality_reference(d1)
+
+
+@lru_cache(maxsize=None)
+def lie_brackets(name):
+    builders = {
+        "so3": lambda: build_spin(3),
+        "so4": lambda: build_spin(4),
+        "su3": lambda: build_hermitian(3, 1),
+    }
+    return structure_constants(derivation_basis(builders[name]()))
+
+
+@st.composite
+def bracket_tables(draw):
+    """(kind, b): a random antisymmetric table, the brackets of a real Lie
+    algebra, or those brackets with one pair (p, q), (q, p) perturbed;
+    scaled by 1, 2**31, 2**32, 2**62 or 2**62 + 1 to reach int64 and object
+    dtype; at 2**32 and up an int64 Jacobi sum would wrap by 2**64."""
+    kind = draw(st.sampled_from(["random", "lie", "bent"]))
+    if kind == "random":
+        d = draw(st.integers(0, 4))
+        b = [[[fr(0)] * d for _ in range(d)] for _ in range(d)]
+        for p in range(d):
+            for q in range(p + 1, d):
+                for e in range(d):
+                    b[p][q][e] = draw(RATIONAL)
+                    b[q][p][e] = -b[p][q][e]
+    else:
+        b = [[list(v) for v in row] for row in lie_brackets(draw(st.sampled_from(["so3", "so4", "su3"])))]
+        if kind == "bent":
+            d = len(b)
+            p, q = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+            e = draw(st.integers(0, d - 1))
+            c = draw(RATIONAL.filter(bool))
+            b[p][q][e] += c
+            b[q][p][e] -= c
+    big = draw(st.sampled_from([1, 2**31, 2**32, 2**62, 2**62 + 1]))
+    return kind, [[tuple(x * big for x in v) for v in row] for row in b]
+
+
+class TestJacobiJoin:
+    """check_jacobi's join of the nonzero constants against the dense product."""
+
+    @given(bracket_tables())
+    @settings(max_examples=50, deadline=None)
+    def test_matches_dense_product(self, case):
+        kind, b = case
+        assert check_jacobi(b) == ref_check_jacobi(b)
+        if kind == "lie":
+            assert check_jacobi(b)
+
+    @pytest.mark.parametrize("big", [1, 2**62])
+    def test_perturbed_pair_fails(self, big):
+        # so(3): [e_0, e_1] gains c e_0, so the Jacobi sum on (0, 1, 2) is c [e_0, e_2] != 0
+        b = [[list(v) for v in row] for row in lie_brackets("so3")]
+        b[0][1][0] += fr(1, 3)
+        b[1][0][0] -= fr(1, 3)
+        b = [[tuple(x * big for x in v) for v in row] for row in b]
+        assert not ref_check_jacobi(b)
+        assert not check_jacobi(b)
+
+    def test_dimensions_zero_and_one(self):
+        assert check_jacobi([]) and ref_check_jacobi([])
+        assert check_jacobi([[(fr(0),)]])
+        # not antisymmetric: t[0, 0, 0, 0] = x**2 three times over (3 * 2**64 wraps to 0 in int64)
+        for x in (fr(5), fr(2**32), fr(2**62 + 1, 3)):
+            assert check_jacobi([[(x,)]]) is ref_check_jacobi([[(x,)]]) is False
+
+    def test_albert_peak_memory(self, albert_ctx):
+        # the dense (52**2, 52**2) product peaked at 175 MB
+        b = structure_constants(albert_ctx.der)
+        tracemalloc.start()
+        try:
+            ok = check_jacobi(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok
+        assert peak < 48 * 2**20
 
 
 _UNDER_O = """
