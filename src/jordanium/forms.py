@@ -21,9 +21,9 @@ same sum with its covariant operators in place of the frame matrices.
 Both are computed on integers.  A form is one ``Mat`` of shape (C(D, n), V)
 over the sorted keys of its degree (one integer array and one denominator),
 so equal forms hold equal arrays.  The differential of degree n is a
-:class:`KoszulOperator`, one sparse integer matrix joined with the form's
-nonzero entries and one scale that also holds the 1/(n+1), built once per
-frame (``d_der``) or connection (``extend_to_forms``) and cached on it.
+:class:`KoszulOperator`, the transposed sparse integer matrix ``dt`` and one
+``scale`` that also holds the 1/(n+1), built once per frame (``d_der``) or
+connection (``extend_to_forms``), cached on it and applied by one join.
 ``wedge`` is one exact contraction of the two coefficient arrays with the
 algebra's structure tensor (or the module's action tensor), gathered over the
 disjoint key pairs and summed into the merged keys with their shuffle signs;
@@ -59,6 +59,7 @@ from .linalg import (
     row_pairs,
     scale_ints,
     scaled_int_mats,
+    sparse_join,
     triples_by_key,
     zero_vec,
 )
@@ -304,37 +305,27 @@ class KoszulOperator:
     dt is the transpose of the integer differential as ``linalg.Triples``:
     row k V + v is coordinate v on source key k and column t V + v' is
     coordinate v' on target key t, for V the value dimension (one column
-    per target key at V = 0, so the shape still counts the targets).  Its
-    row offsets ptr and row_l1, the largest L1 sum of a column, are computed
-    once: |apply(x)| <= row_l1 * max |x| picks int64 or object dtype.
+    per target key at V = 0, so the shape still counts the targets).
     """
 
-    __slots__ = ("dt", "ptr", "scale", "row_l1")
+    __slots__ = ("dt", "scale")
 
     def __init__(self, dt: Triples, scale: int):
         # a plain class: a dataclass costs each CLI process milliseconds at import
-        self.dt = Triples(*_read_only(dt.row, dt.col, dt.val), dt.shape)
-        (self.ptr,) = _read_only(np.searchsorted(dt.row, np.arange(dt.shape[0] + 1)))
-        l1 = np.zeros(dt.shape[1], dtype=dt.val.dtype)
-        np.add.at(l1, dt.col, np.abs(dt.val))
-        self.scale, self.row_l1 = scale, int(l1.max(initial=0))
+        _read_only(dt.row, dt.col, dt.val, dt.ptr)
+        self.dt, self.scale = dt, scale
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Integer image of x, shape (..., C(D, n), V) -> (..., C(D, n + 1), V):
-        each nonzero entry of x meets the row of dt it selects, and the
-        products are added into the flat output by one ``np.add.at``."""
+        the nonzero entries of x, one output row per form of the batch, are
+        joined with the rows of dt they select (``linalg.sparse_join``)."""
         v = x.shape[-1]
         nt = self.dt.shape[1] // max(v, 1)
         batch = prod(x.shape[:-2])
         flat = x.reshape(batch, self.dt.shape[0])
         b, r = np.nonzero(flat)
-        xv = flat[b, r]
-        dtype = np.int64 if max_abs_int(xv) * self.row_l1 < 2**63 else object
-        t, e = row_pairs(self.ptr, r)
-        out = np.zeros(batch * nt * v, dtype=dtype)
-        terms = xv[t].astype(dtype, copy=False) * self.dt.val[e].astype(dtype, copy=False)
-        np.add.at(out, b[t] * (nt * v) + self.dt.col[e], terms)
-        return out.reshape(x.shape[:-2] + (nt, v))
+        out = sparse_join(b, r, flat[b, r], self.dt, batch)
+        return out[:, : nt * v].reshape(x.shape[:-2] + (nt, v))
 
 
 def _build_koszul(der: DerivationBasis, ops: Sequence[Mat], v: int, n: int) -> KoszulOperator:

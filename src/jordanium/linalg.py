@@ -11,26 +11,27 @@ form, so identical inputs give identical outputs on every run.
 
 Every exact solve goes through one nullspace engine on integer matrices,
 given as a dense array (a Mat's own array) or as :class:`Triples`: the
-nonzero (row, column, value) entries in sorted order and the shape.  A
-dense array is read into triples by one ``np.nonzero``.  A system with more
-than twice as many rows as columns is first replaced by its Gram matrix,
-which has the same nullspace, joined from the nonzero entries of each row
-and summed by key (:func:`row_pairs`, :func:`sum_by_key`, which sorts key
-and value as one packed int64 word when both fit in 63 bits).  A work
-matrix of at least ``_LABEL_MIN_COLS`` columns is split into its connected
+nonzero (row, column, value) entries in sorted order, the shape and the row
+offsets.  A dense array is read into triples by one ``np.nonzero``.  Sparse
+products are one join (:func:`sparse_join`), summed into a dense array or
+by key (:func:`sum_by_key`, which sorts key and value as one packed int64
+word when both fit in 63 bits).  A system with more than twice as many rows
+as columns is first replaced by its Gram matrix, which has the same
+nullspace: the keyed join of its triples with themselves.  A work matrix of
+at least ``_LABEL_MIN_COLS`` columns is split into its connected
 components; the RREF of a block-diagonal matrix is the union of its
-blocks', so components of similar size are stacked and eliminated
-together, one step per column of the largest of them.  The engine
-eliminates modulo word-size primes, combines the residues by CRT and lifts
-them by one rational reconstruction over the whole residue array
-(:func:`rat_reconstruct`).  The kernel is one
-:class:`Mat` whose rows are the reduced echelon basis, checked once,
-exactly, against the full system by a sparse product over its triples.
-Bareiss (fraction-free) elimination runs only when the primes run out
-without a verified answer.  Each route is a module-level function that a
-tracer outside the package can wrap: ``_gram``, ``_components``,
-``_eliminate_mod_p`` (once per prime), ``_nullspace_bareiss`` and
-``_verify``.  :func:`rref` stays as the plain rational reference.
+blocks', so components of similar size are stacked and eliminated together,
+one step per column of the largest of them.  The engine eliminates modulo
+word-size primes, combines the residues by CRT and lifts them by one
+rational reconstruction over the whole residue array
+(:func:`rat_reconstruct`).  The kernel is one :class:`Mat` whose rows are
+the reduced echelon basis, checked once, exactly, against the full system
+by the join of its triples with the kernel's.  Bareiss (fraction-free)
+elimination runs only when the primes run out without a verified answer.
+Each route is a module-level function that a tracer outside the package can
+wrap: ``_gram``, ``_components``, ``_eliminate_mod_p`` (once per prime),
+``_nullspace_bareiss`` and ``_verify``.  :func:`rref` stays as the plain
+rational reference.
 :func:`solve` reads the kernel of [A | b].
 
 Operator identities run on integer stacks of one scale (:func:`scaled_int_mats`),
@@ -112,8 +113,7 @@ class Mat:
         den = int(den)
         if den <= 0:
             raise ValueError("the denominator must be positive")
-        if ints.dtype != object:
-            ints = ints.astype(np.int64, copy=False)
+        ints = _signed(ints)
         if den > 1:
             g = gcd(den, int(np.gcd.reduce(ints, axis=None)))  # den when ints is 0
             if g > 1:
@@ -442,13 +442,16 @@ def kron(b: Mat, m: Mat) -> Mat:
 
 class Triples(NamedTuple):
     """An integer matrix by its nonzero entries: row, col and val in
-    increasing (row, column) order, val int64 or object dtype, and the
-    matrix shape."""
+    increasing (row, column) order, val int64 or object dtype, the shape,
+    the row offsets ptr (row i is entries ptr[i]:ptr[i + 1]) and col_l1, the
+    largest L1 sum of a column, computed once by the builder of the triples."""
 
     row: np.ndarray
     col: np.ndarray
     val: np.ndarray
     shape: tuple[int, int]
+    ptr: np.ndarray
+    col_l1: int
 
     def dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=self.val.dtype)
@@ -456,12 +459,25 @@ class Triples(NamedTuple):
         return out
 
 
+def _triples(row: np.ndarray, col: np.ndarray, val: np.ndarray, shape: tuple[int, int]) -> Triples:
+    ptr = np.searchsorted(row, np.arange(shape[0] + 1))
+    wide = val.dtype == object or max_abs_int(val) * val.size >= 2**63
+    l1 = np.zeros(shape[1], dtype=object if wide else np.int64)
+    np.add.at(l1, col, np.abs(val.astype(l1.dtype, copy=False)))
+    return Triples(row, col, val, shape, ptr, int(l1.max(initial=0)))
+
+
+def _signed(arr: np.ndarray) -> np.ndarray:
+    """An integer array in int64, or in object dtype when it is object or unsigned past 2**63."""
+    wide = arr.dtype == object or (arr.dtype.kind == "u" and max_abs_int(arr) >= 2**63)
+    return arr.astype(object if wide else np.int64, copy=False)
+
+
 def triples(arr: np.ndarray) -> Triples:
     """The nonzero entries of a dense integer array, read by one np.nonzero."""
-    if arr.dtype not in (np.int64, object):
-        arr = arr.astype(np.int64)
+    arr = _signed(arr)
     r, c = np.nonzero(arr)
-    return Triples(r, c, arr[r, c], arr.shape)
+    return _triples(r, c, arr[r, c], arr.shape)
 
 
 def triples_by_key(keys: np.ndarray, vals: np.ndarray, shape: tuple[int, int]) -> Triples:
@@ -469,7 +485,8 @@ def triples_by_key(keys: np.ndarray, vals: np.ndarray, shape: tuple[int, int]) -
     under key k (:func:`sum_by_key`)."""
     keys, vals = sum_by_key(keys, vals)
     r, c = np.divmod(keys, max(shape[1], 1))
-    return Triples(r, c, vals, shape)
+    del keys  # freed before _triples' temporaries, which peak memory would otherwise add to
+    return _triples(r, c, vals, shape)
 
 
 def row_pairs(ptr: np.ndarray, rows: np.ndarray, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -513,59 +530,50 @@ def sum_by_key(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return keys[starts][nz], sums[nz]
 
 
-_JOIN_PAIRS = 2**21  # products per block of the Gram join and the sparse product, bounding their memory
+_JOIN_PAIRS = 2**21  # products per block of a join, bounding its memory
+
+
+def sparse_join(
+    row: np.ndarray, inner: np.ndarray, val: np.ndarray, right: Triples, rows: int, keyed: bool = False
+) -> Union[np.ndarray, Triples]:
+    """L R for L by its nonzero entries (row, inner, val), in any order with
+    distinct (row, inner), and R as triples (Gustavson's row-by-row product):
+    each entry of L meets the row of R that inner selects, at most
+    _JOIN_PAIRS products at a time, added into a dense (rows, cols) array by
+    np.add.at or, keyed, summed by key into :class:`Triples`.  Entry (i, j)
+    sums max|L| |R[k, j]| over distinct k at most: int64 while
+    max|L| max(R.col_l1, 1) < 2**63, object dtype otherwise."""
+    cols = right.shape[1]
+    dtype = np.int64 if max_abs_int(val) * max(right.col_l1, 1) < 2**63 else object
+    val = val.astype(dtype, copy=False)
+    cnt = right.ptr[inner + 1] - right.ptr[inner]
+    ends = np.cumsum(cnt)  # products up to each entry of L
+    first = right.ptr[inner] - ends + cnt  # entry of R of pair p of entry t is p + first[t]
+    out = np.zeros(0 if keyed else rows * cols, dtype=dtype)  # keyed: the empty first sums
+    parts = [(np.zeros(0, dtype=np.int64), out)]
+    lo = 0
+    while lo < val.size:
+        done = ends[lo] - cnt[lo]
+        hi = val.size
+        if ends[-1] - done > _JOIN_PAIRS:  # the search is a sixth of a small join's time
+            hi = max(lo + 1, int(np.searchsorted(ends, done + _JOIN_PAIRS, side="right")))
+        t = np.repeat(np.arange(lo, hi), cnt[lo:hi])
+        u = np.arange(done, ends[hi - 1]) + first[t]
+        k, v = row[t] * cols + right.col[u], val[t] * right.val[u].astype(dtype, copy=False)
+        if keyed:
+            parts.append(sum_by_key(k, v))
+        else:
+            np.add.at(out, k, v)
+        lo = hi
+    if keyed:
+        return triples_by_key(*map(np.concatenate, zip(*parts)), (rows, cols))
+    return out.reshape(rows, cols)
 
 
 def _gram(a: Triples) -> Triples:
-    """A^T A of an integer matrix A, joined from its triples.
-
-    Every nonzero entry meets every nonzero entry of its own row, itself
-    included, and the products are summed under the key (column, column),
-    a block of rows at a time.  Each entry of A^T A is a sum of at most
-    rows products of size at most max|a|**2: int64 when that bound is below
-    2**63, object dtype otherwise.
-    """
-    nr, nc = a.shape
-    vals = a.val.astype(np.int64 if max_abs_int(a.val) ** 2 * nr < 2**63 else object)
-    ptr = np.searchsorted(a.row, np.arange(nr + 1))
-    done = np.r_[0, np.cumsum(np.diff(ptr) ** 2)]  # products of the rows before each row
-    keys, sums = [np.zeros(0, dtype=np.int64)], [vals[:0]]
-    lo = 0
-    while lo < nr:
-        hi = max(lo + 1, int(np.searchsorted(done, done[lo] + _JOIN_PAIRS, side="right")) - 1)
-        s, t = row_pairs(ptr, a.row[ptr[lo] : ptr[hi]], ptr[lo])
-        k, v = sum_by_key(a.col[s] * nc + a.col[t], vals[s] * vals[t])
-        keys.append(k)
-        sums.append(v)
-        lo = hi
-    return triples_by_key(np.concatenate(keys), np.concatenate(sums), (nc, nc))
-
-
-def _sparse_product(a: Triples, b: np.ndarray) -> np.ndarray:
-    """A B for A as triples and a dense integer B, joined on the nonzero
-    entries of both: entry (r, c) of A meets every nonzero B[c, j], and the
-    product is added at (r, j), a block of at most _JOIN_PAIRS products at
-    a time.
-
-    Each entry is a sum of at most w products of size at most
-    max|a| max|B|, for w the most entries in a row of A: int64 when
-    w max|a| max|B| < 2**63, object dtype otherwise.
-    """
-    width = int(np.bincount(a.row).max(initial=1))
-    dtype = np.int64 if max(max_abs_int(a.val), 1) * max(max_abs_int(b), 1) * width < 2**63 else object
-    c, j = np.nonzero(b)  # in increasing c: B's rows in CSR
-    ptr = np.searchsorted(c, np.arange(b.shape[0] + 1))
-    vals, bv = a.val.astype(dtype, copy=False), b[c, j].astype(dtype, copy=False)
-    cnt = ptr[a.col + 1] - ptr[a.col]
-    ends = np.cumsum(cnt)  # products up to each entry of A
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=dtype)
-    lo = 0
-    while lo < vals.size:
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - cnt[lo] + _JOIN_PAIRS, side="right")))
-        t, u = row_pairs(ptr, a.col[lo:hi], lo)
-        np.add.at(out, (a.row[t], j[u]), vals[t] * bv[u])
-        lo = hi
-    return out
+    """A^T A of an integer matrix A: the keyed join of its triples, entry
+    (r, c) meeting every entry of row r under the key (c, column)."""
+    return sparse_join(a.col, a.row, a.val, a, a.shape[1], keyed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +781,7 @@ def _eliminate_mod_p(blocks: Blocks, nc: int, p: int) -> tuple[tuple[int, ...], 
 
 def _verify(system: Triples, kernel: Mat) -> bool:
     """Whether every kernel row is annihilated by the full system, exactly."""
-    return not _sparse_product(system, kernel.ints.T).any()
+    return not sparse_join(system.row, system.col, system.val, triples(kernel.ints.T), system.shape[0]).any()
 
 
 def _kernel(nc: int, pivots: Sequence[int], num: np.ndarray, den) -> Mat:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jordanium import forms
+from jordanium import forms, linalg
 from jordanium.algebra import (
     algebra_from_dict,
     algebra_to_dict,
@@ -584,6 +584,28 @@ class TestIntegerCalculus:
             for i, (key, j) in enumerate(product(keys, range(v))):
                 w = DerForm(der, n, {key: tuple(int(k == j) for k in range(v))}, module)
                 assert Mat(image[i], op.scale) == _koszul_reference(w, ops).mat
+
+    @pytest.mark.parametrize("owner", ["frame", "connection"])
+    @pytest.mark.parametrize("label", ["J2_3", "JSpin4", "JSpin3(2**45)"])
+    def test_blocked_joins_match_one_block(self, label, owner, monkeypatch):
+        der = _der(label)
+        c = _connection(label, 1, 0) if owner == "connection" else None
+        v = der.algebra.dim if c is None else c.module.mdim
+        dtypes = set()
+        for n in range(DEGREE_CAP):
+            op = koszul_operator(der if c is None else c, n)
+            rows = comb(der.dim, n)
+            basis = np.eye(rows * v, dtype=np.int64).reshape(rows * v, rows, v)
+            # entries near 2**62 take the object route
+            for x in (basis, basis * (2**62 - 1)):
+                want = op.apply(x)
+                dtypes.add(want.dtype)
+                for block in (1, 3):
+                    monkeypatch.setattr(linalg, "_JOIN_PAIRS", block)
+                    got = op.apply(x)
+                    assert got.dtype == want.dtype and (got == want).all()
+                monkeypatch.undo()
+        assert dtypes == {np.dtype(np.int64), np.dtype(object)}
 
     @pytest.mark.parametrize("label", sorted(_ALGEBRAS) + ["JSpin3(2**45)"])
     def test_d_squared_vanishes_on_the_whole_space(self, label):

@@ -188,6 +188,15 @@ class TestNullspace:
         scaled = tuple(x / v[2] for x in v)
         assert scaled == (fr(1), fr(-2), fr(1))
 
+    def test_unsigned_input_past_2_63_does_not_wrap(self):
+        arr = np.array([[2**63, 1]], dtype=np.uint64)
+        kernel, pivots = nullspace_int(arr)
+        assert (kernel, pivots) == nullspace_int(np.array([[2**63, 1]], dtype=object))
+        assert kernel.ints.tolist() == [[-1, 2**63]] and kernel.den == 2**63
+        assert not (arr.astype(object) @ kernel.ints.T).any()
+        below = np.array([[2**63 - 1, 1]], dtype=np.uint64)
+        assert nullspace_int(below) == nullspace_int(below.astype(np.int64))
+
     def test_canonical_free_coordinates(self):
         arr = np.array([[1, 2, 3, 4], [0, 0, 1, 1]], dtype=np.int64)
         kernel, pivots = nullspace_int(arr)
@@ -380,12 +389,13 @@ class TestSparseEngine:
         dense = np.array(rows, dtype=object)
         want = dense.T @ dense
         big = max(abs(v) for row in rows for v in row)
+        l1 = max(sum(abs(row[c]) for row in rows) for c in range(nc))
         for block in (linalg._JOIN_PAIRS, 1, 4):
             with mock.patch.object(linalg, "_JOIN_PAIRS", block):
                 got = _gram(triples(arr))
             assert got.shape == (nc, nc)
             assert (got.dense() == want).all()
-            assert (got.val.dtype == np.int64) == (big * big * nr < 2**63)
+            assert (got.val.dtype == np.int64) == (big * max(l1, 1) < 2**63)
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -496,25 +506,42 @@ class TestComponentEngine:
                 assert not linalg._verify(system, Mat(bent, kernel.den))
 
     @given(st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_sparse_product_matches_dense_product(self, data):
+    @settings(max_examples=150, deadline=None)
+    def test_join_matches_dense_product(self, data):
         nr, nc, f = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6)), data.draw(st.integers(0, 4))
         entries = data.draw(st.sampled_from([_sparse_small, _near_2_62]))
         a = _int_array(data.draw(st.lists(st.lists(entries, min_size=nc, max_size=nc), min_size=nr, max_size=nr)))
         b = _int_array(data.draw(st.lists(st.lists(entries, min_size=f, max_size=f), min_size=nc, max_size=nc)))
-        want = a.astype(object) @ b.reshape(nc, f).astype(object)
+        b = b.reshape(nc, f)
+        want = a.astype(object) @ b.astype(object)
+        # the left entries in any order the caller gives them
+        row, inner = np.nonzero(a)
+        order = np.array(data.draw(st.permutations(range(row.size))), dtype=np.int64)
+        row, inner = row[order], inner[order]
+        right = triples(b)
+        l1 = int(np.abs(b.astype(object)).sum(axis=0).max(initial=0))
+        fits = int(np.abs(a.astype(object)).max()) * max(l1, 1) < 2**63
         for block in (linalg._JOIN_PAIRS, 1, 3):
             with mock.patch.object(linalg, "_JOIN_PAIRS", block):
-                assert (linalg._sparse_product(triples(a), b.reshape(nc, f)) == want).all()
+                dense = linalg.sparse_join(row, inner, a[row, inner], right, nr)
+                keyed = linalg.sparse_join(row, inner, a[row, inner], right, nr, keyed=True)
+            assert dense.shape == keyed.shape == (nr, f)
+            assert (dense == want).all() and (keyed.dense() == want).all()
+            assert (dense.dtype == np.int64) == (keyed.val.dtype == np.int64) == fits
+            assert np.array_equal(np.column_stack((keyed.row, keyed.col)), np.argwhere(want != 0))
 
-    def test_sparse_product_switches_to_object_past_its_bound(self):
-        # the widest row has two entries: int64 while 2 max|a| max|b| < 2**63
+    def test_join_switches_to_object_past_its_bound(self):
+        # max|left| = 2**31 and the right's largest column L1 sum is 2 top:
+        # int64 while 2**31 * 2 top < 2**63
         a = np.array([[2**31, 2**31], [0, 1], [0, 0]], dtype=np.int64)
+        row, inner = np.nonzero(a)
         for top, dtype in ((2**31 - 1, np.int64), (2**31, object)):
             b = np.array([[top, 1], [top, -1]], dtype=np.int64)
-            got = linalg._sparse_product(triples(a), b)
-            assert got.dtype == dtype
-            assert (got == a.astype(object) @ b.astype(object)).all()
+            want = a.astype(object) @ b.astype(object)
+            dense = linalg.sparse_join(row, inner, a[row, inner], triples(b), 3)
+            keyed = linalg.sparse_join(row, inner, a[row, inner], triples(b), 3, keyed=True)
+            assert dense.dtype == keyed.val.dtype == dtype
+            assert (dense == want).all() and (keyed.dense() == want).all()
 
     def test_each_route_is_a_module_function(self, monkeypatch):
         # an outside tracer can wrap every route of the engine by name
@@ -682,6 +709,12 @@ class TestMatAgainstReference:
         assert Mat.from_rows([[Fraction(2**70, 3), Fraction(2**69, 3)]]).scale(Fraction(3, 2**68)).ints.dtype == np.int64
         with pytest.raises(ValueError):
             Mat.from_rows([[1, 2], [3]])
+
+    def test_unsigned_entries_past_2_63_do_not_wrap(self):
+        m = Mat(np.array([[2**64 - 1, 2**63]], dtype=np.uint64))
+        assert m.ints.dtype == object and m.ints.tolist() == [[2**64 - 1, 2**63]]
+        small = Mat(np.array([[2**62 - 1, 0]], dtype=np.uint64))
+        assert small.ints.dtype == np.int64 and small.ints.tolist() == [[2**62 - 1, 0]]
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
