@@ -19,14 +19,17 @@ Inner derivations are the commutators [L_x, L_y] of multiplication
 operators; for the simple algebras they span everything, and
 :func:`express_in_inner` finds an explicit expansion.
 
-The commutators [L_i, L_j] and [D_p, D_q] and the Leibniz test are products
-of the exact integer structure tensor ``AlgebraPresentation.int_tensor()``
-taken by ``linalg.exact_int_matmul``, which decides exactness per product
-(float64, int64 or object dtype); no entry size raises ``ExactOverflow``.
-The Jacobi test joins the nonzero bracket constants.  The octonion
-constructions read the integer ``cayley_dickson.sign_tensor(3)``: the
-triality defect and completion system are signed gathers of matrix
-entries, and a commutator action is one exact product with a cached tensor.
+The commutators [L_i, L_j] and [D_p, D_q] are products of the exact integer
+structure tensor ``AlgebraPresentation.int_tensor()`` taken by
+``linalg.exact_int_matmul``, which decides exactness per product (float64,
+int64 or object dtype); no entry size raises ``ExactOverflow``.  The
+Leibniz test of any stack of operators is one keyed ``linalg.sparse_join``
+of the operators' nonzero entries with the transposed Leibniz system; the
+system and its transpose are built once per presentation.  The Jacobi test
+joins the nonzero bracket constants.  The octonion constructions read
+the integer ``cayley_dickson.sign_tensor(3)``: the triality defect and
+completion system are signed gathers of matrix entries, and a commutator
+action is one exact product with a cached tensor.
 """
 
 from __future__ import annotations
@@ -55,7 +58,9 @@ from .linalg import (
     scale_ints,
     scaled_int_mats,
     solve_int,
+    sparse_join,
     sum_by_key,
+    triples,
     triples_by_key,
 )
 
@@ -63,7 +68,7 @@ from .linalg import (
 # the Leibniz system
 
 
-def _leibniz_system(a: AlgebraPresentation) -> Triples:
+def _leibniz_system(a: AlgebraPresentation, transposed: bool = False) -> Triples:
     """The constraint X(e_i e_j) - X(e_i)e_j - e_i X(e_j) = 0 as triples.
 
     Unknowns are the n*n matrix entries X[r, c] flattened row-major; row
@@ -73,8 +78,16 @@ def _leibniz_system(a: AlgebraPresentation) -> Triples:
     x <= y, and -c[x, y, z] at X[y, i] in row z of every pair (i, x) and
     at X[y, j] in row z of every pair (x, j).  An entry is the sum of at
     most three constants: int64 when 3 max|c| < 2**62, object dtype
-    otherwise.
+    otherwise.  Built once per presentation and stashed on it, as is the
+    transpose (row u the unknown u) on its first request.
     """
+    cache = a.__dict__.setdefault("_leibniz_cache", {})
+    if transposed in cache:
+        return cache[transposed]
+    if transposed:
+        s = _leibniz_system(a)
+        cache[True] = triples_by_key(s.col * s.shape[0] + s.row, s.val, s.shape[::-1])
+        return cache[True]
     c, _ = a.int_tensor()
     if 3 * max_abs_int(c) >= 2**62:
         c = c.astype(object)
@@ -96,40 +109,28 @@ def _leibniz_system(a: AlgebraPresentation) -> Triples:
     )
     col = np.concatenate((s * n + z[up], y[left] * n + i, y[right] * n + j))
     vals = np.concatenate((v[up], -v[left], -v[right]))
-    return triples_by_key(row * (n * n) + col, vals, (n * (n + 1) // 2 * n, n * n))
+    cache[False] = triples_by_key(row * (n * n) + col, vals, (n * (n + 1) // 2 * n, n * n))
+    return cache[False]
 
 
-_LEIBNIZ_CHUNK = 16  # operators per batch of the Leibniz test, bounding its memory
-
-
-def _leibniz_witnesses(c: np.ndarray, xs: np.ndarray) -> list[Optional[tuple[int, int]]]:
+def _leibniz_witnesses(a: AlgebraPresentation, xs: np.ndarray) -> list[Optional[tuple[int, int]]]:
     """For each integer operator of the stack xs (b, n, n), its first failing pair.
 
-    c is the scaled structure tensor.  X(e_i e_j) = X(e_i) e_j + e_i X(e_j)
-    is bilinear in (c, X), so both scales cancel.  Each side comes from
-    exact integer contractions, int64 below 2**62 or object dtype, and t1 is
-    compared with t2 + t3 so no int64 sum overflows.  The witness is the
-    lexicographically first (i, j); the defect is symmetric, so i <= j.
+    The operators flattened row-major, one per row, times the transposed
+    Leibniz system are their defects: one keyed ``linalg.sparse_join`` of
+    the operators' nonzero entries, which passes only the system rows they
+    select.  The defect is bilinear in the structure constants and X, so
+    both scales cancel.  The witness is the pair of the row's first nonzero
+    column, the lexicographically first (i, j), i <= j, in the system's
+    order of pairs (``np.triu_indices``).
     """
-    n = c.shape[0]
-    c_ij_k = c.reshape(n * n, n)
-    c_m_jr = c.reshape(n, n * n)
-    c_m_ir = c.transpose(1, 0, 2).reshape(n, n * n)
-    out: list[Optional[tuple[int, int]]] = []
-    for lo in range(0, len(xs), _LEIBNIZ_CHUNK):
-        x = xs[lo : lo + _LEIBNIZ_CHUNK]
-        b = len(x)
-        x_bi_m = x.transpose(0, 2, 1).reshape(b * n, n)  # X_b[m, i]
-        # t1[b,i,j,r] = X_b(e_i e_j)_r, t2 = (X_b(e_i) e_j)_r, t3 = (e_i X_b(e_j))_r
-        t1 = exact_int_matmul(c_ij_k, x.transpose(2, 0, 1).reshape(n, b * n))
-        t1 = t1.reshape(n, n, b, n).transpose(2, 0, 1, 3)
-        t2 = exact_int_matmul(x_bi_m, c_m_jr).reshape(b, n, n, n)
-        t3 = exact_int_matmul(x_bi_m, c_m_ir).reshape(b, n, n, n).transpose(0, 2, 1, 3)
-        bad = t1 != t2 + t3
-        for k in range(b):
-            hits = np.argwhere(bad[k])
-            out.append(None if hits.size == 0 else (int(hits[0][0]), int(hits[0][1])))
-    return out
+    n, b = a.dim, len(xs)
+    ops = triples(xs.reshape(b, n * n))
+    defect = sparse_join(ops.row, ops.col, ops.val, _leibniz_system(a, transposed=True), b, keyed=True)
+    fails = np.flatnonzero(np.diff(defect.ptr))  # operators with a nonzero defect
+    first = dict(zip(fails.tolist(), (defect.col[defect.ptr[fails]] // n).tolist()))
+    i, j = np.triu_indices(n)
+    return [(int(i[first[k]]), int(j[first[k]])) if k in first else None for k in range(b)]
 
 
 def leibniz_violation(a: AlgebraPresentation, x: Mat) -> Optional[tuple[int, int]]:
@@ -137,7 +138,7 @@ def leibniz_violation(a: AlgebraPresentation, x: Mat) -> Optional[tuple[int, int
     n = a.dim
     if x.rows != n or x.cols != n:
         raise ValueError("operator shape does not match the algebra")
-    return _leibniz_witnesses(a.int_tensor()[0], x.ints[None])[0]
+    return _leibniz_witnesses(a, x.ints[None])[0]
 
 
 @dataclass(frozen=True)
@@ -277,10 +278,10 @@ def check_center_stability(der: DerivationBasis) -> bool:
 def check_lie_rinehart(der: DerivationBasis) -> dict:
     """The center / derivation pair carries the expected structure.
 
-    Checks that z * D is again a derivation for central z (module structure)
-    and the mixed bracket law [D, z D'] = D(z) D' + z [D, D'], as exact
-    products of scaled integer operators; both sides of the law carry the
-    same scales.
+    Checks that z * D is again a derivation for central z (module structure,
+    one Leibniz test of every L_z D_p) and the mixed bracket law
+    [D, z D'] = D(z) D' + z [D, D'], as exact products of scaled integer
+    operators; both sides of the law carry the same scales.
     """
     a = der.algebra
     n = a.dim
@@ -297,14 +298,12 @@ def check_lie_rinehart(der: DerivationBasis) -> dict:
     dz = exact_int_matmul(zints, dints.reshape(d * n, n).T)  # dz[z, (p, r)] = D_p(z)_r
     ldz = exact_int_matmul(dz.reshape(k * d, n), c.reshape(n, n * n))
     ldz = ldz.reshape(k, d, n, n).transpose(0, 1, 3, 2)
+    lzd = pair_products(lz, dints)  # lzd[z, p] = L_z D_p
+    module_ok = all(w is None for w in _leibniz_witnesses(a, lzd.reshape(k * d, n, n)))
     comm = commutators(dints)
-    module_ok = True
     bracket_ok = True
     for z in range(k):
-        lzd = pair_products(lz[z : z + 1], dints)[0]  # L_z D_p
-        if any(w is not None for w in _leibniz_witnesses(c, lzd)):
-            module_ok = False
-        lhs = pair_products(dints, lzd) - pair_products(lzd, dints).transpose(1, 0, 2, 3)
+        lhs = pair_products(dints, lzd[z]) - pair_products(lzd[z], dints).transpose(1, 0, 2, 3)
         z_comm = pair_products(lz[z : z + 1], comm.reshape(d * d, n, n))[0]
         rhs = pair_products(ldz[z], dints) + z_comm.reshape(d, d, n, n)
         if (lhs != rhs).any():
@@ -350,7 +349,7 @@ def inner_span_report(a: AlgebraPresentation, der: Optional[DerivationBasis] = N
         der = derivation_basis(a)
     pairs, table, _ = _inner_table(a)
     if pairs:
-        all_der = all(w is None for w in _leibniz_witnesses(a.int_tensor()[0], table))
+        all_der = all(w is None for w in _leibniz_witnesses(a, table))
         stacked = table.reshape(len(pairs), -1)
         rank_lower = rank_lower_bound(stacked, der.dim)
     else:

@@ -475,6 +475,8 @@ def _signed(arr: np.ndarray) -> np.ndarray:
 
 def triples(arr: np.ndarray) -> Triples:
     """The nonzero entries of a dense integer array, read by one np.nonzero."""
+    if arr.dtype != object and arr.dtype.kind not in "biu":
+        raise ValueError("triples are read from an integer array")
     arr = _signed(arr)
     r, c = np.nonzero(arr)
     return _triples(r, c, arr[r, c], arr.shape)

@@ -9,13 +9,14 @@ import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jordanium import cli, derivations
+from jordanium import cli, derivations, linalg
 from jordanium.algebra import (
     AlgebraPresentation,
     build_hermitian,
@@ -240,6 +241,15 @@ class TestCenterInteraction:
         assert check_center_stability(DerivationBasis(a, (into,), (0,)))
         assert not check_center_stability(DerivationBasis(a, (into.scale(fr(1, 3)), out), (0, 1)))
 
+    def test_bent_derivation_is_not_module_closed(self):
+        # the unit is central and L_1 D_0 = D_0, which the bend at (1, 1) takes off the derivations
+        der = derivation_basis(build_hermitian(3, 0))
+        n = der.algebra.dim
+        bend = Mat.from_rows([[int((r, c) == (1, 1)) for c in range(n)] for r in range(n)])
+        bent = DerivationBasis(der.algebra, (der.mats[0] + bend,) + der.mats[1:], der.free_coords)
+        assert check_lie_rinehart(der)["module_closed"] is True
+        assert check_lie_rinehart(bent)["module_closed"] is False
+
 
 class TestInnerDerivations:
     def test_inner_operators_are_derivations(self):
@@ -452,13 +462,21 @@ class TestIntegerLayer:
     @given(small_algebras(), st.data())
     @settings(max_examples=40, deadline=None)
     def test_batched_leibniz_matches_reference(self, a, data):
-        ops = [x for _, x in inner_basis_operators(a)]
-        ops += list(derivation_basis(a).mats)
-        ops += [random_operator(data.draw, a.dim) for _ in range(data.draw(st.integers(0, 12)))]
+        n = a.dim
+        ders = list(derivation_basis(a).mats)
+        ops = [x for _, x in inner_basis_operators(a)] + ders
+        ops += [random_operator(data.draw, n) for _ in range(data.draw(st.integers(0, 12)))]
+        # bent off column 0, a derivation still kills the unit: its witness is past the pairs (0, j)
+        for x in ders[: data.draw(st.integers(0, 3))]:
+            ops.append(x + Mat.from_rows([[0] + [data.draw(RATIONAL) for _ in range(n - 1)] for _ in range(n)]))
         expected = [reference_leibniz(a, x) for x in ops]
+        # scaled past 2**62, every nonzero entry is object dtype
+        ops = [x.scale(data.draw(st.sampled_from([1, 2**64]))) for x in ops]
         assert [leibniz_violation(a, x) for x in ops] == expected
         (stack,), _ = scaled_int_mats(ops)
-        assert _leibniz_witnesses(a.int_tensor()[0], stack) == expected
+        for block in (linalg._JOIN_PAIRS, 1, 3):
+            with mock.patch.object(linalg, "_JOIN_PAIRS", block):
+                assert _leibniz_witnesses(a, stack) == expected
 
     @pytest.mark.parametrize("builder", [lambda: build_hermitian(3, 1), lambda: build_hermitian(3, 2)])
     def test_brackets_and_expansions_as_with_fraction_operators(self, builder):

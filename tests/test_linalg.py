@@ -197,6 +197,15 @@ class TestNullspace:
         below = np.array([[2**63 - 1, 1]], dtype=np.uint64)
         assert nullspace_int(below) == nullspace_int(below.astype(np.int64))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128])
+    def test_non_integer_input_is_refused(self, dtype):
+        # [0.5, 1] has the kernel (-2, 1); read as int64 it would be [0, 1], kernel (1, 0)
+        arr = np.array([[0.5, 1.0]], dtype=dtype)
+        for read in (triples, nullspace_int):
+            with pytest.raises(ValueError):
+                read(arr)
+        assert nullspace_int(np.array([[1, 2]], dtype=np.int32))[0].ints.tolist() == [[-2, 1]]
+
     def test_canonical_free_coordinates(self):
         arr = np.array([[1, 2, 3, 4], [0, 0, 1, 1]], dtype=np.int64)
         kernel, pivots = nullspace_int(arr)
