@@ -14,7 +14,7 @@ import json
 import random
 import sys
 import time
-from itertools import combinations
+from math import comb
 from typing import Optional
 
 from . import __version__
@@ -51,7 +51,7 @@ from .derivations import (
     random_so8,
     triality_defect,
 )
-from .forms import DerForm, d_der
+from .forms import d_squared_witness, sorted_keys
 from .modules import (
     build_antihermitian,
     build_clifford,
@@ -373,20 +373,17 @@ def cmd_forms_d2check(args) -> int:
     if not 0 <= args.maxdeg <= 1:
         raise UsageError("--maxdeg must be 0 or 1: d^2 needs two degrees of room")
     der = derivation_basis(a)
+    # forms are counted in the order degree, sorted key, basis element
     checked = 0
     failure = None
     for deg in range(0, args.maxdeg + 1):
-        for key in combinations(range(der.dim), deg):
-            for i in range(a.dim):
-                w = DerForm(der, deg, {key: a.basis_element(i)})
-                checked += 1
-                if not d_der(d_der(w)).is_zero():
-                    failure = {"degree": deg, "key": list(key), "basis": i}
-                    break
-            if failure:
-                break
-        if failure:
+        row = d_squared_witness(der, deg)
+        if row is not None:
+            k, i = divmod(row, a.dim)
+            failure = {"degree": deg, "key": list(sorted_keys(der.dim, deg)[0][k]), "basis": i}
+            checked += row + 1
             break
+        checked += comb(der.dim, deg) * a.dim
     results = {
         "label": a.label,
         "max_degree": args.maxdeg,

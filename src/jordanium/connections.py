@@ -183,23 +183,24 @@ def zero_potential(der: DerivationBasis, rank: int) -> GaugePotential:
 
 
 class Connection:
-    """Covariant operators over one derivation frame, validated on build."""
+    """Covariant operators over one derivation frame, validated on build.
+
+    potential, when given, is the gauge potential A with ops = the flat lift
+    of the frame (:func:`base_connection`) + A; curvature then also runs the
+    gauge formula.
+    """
 
     def __init__(
         self,
         der: DerivationBasis,
         module: ModuleAction,
         ops: Sequence[Mat],
-        base_ops: Optional[tuple[Mat, ...]] = None,
         potential: Optional[GaugePotential] = None,
-        is_base: bool = False,
     ):
         self.der = der
         self.module = module
         self.ops = tuple(ops)
-        self.base_ops = base_ops
         self.potential = potential
-        self.is_base = bool(is_base)
         if len(self.ops) != der.dim:
             raise ValueError("need one operator per derivation basis element")
         for g in self.ops:
@@ -211,6 +212,11 @@ class Connection:
         badz = center_linearity_defect(der, module, self.ops)
         if badz is not None:
             raise ValueError("center linearity fails at center %d, derivation %d" % badz)
+
+    @property
+    def is_base(self) -> bool:
+        """The flat lift of the frame: the gauge potential is zero."""
+        return self.potential is not None and self.potential.is_zero()
 
     def op(self, mu: int) -> Mat:
         return self.ops[mu]
@@ -240,10 +246,7 @@ def base_connection(der: DerivationBasis, module: ModuleAction) -> Connection:
     if p is None:
         raise ValueError("base connection needs a module in free block form")
     eye = Mat.identity(p)
-    conn = Connection(der, module, [kron(eye, x) for x in der.mats], is_base=True)
-    conn.base_ops = conn.ops
-    conn.potential = zero_potential(der, p)
-    return conn
+    return Connection(der, module, [kron(eye, x) for x in der.mats], zero_potential(der, p))
 
 
 def _center_kron(alg, blocks: np.ndarray) -> tuple[np.ndarray, int]:
@@ -277,9 +280,7 @@ def with_potential(c0: Connection, a: GaugePotential) -> Connection:
     ops = [
         c0.ops[mu] + potential_operator(c0.der, a, mu) for mu in range(c0.der.dim)
     ]
-    base_ops = c0.ops if c0.is_base else None
-    raw = a if c0.is_base else None
-    return Connection(c0.der, c0.module, ops, base_ops=base_ops, potential=raw)
+    return Connection(c0.der, c0.module, ops, a if c0.is_base else None)
 
 
 def potential_from_connection(c: Connection, c0: Connection) -> Optional[GaugePotential]:
@@ -407,7 +408,7 @@ def curvature(c: Connection) -> Curvature:
     m = c.module.mdim
     r = Mat(comm.reshape(len(keys) * m, m), s) - Mat(contr.reshape(len(keys) * m, m), s)
     stack = r.ints.reshape(len(keys), m, m)
-    if c.potential is not None and c.base_ops is not None:
+    if c.potential is not None:
         alt, s_alt = _gauge_curvature_table(c)
         hits = np.flatnonzero((scale_ints(stack, s_alt) != scale_ints(alt, r.den)).any(axis=(1, 2)))
         if hits.size:
@@ -486,8 +487,8 @@ def potential_to_dict(a: GaugePotential) -> dict:
 
 def potential_from_dict(d: dict) -> GaugePotential:
     rank = parse_int(d["rank"])
-    if rank < 0:
-        raise ValueError("rank must be nonnegative")
+    if rank < 1:
+        raise ValueError("rank must be positive")
     zdim = parse_int(d.get("center_dim", 1))
     mats = []
     for per in d["potential"]:

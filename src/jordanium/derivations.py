@@ -241,12 +241,11 @@ def check_jacobi(b: list[list[Vec]]) -> bool:
     bi = Mat.from_rows([v for row in b for v in row]).ints
     if 3 * d * max_abs_int(bi) ** 2 >= 2**63:
         bi = bi.astype(object)
-    by_row = bi.reshape(d, d * d)  # by_row[e, r d + f] = b[e, r, f]
+    by_row = triples(bi.reshape(d, d * d))  # entry (e, r d + f) is b[e, r, f]
     pq, e = np.nonzero(bi)  # bi[p d + q, e] = b[p, q, e]
-    row, rf = np.nonzero(by_row)  # sorted by row
-    left, right = row_pairs(np.searchsorted(row, np.arange(d + 1)), e)
-    prod = bi[pq[left], e[left]] * by_row[row[right], rf[right]]
-    (p, q), (r, f) = np.divmod(pq[left], d), np.divmod(rf[right], d)
+    left, right = row_pairs(by_row.ptr, e)
+    prod = bi[pq[left], e[left]] * by_row.val[right]
+    (p, q), (r, f) = np.divmod(pq[left], d), np.divmod(by_row.col[right], d)
     keys = np.concatenate([((x * d + y) * d + z) * d + f for x, y, z in ((p, q, r), (q, r, p), (r, p, q))])
     return sum_by_key(keys, np.tile(prod, 3))[0].size == 0
 
@@ -412,6 +411,8 @@ def annihilator_subalgebra(
     """
     a = der.algebra
     for i in idempotent_indices:
+        if not 0 <= i < a.dim:
+            raise ValueError("idempotent index %d lies outside the basis of dimension %d" % (i, a.dim))
         if a.basis_product(i, i) != a.basis_element(i):
             raise ValueError("basis element %d is not idempotent" % i)
     if der.dim == 0:

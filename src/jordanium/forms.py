@@ -24,9 +24,11 @@ so equal forms hold equal arrays.  The differential of degree n is a
 :class:`KoszulOperator`, the transposed sparse integer matrix ``dt`` and one
 ``scale`` that also holds the 1/(n+1), built once per frame (``d_der``) or
 connection (``extend_to_forms``), cached on it and applied by one join.
-``wedge`` is one exact contraction of the two coefficient arrays with the
-algebra's structure tensor (or the module's action tensor), gathered over the
-disjoint key pairs and summed into the merged keys with their shuffle signs;
+d^2 = 0 on every basis form of a degree is one product of two of these
+matrices (:func:`d_squared_witness`), with no form built.  ``wedge`` is one
+exact contraction of the two coefficient arrays with the algebra's structure
+tensor (or the module's action tensor), gathered over the disjoint key pairs
+and summed into the merged keys with their shuffle signs;
 n! l! / (n+l)! joins the one denominator.  Sums run in int64 only below a
 bound checked before they start, in object dtype otherwise, and each result
 is one ``Mat`` of the summed array over its scale.
@@ -60,6 +62,7 @@ from .linalg import (
     scale_ints,
     scaled_int_mats,
     sparse_join,
+    triples,
     triples_by_key,
     zero_vec,
 )
@@ -134,7 +137,7 @@ class DerForm:
             raise ValueError("form degree must lie in 0..%d" % DEGREE_CAP)
         degree = int(degree)
         value_dim = module.mdim if module is not None else der.algebra.dim
-        keys, rows = _keys(der.dim, degree)
+        keys, rows = sorted_keys(der.dim, degree)
         targets, vecs = [], []
         for key, vec in (coeffs or {}).items():
             key = tuple(int(k) for k in key)
@@ -164,7 +167,7 @@ class DerForm:
         """Read-only {key: Fraction tuple} of the nonzero values, built on first
         read; the package itself computes on ``mat``."""
         if self._coeffs is None:
-            keys, _ = _keys(self.der.dim, self.degree)
+            keys, _ = sorted_keys(self.der.dim, self.degree)
             nz = self.mat.nonzero_rows()
             self._coeffs = MappingProxyType({keys[t]: self.mat.row(t) for t in nz})
         return self._coeffs
@@ -216,7 +219,7 @@ class DerForm:
         if len(indices) != self.degree:
             raise ValueError("expected %d arguments" % self.degree)
         key, sign = _sort_sign(indices)
-        t = _keys(self.der.dim, self.degree)[1].get(key)
+        t = sorted_keys(self.der.dim, self.degree)[1].get(key)
         if t is None:  # a repeated or out-of-range index
             return zero_vec(self.value_dim)
         vec = self.mat.row(t)
@@ -232,7 +235,7 @@ class DerForm:
         rows = [basis_vec(dim, a) if isinstance(a, int) else tuple(map(frac, a)) for a in args]
         if any(len(row) != dim for row in rows):
             raise ValueError("argument has the wrong frame dimension")
-        keys, _ = _keys(dim, self.degree)
+        keys, _ = sorted_keys(dim, self.degree)
         nz = self.mat.nonzero_rows()
         # the sum over keys of the arguments' minor on the key times its value
         minors = [[_det([tuple(row[k] for k in keys[t]) for row in rows]) for t in nz]]
@@ -285,8 +288,9 @@ def coordinate_form(der: DerivationBasis, k: int) -> DerForm:
 
 
 @lru_cache(maxsize=None)
-def _keys(dim: int, degree: int) -> tuple[tuple[Key, ...], dict[Key, int]]:
-    """The sorted keys of one degree, and the row of each."""
+def sorted_keys(dim: int, degree: int) -> tuple[tuple[Key, ...], dict[Key, int]]:
+    """The sorted keys of one degree (the order of itertools.combinations),
+    and the row of each."""
     keys = tuple(combinations(range(dim), degree))
     return keys, {key: t for t, key in enumerate(keys)}
 
@@ -343,36 +347,33 @@ def _build_koszul(der: DerivationBasis, ops: Sequence[Mat], v: int, n: int) -> K
     o = scale_ints(o, s // so)
     b = scale_ints(br.ints, s // br.den)
     nk, nt = comb(d, n), comb(d, n + 1)
-    targets = np.array(_keys(d, n + 1)[0], dtype=np.int64).reshape(nt, n + 1)
+    targets = np.array(sorted_keys(d, n + 1)[0], dtype=np.int64).reshape(nt, n + 1)
     powers = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
     # in lexicographic order sorted keys have increasing base-d codes
-    codes = np.array(_keys(d, n)[0], dtype=np.int64).reshape(nk, n) @ powers
+    codes = np.array(sorted_keys(d, n)[0], dtype=np.int64).reshape(nk, n) @ powers
     cols = nt * max(v, 1)
     # keys are (row, column) of dt as row * cols + column, so their sort is dt's
     keys, vals = [], []
-    # frame term: the nonzeros (v', v) of O_mu, in CSR by mu
-    mu, vo, vi = np.nonzero(o)
-    oval = o[mu, vo, vi]
-    optr = np.searchsorted(mu, np.arange(d + 1))
+    # frame term: the nonzeros (v', v) of O_mu, row mu and column v' v + v
+    ot = triples(o.reshape(d, v * v))
+    vo, vi = np.divmod(ot.col, v)
     for p in range(n + 1):
         src = np.searchsorted(codes, np.delete(targets, p, axis=1) @ powers)
-        t, e = row_pairs(optr, targets[:, p])
+        t, e = row_pairs(ot.ptr, targets[:, p])
         keys.append((src[t] * v + vi[e]) * cols + t * v + vo[e])
-        vals.append(-oval[e] if p % 2 else oval[e])
+        vals.append(-ot.val[e] if p % 2 else ot.val[e])
     # bracket term: a signed map of keys, tensored with the identity on values
-    pq, tau = np.nonzero(b)
-    bval = b[pq, tau]
-    bptr = np.searchsorted(pq, np.arange(d * d + 1))
+    bt = triples(b)  # row p d + q, column tau
     diag = np.arange(v)
     for r, u in combinations(range(n + 1), 2):
-        t, e = row_pairs(bptr, targets[:, r] * d + targets[:, u])
-        rest, ins = np.delete(targets, [r, u], axis=1)[t], tau[e]
+        t, e = row_pairs(bt.ptr, targets[:, r] * d + targets[:, u])
+        rest, ins = np.delete(targets, [r, u], axis=1)[t], bt.col[e]
         keep = ~(rest == ins[:, None]).any(axis=1)
         t, e, rest, ins = t[keep], e[keep], rest[keep], ins[keep]
         src = np.searchsorted(codes, np.sort(np.column_stack((rest, ins)), axis=1) @ powers)
         odd = (r + u + (rest < ins[:, None]).sum(axis=1)) % 2
         keys.append((((src * v)[:, None] + diag) * cols + (t * v)[:, None] + diag).ravel())
-        vals.append(np.repeat(np.where(odd, -bval[e], bval[e]), v))
+        vals.append(np.repeat(np.where(odd, -bt.val[e], bt.val[e]), v))
     keys, vals = np.concatenate(keys), np.concatenate(vals)
     # every sum is at most the sum of all |vals|
     if vals.dtype != object and max_abs_int(vals) * len(vals) >= 2**63:
@@ -405,9 +406,9 @@ def koszul_operator(owner: Union[DerivationBasis, "Connection"], degree: int) ->
 def _shuffles(dim: int, n: int, l: int) -> tuple[np.ndarray, ...]:
     """(left, right, merged, sign) over the disjoint pairs of sorted keys of
     degrees n and l: their rows, the row of the merged key and the shuffle sign."""
-    left, _ = _keys(dim, n)
-    right, _ = _keys(dim, l)
-    _, merged = _keys(dim, n + l)
+    left, _ = sorted_keys(dim, n)
+    right, _ = sorted_keys(dim, l)
+    _, merged = sorted_keys(dim, n + l)
     found = []
     for a, k1 in enumerate(left):
         for b, k2 in enumerate(right):
@@ -446,7 +447,7 @@ def wedge(w: DerForm, f: DerForm) -> DerForm:
     prod = exact_int_matmul(t.transpose(0, 2, 1).reshape(-1, jdim), xf.T)
     prod = prod.reshape(len(xw), kdim, len(xf))
     left, right, merged, sign = _shuffles(w.der.dim, n, l)
-    out = np.zeros((len(_keys(w.der.dim, n + l)[0]), kdim), dtype=prod.dtype)
+    out = np.zeros((len(sorted_keys(w.der.dim, n + l)[0]), kdim), dtype=prod.dtype)
     np.add.at(out, merged, prod[left, :, right] * sign[:, None])
     return _form(w.der, n + l, Mat(out, s_c * w.mat.den * f.mat.den * mult), mod)
 
@@ -479,6 +480,20 @@ def extend_to_forms(c: "Connection", phi: DerForm) -> DerForm:
     if phi.degree + 1 > DEGREE_CAP:
         raise ValueError("extension would exceed the degree cap of %d" % DEGREE_CAP)
     return _koszul(phi, c)
+
+
+def d_squared_witness(der: DerivationBasis, n: int) -> Optional[int]:
+    """First row of (D_{n+1} D_n)^T holding a nonzero entry, None when d^2
+    vanishes on degree-n forms.
+
+    The product is the keyed join of the two cached differentials
+    (:func:`koszul_operator`), and row k V + v is the basis form e_v on the
+    k-th sorted key (:func:`sorted_keys`), V the algebra dimension.  The
+    scales are positive, so the integer product is zero exactly where d^2 is.
+    """
+    first, second = koszul_operator(der, n).dt, koszul_operator(der, n + 1).dt
+    sq = sparse_join(first.row, first.col, first.val, second, first.shape[0], keyed=True)
+    return int(sq.row[0]) if sq.row.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +576,7 @@ def z_linearity_defect(w: DerForm) -> Optional[tuple[int, Key]]:
 
 
 def form_to_dict(w: DerForm) -> dict:
-    keys, _ = _keys(w.der.dim, w.degree)
+    keys, _ = sorted_keys(w.der.dim, w.degree)
     entries = [
         [list(keys[t]), [format_fraction(v) for v in w.mat.row(t)]]
         for t in w.mat.nonzero_rows()

@@ -561,11 +561,17 @@ def sparse_join(
             hi = max(lo + 1, int(np.searchsorted(ends, done + _JOIN_PAIRS, side="right")))
         t = np.repeat(np.arange(lo, hi), cnt[lo:hi])
         u = np.arange(done, ends[hi - 1]) + first[t]
-        k, v = row[t] * cols + right.col[u], val[t] * right.val[u].astype(dtype, copy=False)
+        # v in place, t and u freed before the sums and k and v before the next
+        # block: each would otherwise add a block-sized array to the peak
+        k = row[t] * cols + right.col[u]
+        v = right.val[u].astype(dtype, copy=False)
+        v *= val[t]
+        del t, u
         if keyed:
             parts.append(sum_by_key(k, v))
         else:
             np.add.at(out, k, v)
+        del k, v
         lo = hi
     if keyed:
         return triples_by_key(*map(np.concatenate, zip(*parts)), (rows, cols))

@@ -17,11 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanium.algebra import DENSE_ENTRY_CAP, algebra_dumps, algebra_loads, build_spin
-from jordanium.cli import main
+from jordanium.cli import main, resolve_algebra
 from jordanium.connections import gauge_potential, potential_to_dict
 from jordanium.derivations import derivation_basis, structure_constants
 from jordanium.linalg import Mat
 from jordanium.modules import build_antihermitian, build_free, module_dumps
+
+from forms_reference import BENDS, bent_frame, reference_d2_results
 
 REPORT_KEYS = {"tool", "version", "command", "inputs_digest", "results", "timing_ms"}
 
@@ -209,9 +211,10 @@ class TestMalformedInput:
     """A zero denominator, an out-of-range index, an unknown algebra label, a
     negative carrier dimension, an algebra with missing keys, a document that
     is not a JSON object, potential layers that do not match the center,
-    ragged potential rows, a float or bool where an exact number belongs, and
-    an algebra or module whose dense tensor is above the entry cap is
-    unusable input: exit 2."""
+    ragged potential rows, a float or bool where an exact number belongs, a
+    potential of rank below 1, an algebra too small to hold the idempotents
+    of ``der d4``, and an algebra or module whose dense tensor is above the
+    entry cap is unusable input: exit 2."""
 
     ZERO_DEN = _spin2_wire(structure=[[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 1, 0, "1/0"]])
     BAD_K = _spin2_wire(structure=[[0, 0, 0, "1"], [0, 1, 5, "1"], [1, 1, 0, "1"]])
@@ -244,8 +247,12 @@ class TestMalformedInput:
             (["algebra", "check", "--algebra", "-"], _spin_wire(2999)),
             (["conn", "curvature", "--potential", "-"], _potential_wire(rank=-1, potential=[])),
             (["conn", "flat", "--potential", "-"], _potential_wire(rank=-1, potential=[])),
+            (["conn", "curvature", "--potential", "-"], _potential_wire(rank=0, potential=[[], [], []])),
+            (["conn", "flat", "--potential", "-"], _potential_wire(rank=0, potential=[[], [], []])),
             (["conn", "curvature", "--potential", "-"], _potential_wire(rank=100000, potential=[])),
             (["conn", "flat", "--potential", "-"], _potential_wire(rank=100000, potential=[])),
+            (["der", "d4", "--algebra", "real"], None),
+            (["der", "d4", "--algebra", "-"], {"label": "zero", "dim": 0, "unit": [], "structure": []}),
         ],
     )
     def test_exits_2_without_traceback(self, capsys, monkeypatch, argv, doc):
@@ -489,6 +496,30 @@ class TestFormsCommand:
         )
         assert code == 2
         assert err.strip()
+
+    @pytest.mark.parametrize("maxdeg", [0, 1])
+    @pytest.mark.parametrize("alias, kind, where", BENDS)
+    def test_failure_report_equals_the_per_form_loop(self, capsys, monkeypatch, alias, kind, where, maxdeg):
+        a, _ = resolve_algebra(alias)
+        der = bent_frame(derivation_basis(a), kind, where)
+        monkeypatch.setattr("jordanium.cli.derivation_basis", lambda _: der)
+        code, rep = report(capsys, "forms", "d2check", "--algebra", alias, "--maxdeg", str(maxdeg))
+        ref = reference_d2_results(der, range(maxdeg + 1))
+        assert rep["results"] == dict(ref, label=a.label, max_degree=maxdeg)
+        assert code == (0 if ref["all_zero"] else 1)
+
+    @pytest.mark.parametrize("maxdeg", [0, 1])
+    @pytest.mark.parametrize("alias", ["real", "jspin2", "jspin3", "j13", "j23", "zero"])
+    def test_report_bytes_equal_the_per_form_loop(self, capsys, tmp_path, alias, maxdeg):
+        if alias == "zero":
+            alias = str(tmp_path / "zero.json")
+            Path(alias).write_text(json.dumps({"label": "zero", "dim": 0, "unit": [], "structure": []}))
+        code, out, _ = run_cli(capsys, "forms", "d2check", "--algebra", alias, "--maxdeg", str(maxdeg))
+        a, _ = resolve_algebra(alias)
+        ref = dict(reference_d2_results(derivation_basis(a), range(maxdeg + 1)), label=a.label, max_degree=maxdeg)
+        # the report as printed, with the loop's results in place of its own
+        assert out == json.dumps(dict(json.loads(out), results=ref), sort_keys=True, separators=(",", ":")) + "\n"
+        assert code == 0
 
 
 class TestConnectionCommands:

@@ -20,6 +20,7 @@ from jordanium.algebra import (
     center_basis,
     direct_sum,
 )
+from jordanium.cli import resolve_algebra
 from jordanium.connections import base_connection, gauge_potential, with_potential
 from jordanium.derivations import derivation_basis, structure_constants
 from jordanium.forms import (
@@ -27,6 +28,7 @@ from jordanium.forms import (
     DerForm,
     coordinate_form,
     d_der,
+    d_squared_witness,
     element_form,
     extend_to_forms,
     form_associator,
@@ -43,6 +45,8 @@ from jordanium.forms import (
 )
 from jordanium.linalg import Mat, expand_in_basis, format_fraction
 from jordanium.modules import build_free, module_from_dict
+
+from forms_reference import BENDS, bent_frame, reference_d2_results
 
 fr = Fraction
 
@@ -163,6 +167,23 @@ class TestDifferential:
         phi = module_element_form(der, mod, tuple(fr(1) for _ in range(mod.mdim)))
         with pytest.raises(ValueError):
             d_der(phi)
+
+
+class TestDSquaredWitness:
+    """d^2 as one product of the cached differentials, against the per-form
+    loop of tests/forms_reference.py, degree by degree."""
+
+    @pytest.mark.parametrize("alias, kind, where", BENDS)
+    def test_first_failure_matches_the_per_form_loop(self, alias, kind, where):
+        der = bent_frame(derivation_basis(resolve_algebra(alias)[0]), kind, where)
+        for n in (0, 1):
+            ref = reference_d2_results(der, [n])
+            assert d_squared_witness(der, n) == (None if ref["all_zero"] else ref["forms_checked"] - 1)
+
+    def test_degree_cap(self):
+        der = derivation_basis(build_spin(3))
+        with pytest.raises(ValueError):
+            d_squared_witness(der, DEGREE_CAP - 1)
 
 
 class TestGradedIdentities:
